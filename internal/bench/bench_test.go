@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -158,21 +159,29 @@ func TestTableF2(t *testing.T) {
 	}
 }
 
+// TestTableF3 pins the committed F3 table of EXPERIMENTS.md row for row.
 func TestTableF3(t *testing.T) {
-	rows, err := TableF3([]int{5, 9, 13})
+	want := []F3Row{
+		{N: 5, Subnets: 3, Wavelengths: 6, ADMs: 10, MaxTransit: 2, Cost: 125},
+		{N: 7, Subnets: 6, Wavelengths: 12, ADMs: 21, MaxTransit: 6, Cost: 288},
+		{N: 9, Subnets: 10, Wavelengths: 20, ADMs: 36, MaxTransit: 12, Cost: 542},
+		{N: 11, Subnets: 15, Wavelengths: 30, ADMs: 55, MaxTransit: 20, Cost: 905},
+		{N: 13, Subnets: 21, Wavelengths: 42, ADMs: 78, MaxTransit: 30, Cost: 1395},
+		{N: 15, Subnets: 28, Wavelengths: 56, ADMs: 105, MaxTransit: 42, Cost: 2030},
+	}
+	var ns []int
+	for _, r := range want {
+		ns = append(ns, r.N)
+	}
+	rows, err := TableF3(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rows {
-		if r.Wavelengths != 2*r.Subnets {
-			t.Errorf("n=%d: wavelengths must be 2·subnets", r.N)
-		}
-		if i > 0 && r.Cost <= rows[i-1].Cost {
-			t.Errorf("cost must grow with n")
-		}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("F3 rows differ from the committed table:\n got %+v\nwant %+v", rows, want)
 	}
-	if out := RenderF3(rows); !strings.Contains(out, "ADMs") {
-		t.Error("render incomplete")
+	if out := RenderF3(rows); !strings.Contains(out, "15  28       56           105   42           2030.0") {
+		t.Errorf("render differs from the committed table:\n%s", out)
 	}
 }
 

@@ -132,10 +132,15 @@ func UniformLambda(g *graph.Graph) (int, bool) {
 		return 0, false
 	}
 	lam := g.M() / pairs
-	for _, e := range g.Edges() {
-		if g.Multiplicity(e.U, e.V) != lam {
-			return 0, false
-		}
+	// Walk the pair array without materializing an edge list: cache
+	// signatures call this on every request.
+	uniform := true
+	g.ForEachEdge(func(_, _, mult int) bool {
+		uniform = mult == lam
+		return uniform
+	})
+	if !uniform {
+		return 0, false
 	}
 	return lam, true
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
+	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/instance"
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
@@ -56,6 +57,45 @@ func fixedPipeline(t *testing.T, in instance.Instance) *cover.Covering {
 		return res.Covering
 	}
 	return Greedy(ring.MustNew(in.N()), in.Demand)
+}
+
+// TestUniformLambda pins the λ-class test: λK_n answers (λ, true), and
+// anything else — including a demand whose pair and edge counts match
+// λK_n but whose multiplicities differ — answers (0, false).
+func TestUniformLambda(t *testing.T) {
+	for n := 2; n <= 9; n++ {
+		for k := 1; k <= 3; k++ {
+			if lam, ok := UniformLambda(instance.Lambda(n, k).Demand); lam != k || !ok {
+				t.Errorf("Lambda(%d, %d): got (%d, %v), want (%d, true)", n, k, lam, ok, k)
+			}
+		}
+	}
+	// Six pairs and twelve edges, so λ = 2 by the counts, but (0,1)
+	// carries 1 and (2,3) carries 3.
+	skewed := graph.New(4)
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			k := 2
+			switch {
+			case u == 0 && v == 1:
+				k = 1
+			case u == 2 && v == 3:
+				k = 3
+			}
+			skewed.AddEdgeMulti(u, v, k)
+		}
+	}
+	for name, g := range map[string]*graph.Graph{
+		"nil":       nil,
+		"K1":        graph.New(1),
+		"hub":       instance.Hub(6, 2).Demand,
+		"neighbors": instance.Neighbors(6).Demand,
+		"skewed":    skewed,
+	} {
+		if lam, ok := UniformLambda(g); lam != 0 || ok {
+			t.Errorf("%s: got (%d, %v), want (0, false)", name, lam, ok)
+		}
+	}
 }
 
 // TestPortfolioMatchesPipeline is the equivalence pin of the strategy

@@ -174,3 +174,31 @@ func TestBatchSharedDeadline(t *testing.T) {
 		t.Fatalf("slow item did not report the deadline: %+v", got[1])
 	}
 }
+
+// TestPlanAtRingSizeLimit pins that K_1023, the largest odd ring the
+// service admits, plans inside a production plan timeout: WDM planning
+// is linear in the covering once it is verified, so the request answers
+// 200 rather than 504.
+func TestPlanAtRingSizeLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans K_1023: skipped under -short")
+	}
+	s := New(Config{CacheSize: 4, Workers: 1, Queue: 4, PlanTimeout: 30 * time.Second})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	resp, body := get(t, ts.URL+"/plan?n=1023")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (body %.200s)", resp.StatusCode, body)
+	}
+	var plan struct{ Size, Rho, Wavelengths int }
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Size != 130816 || plan.Rho != 130816 || plan.Wavelengths != 261632 {
+		t.Fatalf("size %d, rho %d, wavelengths %d; want ρ(1023) = 130816 and 261632 wavelengths",
+			plan.Size, plan.Rho, plan.Wavelengths)
+	}
+}

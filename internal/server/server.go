@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,9 +26,6 @@ import (
 	"github.com/cyclecover/cyclecover/internal/scratch"
 	"github.com/cyclecover/cyclecover/internal/wdm"
 )
-
-// defaultCost prices a network with the package-default cost model.
-func defaultCost(nw *wdm.Network) float64 { return wdm.DefaultCostModel.Cost(nw) }
 
 // MaxRingSize bounds the ring sizes the service accepts. The demand
 // graph and covering are Θ(n²), so n must be validated before any
@@ -221,28 +219,38 @@ func (s *Server) planContext(r *http.Request) (context.Context, context.CancelFu
 	return context.WithTimeout(r.Context(), s.planTimeout)
 }
 
-// respBufs recycles response encode buffers (the same scratch-pool type
-// the sweep engine and the verifier use for their hot-path state), so a
-// response costs one buffered encode and one Write instead of per-call
-// encoder allocations and chunked writes.
-var respBufs = scratch.NewPool(func() *bytes.Buffer { return &bytes.Buffer{} })
+// respBufs recycles response encode buffers together with their
+// indenting encoders (the same scratch-pool type the sweep engine and the
+// verifier use for their hot-path state), so a response costs one
+// buffered encode and one Write, and reuses the encoder's indent buffer
+// instead of growing a fresh one per call.
+var respBufs = scratch.NewPool(func() *respBuf {
+	b := &respBuf{}
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+})
+
+// respBuf is a pooled response buffer and the encoder that writes to it.
+type respBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := respBufs.Get()
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b := respBufs.Get()
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
 		// Encoding failed before anything was written: the error is still
 		// reportable as a clean 500.
-		respBufs.Put(buf)
+		respBufs.Put(b)
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(buf.Bytes())
-	respBufs.Put(buf)
+	w.Write(b.buf.Bytes())
+	respBufs.Put(b)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -298,21 +306,12 @@ type planResponse struct {
 	CacheHit    bool    `json:"cacheHit"`
 }
 
-// planned bundles what one pool job computes.
+// planned bundles what one pool job computes. nw is the cached network,
+// shared and read-only; nil for general instances.
 type planned struct {
 	res cache.CoverResult
-	nw  *wdmNetwork
+	nw  *wdm.Network
 	hit bool
-}
-
-// wdmNetwork is the slice of network facts the response needs; computed
-// inside the job so handlers never touch the shared *wdm.Network
-// concurrently with encoding.
-type wdmNetwork struct {
-	wavelengths int
-	adms        int
-	maxTransit  int
-	cost        float64
 }
 
 // planOne validates one (n, demand-spec, strategy) request and computes
@@ -388,16 +387,7 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 		if err != nil {
 			return nil, err
 		}
-		return planned{
-			res: res,
-			nw: &wdmNetwork{
-				wavelengths: nw.Wavelengths(),
-				adms:        nw.ADMCount(),
-				maxTransit:  nw.MaxTransit(),
-				cost:        defaultCost(nw),
-			},
-			hit: coverHit && netHit,
-		}, nil
+		return planned{res: res, nw: nw, hit: coverHit && netHit}, nil
 	})
 	if err != nil {
 		return planResponse{}, jobStatus(ctx, err), fmt.Errorf("plan failed: %w", err)
@@ -418,9 +408,9 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 }
 
 // buildPlanResponse assembles the /plan JSON from a covering result and
-// (for ring instances) its WDM network facts. Shared by the normal
-// planOne path and the stale-serve path.
-func buildPlanResponse(sig string, in instance.Instance, strategy string, res cache.CoverResult, nw *wdmNetwork, hit bool) planResponse {
+// (for ring instances) the optical facts its planned network carries.
+// Shared by planOne, the stale-serve path and /plan/delta.
+func buildPlanResponse(sig string, in instance.Instance, strategy string, res cache.CoverResult, nw *wdm.Network, hit bool) planResponse {
 	resp := planResponse{
 		Signature: sig,
 		N:         in.N(),
@@ -433,10 +423,10 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 		CacheHit:  hit,
 	}
 	if nw != nil {
-		resp.Wavelengths = nw.wavelengths
-		resp.ADMs = nw.adms
-		resp.MaxTransit = nw.maxTransit
-		resp.Cost = nw.cost
+		resp.Wavelengths = nw.Wavelengths()
+		resp.ADMs = nw.ADMCount()
+		resp.MaxTransit = nw.MaxTransit()
+		resp.Cost = wdm.DefaultCostModel.Cost(nw)
 	}
 	if in.IsGeneral() {
 		resp.Length = res.Covering.TotalLength()
@@ -444,6 +434,7 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 	} else if isAllToAll(in) {
 		resp.Rho = cover.Rho(in.N())
 	}
+	resp.Cycles = slices.Grow(resp.Cycles, len(res.Covering.Cycles))
 	for _, c := range res.Covering.Cycles {
 		resp.Cycles = append(resp.Cycles, c.Vertices())
 	}
@@ -462,17 +453,10 @@ func (s *Server) stalePlan(in instance.Instance, strategy string) (planResponse,
 		if !ok {
 			continue
 		}
-		var nw *wdmNetwork
+		var nw *wdm.Network
 		if !in.IsGeneral() {
-			n, ok := s.plans.LookupNetwork(in, o)
-			if !ok {
+			if nw, ok = s.plans.LookupNetwork(in, o); !ok {
 				continue
-			}
-			nw = &wdmNetwork{
-				wavelengths: n.Wavelengths(),
-				adms:        n.ADMCount(),
-				maxTransit:  n.MaxTransit(),
-				cost:        defaultCost(n),
 			}
 		}
 		resp := buildPlanResponse(cache.Signature(in, o), in, strategy, res, nw, true)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -266,6 +267,32 @@ func TestPlanVerifyRoundTrip(t *testing.T) {
 		}
 		if q == "n=11" && !vr.Optimal {
 			t.Fatalf("K_11 round trip lost optimality: %s", body)
+		}
+	}
+}
+
+// TestWriteJSONFormat pins the bytes of every JSON answer to
+// json.MarshalIndent with two-space indent plus a newline, across reuse
+// of the pooled encoders: a large value, a small one after it, a value
+// that fails to encode (a clean 500), and a value after that failure.
+func TestWriteJSONFormat(t *testing.T) {
+	large := planResponse{Signature: "n=9;d=k1", N: 9, Demand: "alltoall", Size: 12, Rho: 12, Cost: 1.5}
+	for i := 0; i < 200; i++ {
+		large.Cycles = append(large.Cycles, []int{i, i + 1, i + 2})
+	}
+	small := errorBody{Error: "bad <n> & \"spec\""}
+	for _, v := range []any{large, small, math.Inf(1), small, large} {
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, v)
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			if w.Code != http.StatusInternalServerError || w.Body.String() != "{\"error\":\"response encoding failed\"}\n" {
+				t.Fatalf("unencodable %v: got %d %q, want a clean 500", v, w.Code, w.Body.String())
+			}
+			continue
+		}
+		if got := w.Body.String(); w.Code != http.StatusOK || got != string(want)+"\n" {
+			t.Fatalf("%T: got %d\n%s\nwant 200\n%s", v, w.Code, got, want)
 		}
 	}
 }
@@ -542,4 +569,50 @@ func BenchmarkPlanBatchWarm(b *testing.B) {
 			b.Fatalf("status %d, %d lines", resp.StatusCode, strings.Count(string(out), "\n"))
 		}
 	}
+}
+
+// BenchmarkPlanHit measures a warm /plan answer through the handler:
+// parse, signature, cache hits, facts and the indented encode. The
+// answer is discarded, so B/op counts only the server's own garbage.
+func BenchmarkPlanHit(b *testing.B) {
+	for _, n := range []int{15, 51, 101} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := New(Config{CacheSize: 8, Workers: 2})
+			defer s.Close()
+			h := s.Handler()
+			req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/plan?n=%d", n), nil)
+			h.ServeHTTP(&discardResponse{}, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := &discardResponse{}
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+		})
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the status.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header {
+	if w.header == nil {
+		w.header = http.Header{}
+	}
+	return w.header
+}
+
+func (w *discardResponse) WriteHeader(status int) { w.status = status }
+
+func (w *discardResponse) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(p), nil
 }

@@ -16,6 +16,7 @@ package wdm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
@@ -40,25 +41,43 @@ type Subnetwork struct {
 // Network is a planned survivable WDM ring: the physical ring, the demand
 // it serves, and one subnetwork per covering cycle. Every demand pair is
 // assigned to exactly one subnetwork (the first cycle covering it).
+//
+// Plan also tallies the optical facts once, so ADMCount, TransitAt,
+// MaxTransit and CostModel.Cost are O(1) reads. A Network is immutable
+// after Plan and safe to share between goroutines.
 type Network struct {
-	Ring        ring.Ring
-	Demand      *graph.Graph
-	Subnets     []Subnetwork
-	Assignment  map[graph.Edge]int // demand pair → subnetwork index
-	unprotected []graph.Edge
+	Ring       ring.Ring
+	Demand     *graph.Graph
+	Subnets    []Subnetwork
+	Assignment map[graph.Edge]int // demand pair → subnetwork index
+
+	adms    int   // Σ|C| over the subnetworks' cycles
+	onCycle []int // onCycle[v]: how many cycles contain ring node v
+	minOn   int   // min over v of onCycle[v]
 }
 
 // Plan builds the network design for a demand graph and a covering. It
 // fails if the covering does not cover the demand or violates the DRC.
+//
+// After verification the design is built in one O(Σ|C|) pass over the
+// cycles in index order: each cycle's consecutive pairs are assigned to
+// it unless an earlier cycle already took them, and each of its nodes is
+// counted for the optical facts.
 func Plan(cv *cover.Covering, demand *graph.Graph) (*Network, error) {
 	if err := cover.Verify(cv, demand); err != nil {
 		return nil, fmt.Errorf("wdm: covering rejected: %w", err)
 	}
+	n := cv.Ring.N()
 	nw := &Network{
 		Ring:       cv.Ring,
 		Demand:     demand,
-		Assignment: make(map[graph.Edge]int),
+		Subnets:    make([]Subnetwork, 0, len(cv.Cycles)),
+		Assignment: make(map[graph.Edge]int, demand.DistinctEdges()),
+		onCycle:    make([]int, n),
 	}
+	// Verify admits a demand on fewer nodes than the ring; pairs touching
+	// the rest are not demands.
+	dn := demand.N()
 	for i, c := range cv.Cycles {
 		tour := routing.Tour(c.Vertices())
 		routes, ok := tour.CanonicalRouting(cv.Ring)
@@ -72,24 +91,25 @@ func Plan(cv *cover.Covering, demand *graph.Graph) (*Network, error) {
 			Spare:   Wavelength(2*i + 1),
 			Routes:  routes,
 		})
-	}
-	// Assign each demand pair to the first subnetwork covering it.
-	for _, e := range demand.Edges() {
-		assigned := false
-		for i, c := range cv.Cycles {
-			if c.CoversPair(e.U, e.V) {
-				nw.Assignment[e] = i
-				assigned = true
-				break
+		for _, rt := range routes {
+			e := rt.Request
+			if e.V < dn && demand.HasEdge(e.U, e.V) {
+				if _, taken := nw.Assignment[e]; !taken {
+					nw.Assignment[e] = i
+				}
 			}
 		}
-		if !assigned {
-			// Unreachable given Verify above; kept as a hard invariant.
-			nw.unprotected = append(nw.unprotected, e)
+		for _, v := range c.Vertices() {
+			nw.onCycle[v]++
 		}
+		nw.adms += c.Len()
 	}
-	if len(nw.unprotected) > 0 {
-		return nil, fmt.Errorf("wdm: %d demands unassigned despite verified covering", len(nw.unprotected))
+	// Unreachable given Verify above; kept as a hard invariant.
+	if missing := demand.DistinctEdges() - len(nw.Assignment); missing > 0 {
+		return nil, fmt.Errorf("wdm: %d demands unassigned despite verified covering", missing)
+	}
+	if n > 0 {
+		nw.minOn = slices.Min(nw.onCycle)
 	}
 	return nw, nil
 }
@@ -106,39 +126,23 @@ func (nw *Network) Wavelengths() int { return 2 * len(nw.Subnets) }
 // objective of Eilam–Moran–Zaks [3] and Gerstel–Lin–Sasaki [4]; the
 // comparison experiment C2 contrasts it with the paper's cycle-count
 // objective.
-func (nw *Network) ADMCount() int {
-	t := 0
-	for _, s := range nw.Subnets {
-		t += s.Cycle.Len()
-	}
-	return t
-}
+func (nw *Network) ADMCount() int { return nw.adms }
 
 // TransitAt returns the number of wavelength channels passing through node
 // v purely optically: both wavelengths of every subnetwork whose cycle
 // does not include v (the working path and its spare traverse every node
-// of the ring, but only cycle members add/drop).
+// of the ring, but only cycle members add/drop). A v off the ring lies on
+// no cycle, so every channel counts.
 func (nw *Network) TransitAt(v int) int {
-	t := 0
-	for _, s := range nw.Subnets {
-		if !s.Cycle.Contains(v) {
-			t += 2
-		}
+	if v < 0 || v >= len(nw.onCycle) {
+		return nw.Wavelengths()
 	}
-	return t
+	return 2 * (len(nw.Subnets) - nw.onCycle[v])
 }
 
 // MaxTransit returns the maximum optical transit load over all nodes — a
 // driver of optical-node cost in the paper's cost discussion.
-func (nw *Network) MaxTransit() int {
-	m := 0
-	for v := 0; v < nw.Ring.N(); v++ {
-		if t := nw.TransitAt(v); t > m {
-			m = t
-		}
-	}
-	return m
-}
+func (nw *Network) MaxTransit() int { return 2 * (len(nw.Subnets) - nw.minOn) }
 
 // SubnetworkFor returns the subnetwork serving the request {u,v}; ok is
 // false when the pair is not a demand.
@@ -185,12 +189,11 @@ var DefaultCostModel = CostModel{
 	PerLinkChan:   0.5,
 }
 
-// Cost evaluates the model on a planned network.
+// Cost evaluates the model on a planned network. The total transit
+// Σ_v TransitAt(v) is 2·(S·n − Σ_v onCycle[v]) = 2·(S·n − ADMs) for S
+// subnetworks, since each cycle node is one (node, subnetwork) incidence.
 func (m CostModel) Cost(nw *Network) float64 {
-	totalTransit := 0
-	for v := 0; v < nw.Ring.N(); v++ {
-		totalTransit += nw.TransitAt(v)
-	}
+	totalTransit := 2 * (len(nw.Subnets)*nw.Ring.N() - nw.ADMCount())
 	channels := float64(nw.Wavelengths() * nw.Ring.Links())
 	return m.PerWavelength*float64(nw.Wavelengths()) +
 		m.PerADM*float64(nw.ADMCount()) +
