@@ -47,13 +47,16 @@ type gate struct {
 
 // gates mirrors the hot-path contract documented in DESIGN.md: the
 // verify, exact-search inner branch, sweep-evaluate, and warm
-// delta-repair paths must stay allocation-free, and the symmetry-reduced
-// exact engine must keep its search-effort wins (node ceilings from
-// EXPERIMENTS.md §I, measured +10% headroom).
+// delta-repair paths must stay allocation-free, scc-exact must not
+// allocate per enumeration step or per search node (allocation ceiling
+// from EXPERIMENTS.md §C, measured +10% headroom), and the
+// symmetry-reduced exact engine must keep its search-effort wins (node
+// ceilings from EXPERIMENTS.md §I, measured +10% headroom).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkSCCCoverCubic", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: -1},
+	{Bench: "BenchmarkSCCExactNodeLimited", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: 9_578},
 	{Bench: "BenchmarkExactInnerBranch", Package: "./internal/construct", Benchtime: "5x", MaxAllocs: 0},
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},

@@ -127,9 +127,10 @@ func TestCheckNodesBudget(t *testing.T) {
 
 // TestGatesMatchPinnedContract guards the pinned set itself: the five
 // allocation-free hot paths (including the general-topology walk
-// verifier), the cubic scc pipeline smoke, and the two node-budgeted
-// search benchmarks. Editing the set is a deliberate act that must
-// touch this test too.
+// verifier), the cubic scc pipeline smoke, the allocation ceiling of a
+// node-limited scc-exact run, and the two node-budgeted search
+// benchmarks. Editing the set is a deliberate act that must touch this
+// test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
 		pkg    string
@@ -137,14 +138,15 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		nodes  bool // whether a nodes/op ceiling must be pinned
 	}
 	want := map[string]budget{
-		"BenchmarkVerifyWarm":       {pkg: "./internal/cover"},
-		"BenchmarkGeneralVerify":    {pkg: "./internal/cover"},
-		"BenchmarkSCCCoverCubic":    {pkg: "./internal/construct", allocs: -1},
-		"BenchmarkExactInnerBranch": {pkg: "./internal/construct"},
-		"BenchmarkSweepEvaluate":    {pkg: "./internal/survive"},
-		"BenchmarkDeltaRepairWarm":  {pkg: "./internal/construct"},
-		"BenchmarkExact":            {pkg: ".", allocs: -1, nodes: true},
-		"BenchmarkExactCert":        {pkg: ".", allocs: -1, nodes: true},
+		"BenchmarkVerifyWarm":          {pkg: "./internal/cover"},
+		"BenchmarkGeneralVerify":       {pkg: "./internal/cover"},
+		"BenchmarkSCCCoverCubic":       {pkg: "./internal/construct", allocs: -1},
+		"BenchmarkSCCExactNodeLimited": {pkg: "./internal/construct", allocs: 9_578},
+		"BenchmarkExactInnerBranch":    {pkg: "./internal/construct"},
+		"BenchmarkSweepEvaluate":       {pkg: "./internal/survive"},
+		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
+		"BenchmarkExact":               {pkg: ".", allocs: -1, nodes: true},
+		"BenchmarkExactCert":           {pkg: ".", allocs: -1, nodes: true},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates pinned, want %d", len(gates), len(want))

@@ -92,9 +92,11 @@ func GeneralSCCCtx(ctx context.Context, in instance.Instance, opts Options) (Out
 const MaxSCCEdges = 64
 
 // MaxSCCCycles caps the cycle enumeration feeding scc-exact and
-// scc-kcycle. Sparse hosts (the cubic families) stay far below it; a
-// dense edge-list host whose cycle space explodes past the cap makes the
-// enumerating strategies drop out rather than stall the race.
+// scc-kcycle; a host whose cycle space explodes past the cap makes the
+// enumerating strategies drop out rather than stall the race. The snark
+// families stay below it, but random cubic hosts do not: every seed
+// tried at n = 32…40 (m = 48…60) crossed it, none at n ≤ 30, so they
+// meet this wall well before the 64-edge one.
 const MaxSCCCycles = 50_000
 
 // DefaultSCCNodeLimit bounds scc-exact branch-and-bound expansions when
@@ -109,113 +111,127 @@ const DefaultSCCNodeLimit = 2_000_000
 // the restricted enumeration tiny.
 const KCycleMaxLen = 8
 
-// sccCycle is one enumerated simple cycle of the host: its canonical
-// cycle value, its distinct-edge bitmask, and its length.
+// errCycleCap is the enumeration's verdict on a host with more than
+// MaxSCCCycles simple cycles in range.
+var errCycleCap = fmt.Errorf("%w: cycle enumeration exceeds %d cycles", ErrNotApplicable, MaxSCCCycles)
+
+// sccCycle is one enumerated simple cycle of the host: its vertices in
+// cover.WalkCycle's canonical order and its distinct-edge bitmask. The
+// cycle's length is len(verts).
 type sccCycle struct {
-	cyc  cover.Cycle
-	mask uint64
-	len  int
+	verts []int
+	mask  uint64
 }
 
-// sccEdges indexes the host's distinct edges: bit i of a cycle mask is
-// edge (us[i], vs[i]), in the host's deterministic ascending edge order.
-type sccEdges struct {
-	us, vs []int
+// sccHost indexes a host of at most 64 distinct edges for the
+// enumerating strategies. Edge i, in the host's ascending (u, v) order,
+// is mask bit i; adj[v] lists v's distinct neighbours in ascending order
+// with the connecting edge's bit; inc[v] is the mask of v's edges.
+type sccHost struct {
+	n, m int
+	adj  [][]sccArc
+	inc  []uint64
 }
 
-func indexEdges(host *graph.Graph) sccEdges {
-	var e sccEdges
+// sccArc is one adjacency entry: neighbour w over the edge whose mask
+// bit is edge.
+type sccArc struct {
+	w    int
+	edge uint64
+}
+
+func indexHost(host *graph.Graph) *sccHost {
+	n := host.N()
+	h := &sccHost{n: n, m: host.DistinctEdges(), adj: make([][]sccArc, n), inc: make([]uint64, n)}
+	// Degree counts parallel edges, so each vertex's slot is at least as
+	// long as its distinct neighbour list and the appends never spill.
+	arcs := make([]sccArc, 2*host.M())
+	off := 0
+	for v := range h.adj {
+		d := host.Degree(v)
+		h.adj[v] = arcs[off : off : off+d]
+		off += d
+	}
+	edge := uint64(1)
 	host.ForEachEdge(func(u, v, _ int) bool {
-		e.us = append(e.us, u)
-		e.vs = append(e.vs, v)
+		h.adj[u] = append(h.adj[u], sccArc{w: v, edge: edge})
+		h.adj[v] = append(h.adj[v], sccArc{w: u, edge: edge})
+		h.inc[u] |= edge
+		h.inc[v] |= edge
+		edge <<= 1
 		return true
 	})
-	return e
-}
-
-// bitOf returns the edge-bit index of {u, v} by binary search over the
-// ascending (u, v) edge order; -1 when {u, v} is not a host edge.
-func (e sccEdges) bitOf(u, v int) int {
-	if u > v {
-		u, v = v, u
-	}
-	lo, hi := 0, len(e.us)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.us[mid] < u || (e.us[mid] == u && e.vs[mid] < v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.us) && e.us[lo] == u && e.vs[lo] == v {
-		return lo
-	}
-	return -1
-}
-
-// maskOf returns the edge bitmask of a canonical cycle.
-func (e sccEdges) maskOf(c cover.Cycle) uint64 {
-	var m uint64
-	vs := c.Vertices()
-	for i := range vs {
-		b := e.bitOf(vs[i], vs[(i+1)%len(vs)])
-		if b < 0 {
-			panic("construct: enumerated cycle uses a non-host edge")
-		}
-		m |= 1 << uint(b)
-	}
-	return m
+	return h
 }
 
 // enumerateCycles lists every simple cycle of the host's simple skeleton
 // with length ≤ maxLen, in deterministic order (by root vertex, then DFS
-// order over ascending neighbor lists), each cycle once. ok is false
-// when the count exceeds MaxSCCCycles.
-func enumerateCycles(host *graph.Graph, edges sccEdges, maxLen int) ([]sccCycle, bool) {
-	n := host.N()
-	var out []sccCycle
-	path := make([]int, 0, maxLen)
-	onPath := make([]bool, n)
-	overflow := false
+// order over ascending neighbour lists), each cycle once. The root is
+// each cycle's smallest vertex and path[1] < path[last] picks one of its
+// two directions, so a path that closes is already in canonical form.
+// It returns errCycleCap when the count exceeds MaxSCCCycles, and the
+// context's error when ctx is done mid-enumeration.
+func enumerateCycles(ctx context.Context, h *sccHost, maxLen int) ([]sccCycle, error) {
+	e := &sccEnum{h: h, maxLen: maxLen, path: make([]int, 0, maxLen), onPath: make([]bool, h.n), done: ctx.Done()}
+	for e.root = 0; e.root < h.n; e.root++ {
+		e.path = append(e.path[:0], e.root)
+		if !e.dfs(e.root, 0) {
+			if e.cancelled {
+				return nil, ctx.Err()
+			}
+			return nil, errCycleCap
+		}
+	}
+	return e.out, nil
+}
 
-	var dfs func(root, v int) bool
-	dfs = func(root, v int) bool {
-		for _, w := range host.Neighbors(v) {
-			if w == root && len(path) >= cover.MinCycleLen && path[1] < path[len(path)-1] {
-				// Closing edge; path[1] < last dedupes the two directions.
-				c, err := cover.WalkCycle(path)
-				if err != nil {
-					panic(err) // distinct by construction
-				}
-				if len(out) >= MaxSCCCycles {
-					overflow = true
-					return false
-				}
-				out = append(out, sccCycle{cyc: c, mask: edges.maskOf(c), len: len(path)})
-			}
-			if w <= root || onPath[w] || len(path) >= maxLen {
-				continue // root stays the cycle's minimum vertex
-			}
-			path = append(path, w)
-			onPath[w] = true
-			ok := dfs(root, w)
-			onPath[w] = false
-			path = path[:len(path)-1]
-			if !ok {
+// sccEnum is the state of one enumerateCycles run.
+type sccEnum struct {
+	h         *sccHost
+	maxLen    int
+	root      int
+	path      []int
+	onPath    []bool
+	out       []sccCycle
+	steps     int
+	done      <-chan struct{}
+	cancelled bool
+}
+
+// dfs extends the path, which ends at v and uses the edges in pathMask.
+// It polls done every 1024 steps. false stops the enumeration: the
+// cycle cap was exceeded, or the context is done (cancelled).
+func (e *sccEnum) dfs(v int, pathMask uint64) bool {
+	if e.steps&1023 == 0 {
+		select {
+		case <-e.done: // nil for a background context: never fires
+			e.cancelled = true
+			return false
+		default:
+		}
+	}
+	e.steps++
+	for _, a := range e.h.adj[v] {
+		if a.w == e.root && len(e.path) >= cover.MinCycleLen && e.path[1] < e.path[len(e.path)-1] {
+			// Closing edge; path[1] < last dedupes the two directions.
+			if len(e.out) >= MaxSCCCycles {
 				return false
 			}
+			e.out = append(e.out, sccCycle{verts: append([]int(nil), e.path...), mask: pathMask | a.edge})
 		}
-		return true
+		if a.w <= e.root || e.onPath[a.w] || len(e.path) >= e.maxLen {
+			continue // root stays the cycle's minimum vertex
+		}
+		e.path = append(e.path, a.w)
+		e.onPath[a.w] = true
+		ok := e.dfs(a.w, pathMask|a.edge)
+		e.onPath[a.w] = false
+		e.path = e.path[:len(e.path)-1]
+		if !ok {
+			return false
+		}
 	}
-	for root := 0; root < n && !overflow; root++ {
-		path = append(path[:0], root)
-		dfs(root, root)
-	}
-	if overflow {
-		return nil, false
-	}
-	return out, true
+	return true
 }
 
 // sccGreedyCover walks each uncovered host edge (ascending order) around
@@ -313,8 +329,6 @@ func (SCCKCycle) Name() string { return "scc-kcycle" }
 // Solve implements Strategy.
 func (SCCKCycle) Solve(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
 	if err := ctx.Err(); err != nil {
-		// The restricted enumeration and set-cover run in one short burst;
-		// the poll boundary is the call itself.
 		return Outcome{}, err
 	}
 	if !in.IsGeneral() {
@@ -324,12 +338,12 @@ func (SCCKCycle) Solve(ctx context.Context, in instance.Instance, opts Options) 
 	if host.DistinctEdges() > MaxSCCEdges {
 		return Outcome{}, fmt.Errorf("%w: scc-kcycle addresses hosts with at most %d distinct edges, got %d", ErrNotApplicable, MaxSCCEdges, host.DistinctEdges())
 	}
-	edges := indexEdges(host)
-	cycles, ok := enumerateCycles(host, edges, KCycleMaxLen)
-	if !ok {
-		return Outcome{}, fmt.Errorf("%w: scc-kcycle enumeration exceeds %d cycles", ErrNotApplicable, MaxSCCCycles)
+	h := indexHost(host)
+	cycles, err := enumerateCycles(ctx, h, KCycleMaxLen)
+	if err != nil {
+		return Outcome{}, err
 	}
-	cv, ok := greedySetCover(host.N(), cycles, len(edges.us))
+	cv, ok := greedySetCover(h.n, cycles, h.m)
 	if !ok {
 		return Outcome{}, fmt.Errorf("%w: some host edge lies on no cycle of length ≤ %d", ErrNotApplicable, KCycleMaxLen)
 	}
@@ -349,14 +363,14 @@ func greedySetCover(n int, cycles []sccCycle, m int) (*cover.Covering, bool) {
 		best, bestNew := -1, 0
 		for i, c := range cycles {
 			nw := bits.OnesCount64(c.mask &^ covered)
-			if nw > bestNew || (nw == bestNew && nw > 0 && c.len < cycles[best].len) {
+			if nw > bestNew || (nw == bestNew && nw > 0 && len(c.verts) < len(cycles[best].verts)) {
 				best, bestNew = i, nw
 			}
 		}
 		if best == -1 || bestNew == 0 {
 			return nil, false
 		}
-		cv.Add(cycles[best].cyc)
+		cv.Add(cover.MustWalkCycle(cycles[best].verts...))
 		covered |= cycles[best].mask
 	}
 	return cv, true
@@ -381,7 +395,9 @@ func fullMask(m int) uint64 {
 // caused by the portfolio's shared bound.
 //
 // The search is serial and deterministic; Options.Parallelism is
-// ignored (the committed hosts complete within milliseconds).
+// ignored. Proven hosts finish in milliseconds, but a host that spends
+// the whole DefaultSCCNodeLimit takes 0.1–0.25 s (random cubic hosts
+// with n = 26…30 on a 2-vCPU Intel Xeon, EXPERIMENTS.md §C).
 type SCCExact struct{}
 
 // Name implements Strategy.
@@ -396,10 +412,10 @@ func (SCCExact) Solve(ctx context.Context, in instance.Instance, opts Options) (
 	if host.DistinctEdges() > MaxSCCEdges {
 		return Outcome{}, fmt.Errorf("%w: scc-exact addresses hosts with at most %d distinct edges, got %d", ErrNotApplicable, MaxSCCEdges, host.DistinctEdges())
 	}
-	edges := indexEdges(host)
-	cycles, ok := enumerateCycles(host, edges, host.N())
-	if !ok {
-		return Outcome{}, fmt.Errorf("%w: scc-exact enumeration exceeds %d cycles", ErrNotApplicable, MaxSCCCycles)
+	h := indexHost(host)
+	cycles, err := enumerateCycles(ctx, h, h.n)
+	if err != nil {
+		return Outcome{}, err
 	}
 	seed, err := sccGreedyCover(ctx, host)
 	if err != nil {
@@ -411,11 +427,11 @@ func (SCCExact) Solve(ctx context.Context, in instance.Instance, opts Options) (
 	// what makes the branch-and-bound prune.
 	var short []sccCycle
 	for _, c := range cycles {
-		if c.len <= KCycleMaxLen {
+		if len(c.verts) <= KCycleMaxLen {
 			short = append(short, c)
 		}
 	}
-	if alt, ok := greedySetCover(host.N(), short, len(edges.us)); ok && alt.TotalLength() < seed.TotalLength() {
+	if alt, ok := greedySetCover(h.n, short, h.m); ok && alt.TotalLength() < seed.TotalLength() {
 		seed = alt
 	}
 	// The literature upper bound doubles as an aggressive initial prune
@@ -430,14 +446,15 @@ func (SCCExact) Solve(ctx context.Context, in instance.Instance, opts Options) (
 		art = cover.SnarkSCCUpperBound(host.M())
 	}
 	s := &sccSearch{
-		host:    host,
-		edges:   edges,
+		n:       h.n,
+		inc:     h.inc,
+		full:    fullMask(h.m),
 		cycles:  cycles,
-		byEdge:  cyclesByEdge(cycles, len(edges.us)),
+		byEdge:  cyclesByEdge(cycles, h.m),
 		limit:   opts.NodeLimit,
 		bound:   opts.Bound,
 		art:     art + 1,
-		ctx:     ctx,
+		done:    ctx.Done(),
 		best:    seed,
 		bestLen: seed.TotalLength(),
 		minCut:  math.MaxInt,
@@ -445,17 +462,14 @@ func (SCCExact) Solve(ctx context.Context, in instance.Instance, opts Options) (
 	if s.limit <= 0 {
 		s.limit = DefaultSCCNodeLimit
 	}
-	complete := s.run()
-	if err := ctx.Err(); err != nil && s.best == nil {
-		return Outcome{}, err
-	}
+	s.expand(0, 0)
 	return Outcome{
 		Covering: s.best,
 		Method:   MethodSCC,
 		// Complete, and no artificial or portfolio cut fell below the
 		// final incumbent: every pruned subtree provably held only covers
 		// at least as long.
-		Optimal:  complete && s.bestLen <= s.minCut,
+		Optimal:  !s.stop && s.bestLen <= s.minCut,
 		Strategy: "scc-exact",
 	}, nil
 }
@@ -464,19 +478,28 @@ func (SCCExact) Solve(ctx context.Context, in instance.Instance, opts Options) (
 // shortest-cycle-first (stable on enumeration index): the branching
 // order of the search.
 func cyclesByEdge(cycles []sccCycle, m int) [][]int32 {
-	byEdge := make([][]int32, m)
-	// Two passes sorted by length: enumeration order is deterministic, so
-	// appending all length-l cycles before length-(l+1) ones yields the
-	// shortest-first stable order without a sort call.
+	// Size each list up front: grown by append, the lists of a host near
+	// MaxSCCCycles leave several megabytes of garbage per request.
+	count := make([]int, m)
 	maxLen := 0
 	for _, c := range cycles {
-		if c.len > maxLen {
-			maxLen = c.len
+		for b := 0; b < m; b++ {
+			if c.mask&(1<<uint(b)) != 0 {
+				count[b]++
+			}
 		}
+		maxLen = max(maxLen, len(c.verts))
 	}
+	byEdge := make([][]int32, m)
+	for b := range byEdge {
+		byEdge[b] = make([]int32, 0, count[b])
+	}
+	// One pass per length: enumeration order is deterministic, so
+	// appending all length-l cycles before length-(l+1) ones yields the
+	// shortest-first stable order without a sort call.
 	for l := cover.MinCycleLen; l <= maxLen; l++ {
 		for i, c := range cycles {
-			if c.len != l {
+			if len(c.verts) != l {
 				continue
 			}
 			for b := 0; b < m; b++ {
@@ -491,14 +514,15 @@ func cyclesByEdge(cycles []sccCycle, m int) [][]int32 {
 
 // sccSearch is the mutable state of one branch-and-bound run.
 type sccSearch struct {
-	host    *graph.Graph
-	edges   sccEdges
-	cycles  []sccCycle
-	byEdge  [][]int32
-	limit   int64
-	nodes   int64
-	bound   *atomic.Int64
-	ctx     context.Context
+	n      int
+	inc    []uint64 // per-vertex incident-edge masks
+	full   uint64   // every host edge covered
+	cycles []sccCycle
+	byEdge [][]int32
+	limit  int64
+	nodes  int64
+	bound  *atomic.Int64
+	done   <-chan struct{}
 	// art is the artificial exploration cap (literature bound + 1): no
 	// subtree that cannot beat it is entered.
 	art     int
@@ -512,32 +536,16 @@ type sccSearch struct {
 	// incumbent is ≤ every such limit.
 	minCut int
 	stop   bool
-	ucdeg  []int
-}
-
-func (s *sccSearch) run() bool {
-	s.ucdeg = make([]int, s.host.N())
-	s.expand(0, 0)
-	return !s.stop
 }
 
 // lowerBound is the additional-length bound Σ_v ⌈ucdeg(v)/2⌉ for the
-// uncovered edge set: covering an edge incident to v spends a visit of
-// v, and one visit serves at most two of v's uncovered edges.
+// uncovered edge set, ucdeg(v) being v's uncovered edge count: covering
+// an edge incident to v spends a visit of v, and one visit serves at
+// most two of v's uncovered edges.
 func (s *sccSearch) lowerBound(covered uint64) int {
-	for i := range s.ucdeg {
-		s.ucdeg[i] = 0
-	}
-	m := len(s.edges.us)
-	for b := 0; b < m; b++ {
-		if covered&(1<<uint(b)) == 0 {
-			s.ucdeg[s.edges.us[b]]++
-			s.ucdeg[s.edges.vs[b]]++
-		}
-	}
 	lb := 0
-	for _, d := range s.ucdeg {
-		lb += (d + 1) / 2
+	for _, inc := range s.inc {
+		lb += (bits.OnesCount64(inc&^covered) + 1) / 2
 	}
 	return lb
 }
@@ -547,17 +555,22 @@ func (s *sccSearch) expand(covered uint64, curLen int) {
 		return
 	}
 	s.nodes++
-	if s.nodes > s.limit || s.ctx.Err() != nil {
+	if s.nodes > s.limit {
 		s.stop = true
 		return
 	}
-	full := fullMask(len(s.edges.us))
-	if covered == full {
+	select {
+	case <-s.done: // nil for a background context: never fires
+		s.stop = true
+		return
+	default:
+	}
+	if covered == s.full {
 		if curLen < s.bestLen {
 			s.bestLen = curLen
-			cv := cover.NewGeneralCovering(s.host.N())
+			cv := cover.NewGeneralCovering(s.n)
 			for _, id := range s.chosen {
-				cv.Add(s.cycles[id].cyc)
+				cv.Add(cover.MustWalkCycle(s.cycles[id].verts...))
 			}
 			s.best = cv
 		}
@@ -587,11 +600,11 @@ func (s *sccSearch) expand(covered uint64, curLen int) {
 	// the fixed order keeps sibling subtrees disjoint in a way that the
 	// transposition-free search benefits from. Children recompute their
 	// own bound first thing, so no per-child pruning is repeated here.
-	b := bits.TrailingZeros64(^covered & full)
+	b := bits.TrailingZeros64(^covered & s.full)
 	for _, id := range s.byEdge[b] {
 		c := s.cycles[id]
 		s.chosen = append(s.chosen, id)
-		s.expand(covered|c.mask, curLen+c.len)
+		s.expand(covered|c.mask, curLen+len(c.verts))
 		s.chosen = s.chosen[:len(s.chosen)-1]
 		if s.stop {
 			return

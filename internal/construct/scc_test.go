@@ -3,8 +3,10 @@ package construct
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/instance"
@@ -235,5 +237,133 @@ func BenchmarkSCCCoverCubic(b *testing.B) {
 		if out.Covering.TotalLength() != 21 {
 			b.Fatalf("length %d", out.Covering.TotalLength())
 		}
+	}
+}
+
+// TestSCCExactCancelPrompt pins scc-exact's cancellation latency: a
+// cancel 10ms in must surface within 50ms in total, whether it lands in
+// the cycle enumeration (which then reports the context's error, not
+// ErrNotApplicable) or in the branch-and-bound (which then returns its
+// verified incumbent without an optimality claim).
+func TestSCCExactCancelPrompt(t *testing.T) {
+	// The race detector slows the n = 20 host's enumeration and seeding
+	// from about 1ms to about 8ms, so under it the cancel comes later to
+	// keep landing in the search; the 40ms allowed after it is the same.
+	delay := 10 * time.Millisecond
+	if raceEnabled {
+		delay = 40 * time.Millisecond
+	}
+	cases := []struct {
+		name   string
+		n      int
+		spec   string
+		inEnum bool
+	}{
+		// Over MaxSCCCycles: the enumeration alone runs past the cancel.
+		{"enumeration", 36, "cubic:7919", true},
+		// Enumerates in about a millisecond; with no node limit to speak
+		// of, the search runs until the cancel.
+		{"search", 20, "cubic:7919", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := instance.Parse(tc.n, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				time.Sleep(delay)
+				cancel()
+			}()
+			start := time.Now()
+			out, err := (SCCExact{}).Solve(ctx, in, Options{NodeLimit: 1 << 40})
+			if elapsed := time.Since(start); elapsed > delay+40*time.Millisecond {
+				t.Errorf("Solve returned after %v with the cancel at %v, want < %v", elapsed, delay, delay+40*time.Millisecond)
+			}
+			if tc.inEnum {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("cancel in the search: err = %v, want the incumbent", err)
+			}
+			if err := cover.VerifyGeneral(out.Covering, in.Host); err != nil {
+				t.Fatalf("incumbent invalid: %v", err)
+			}
+			if out.Optimal {
+				t.Fatal("optimality claimed by a cancelled search")
+			}
+		})
+	}
+}
+
+// BenchmarkSCCExactNodeLimited is scc-exact alone on a random cubic
+// host that spends the whole default node budget: cycle enumeration,
+// incumbent seeding and 2M search nodes under a cancellable context, as
+// a pool worker runs it. cmd/benchgate pins its allocs/op, which repeat
+// exactly, so per-cycle or per-node allocation cannot creep back.
+func BenchmarkSCCExactNodeLimited(b *testing.B) {
+	in, err := instance.Parse(26, "cubic:7919")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := (SCCExact{}).Solve(ctx, in, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Optimal {
+			b.Fatal("search finished within the node budget: the host no longer measures a node-limited run")
+		}
+	}
+}
+
+// BenchmarkSCCEnumerate is scc-exact's host index and unrestricted
+// cycle enumeration on random cubic hosts: n = 26 and 30 stay under
+// MaxSCCCycles, n = 36 runs into it.
+func BenchmarkSCCEnumerate(b *testing.B) {
+	for _, n := range []int{26, 30, 36} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			in, err := instance.Parse(n, "cubic:7919")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enumerateCycles(ctx, indexHost(in.Host), n)
+			}
+		})
+	}
+}
+
+// BenchmarkSCCPipelineCubic is the fixed general pipeline on random
+// cubic hosts: n = 18 is proven, n = 26 and 30 spend scc-exact's node
+// budget, and n = 36 overflows MaxSCCCycles, so scc-kcycle and
+// scc-greedy serve it.
+func BenchmarkSCCPipelineCubic(b *testing.B) {
+	for _, n := range []int{18, 26, 30, 36} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			in, err := instance.Parse(n, "cubic:7919")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := GeneralSCCCtx(ctx, in, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

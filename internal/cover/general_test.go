@@ -14,11 +14,11 @@ import (
 func petersenCover() *Covering {
 	cv := NewGeneralCovering(10)
 	cv.Add(
-		MustWalkCycle(0, 1, 2, 3, 4),  // outer pentagon
-		MustWalkCycle(5, 7, 9, 6, 8),  // inner pentagram
-		MustWalkCycle(0, 5, 7, 2, 1),  // spokes 0, 2
-		MustWalkCycle(1, 6, 8, 3, 2),  // spokes 1, 3
-		MustWalkCycle(4, 9, 6, 1, 0),  // spokes 4, 1
+		MustWalkCycle(0, 1, 2, 3, 4), // outer pentagon
+		MustWalkCycle(5, 7, 9, 6, 8), // inner pentagram
+		MustWalkCycle(0, 5, 7, 2, 1), // spokes 0, 2
+		MustWalkCycle(1, 6, 8, 3, 2), // spokes 1, 3
+		MustWalkCycle(4, 9, 6, 1, 0), // spokes 4, 1
 	)
 	return cv
 }

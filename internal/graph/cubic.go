@@ -20,9 +20,9 @@ import (
 func Petersen() *Graph {
 	g := New(10)
 	for i := 0; i < 5; i++ {
-		g.AddEdge(i, (i+1)%5)       // outer pentagon
-		g.AddEdge(i, i+5)           // spoke
-		g.AddEdge(i+5, (i+2)%5+5)   // inner pentagram
+		g.AddEdge(i, (i+1)%5)     // outer pentagon
+		g.AddEdge(i, i+5)         // spoke
+		g.AddEdge(i+5, (i+2)%5+5) // inner pentagram
 	}
 	return g
 }

@@ -277,19 +277,19 @@ func jobStatus(ctx context.Context, err error) int {
 
 // planResponse is the JSON shape of a successful /plan.
 type planResponse struct {
-	Signature   string  `json:"signature"`
-	N           int     `json:"n"`
-	Demand      string  `json:"demand"`
-	Strategy    string  `json:"strategy,omitempty"` // non-default only
-	Size        int     `json:"size"`
-	Rho         int     `json:"rho,omitempty"` // all-to-all demands only
+	Signature string `json:"signature"`
+	N         int    `json:"n"`
+	Demand    string `json:"demand"`
+	Strategy  string `json:"strategy,omitempty"` // non-default only
+	Size      int    `json:"size"`
+	Rho       int    `json:"rho,omitempty"` // all-to-all demands only
 	// Length and SCCLowerBound report the shortest-cycle-cover objective
 	// for general-topology instances: total edge count of the cover and
 	// the provable lower bound max(m, Σ_v ⌈deg(v)/2⌉). Zero for ring
 	// instances, whose objective is the cycle count (Size).
-	Length        int     `json:"length,omitempty"`
-	SCCLowerBound int     `json:"sccLowerBound,omitempty"`
-	Optimal       bool    `json:"optimal"`
+	Length        int  `json:"length,omitempty"`
+	SCCLowerBound int  `json:"sccLowerBound,omitempty"`
+	Optimal       bool `json:"optimal"`
 	// Degraded marks a plan built (or served) under deadline pressure by
 	// the anytime portfolio rather than the full pipeline: verified, but
 	// with no optimality claim. Stale additionally marks a degraded
