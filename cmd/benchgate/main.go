@@ -49,7 +49,9 @@ type gate struct {
 // verify, exact-search inner branch, sweep-evaluate, and warm
 // delta-repair paths must stay allocation-free, scc-exact must not
 // allocate per enumeration step or per search node (allocation ceiling
-// from EXPERIMENTS.md §C, measured +10% headroom), and the
+// from EXPERIMENTS.md §C, measured +10% headroom), scc-colour must not
+// allocate per colouring step (ceiling from EXPERIMENTS.md §K, measured
+// +10% headroom, over its largest host), and the
 // symmetry-reduced exact engine must keep its search-effort wins (node
 // ceilings from EXPERIMENTS.md §I, measured +10% headroom).
 var gates = []gate{
@@ -57,6 +59,7 @@ var gates = []gate{
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkSCCCoverCubic", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: -1},
 	{Bench: "BenchmarkSCCExactNodeLimited", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: 9_578},
+	{Bench: "BenchmarkSCCColour", Package: "./internal/construct", Benchtime: "20x", MaxAllocs: 53},
 	{Bench: "BenchmarkExactInnerBranch", Package: "./internal/construct", Benchtime: "5x", MaxAllocs: 0},
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},

@@ -127,9 +127,9 @@ func TestCheckNodesBudget(t *testing.T) {
 
 // TestGatesMatchPinnedContract guards the pinned set itself: the five
 // allocation-free hot paths (including the general-topology walk
-// verifier), the cubic scc pipeline smoke, the allocation ceiling of a
-// node-limited scc-exact run, and the two node-budgeted search
-// benchmarks. Editing the set is a deliberate act that must touch this
+// verifier), the cubic scc pipeline smoke, the allocation ceilings of a
+// node-limited scc-exact run and of scc-colour, and the two
+// node-budgeted search benchmarks. Editing the set is a deliberate act that must touch this
 // test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
@@ -142,6 +142,7 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkGeneralVerify":       {pkg: "./internal/cover"},
 		"BenchmarkSCCCoverCubic":       {pkg: "./internal/construct", allocs: -1},
 		"BenchmarkSCCExactNodeLimited": {pkg: "./internal/construct", allocs: 9_578},
+		"BenchmarkSCCColour":           {pkg: "./internal/construct", allocs: 53},
 		"BenchmarkExactInnerBranch":    {pkg: "./internal/construct"},
 		"BenchmarkSweepEvaluate":       {pkg: "./internal/survive"},
 		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},

@@ -5,8 +5,12 @@
 // total cover length Σ|C_i| — the quantity the literature bounds by
 // 7/5·m for bridgeless cubic graphs and 4/3·m + c for snarks.
 //
-// Three members join the portfolio:
+// Four members join the portfolio, in this order:
 //
+//   - scc-colour (scc_colour.go): on a simple cubic host, the two
+//     2-factors of a 3-edge-colouring — a cover of length 2n, optimal by
+//     the vertex-visit bound alone. Refuses snarks, non-cubic hosts and
+//     multigraphs.
 //   - scc-exact: anytime branch-and-bound over the host's enumerated
 //     simple cycles with an edge-bitmask state (hosts up to 64 distinct
 //     edges), seeded with the greedy incumbent, pruned by the vertex
@@ -18,7 +22,7 @@
 //     around a shortest cycle through it (BFS with the edge removed);
 //     bridgelessness guarantees such a cycle exists.
 //
-// All three refuse ring instances (ErrNotApplicable), exactly as the
+// All four refuse ring instances (ErrNotApplicable), exactly as the
 // ring members refuse general ones, so the portfolio race composes the
 // two families without cross-talk.
 package construct
@@ -37,8 +41,8 @@ import (
 )
 
 // MethodSCC marks coverings produced by the shortest-cycle-cover
-// strategies (exact, k-cycle-restricted, or greedy; Outcome.Strategy
-// carries the member).
+// strategies (colouring, exact, k-cycle-restricted, or greedy;
+// Outcome.Strategy carries the member).
 const MethodSCC Method = "shortest-cycle-cover"
 
 // CoverCost is the objective a covering is ranked by: cycle count for
@@ -55,15 +59,17 @@ func CoverCost(in instance.Instance, cv *cover.Covering) int {
 
 // GeneralSCCCtx is the fixed general-topology pipeline, the serial
 // pinned counterpart of racing the scc members in the portfolio: it
-// runs scc-exact, scc-kcycle and scc-greedy in registry order and keeps
-// the cheapest cover (total length, ties to the earliest member). The
-// portfolio determinism pin asserts the race returns bit-identically
-// this winner for every general family and worker count.
+// runs scc-colour, scc-exact, scc-kcycle and scc-greedy in registry
+// order and keeps the cheapest cover (total length, ties to the earliest
+// member). It stops after the first Optimal outcome: a later member can
+// at best tie it, and ties go to the earlier one. The portfolio
+// determinism pin asserts the race returns bit-identically this winner
+// for every general family and worker count.
 func GeneralSCCCtx(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
 	if !in.IsGeneral() {
 		return Outcome{}, fmt.Errorf("%w: GeneralSCCCtx needs a general-topology instance, got %q", ErrNotApplicable, in.Name)
 	}
-	members := []Strategy{SCCExact{}, SCCKCycle{}, SCCGreedy{}}
+	members := []Strategy{SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
 	var best Outcome
 	bestCost := -1
 	for _, m := range members {
@@ -79,6 +85,9 @@ func GeneralSCCCtx(ctx context.Context, in instance.Instance, opts Options) (Out
 		}
 		if c := out.Covering.TotalLength(); bestCost == -1 || c < bestCost {
 			best, bestCost = out, c
+		}
+		if out.Optimal {
+			break
 		}
 	}
 	if bestCost == -1 {

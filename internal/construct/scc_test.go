@@ -121,7 +121,7 @@ func TestSCCKCycleDropsOut(t *testing.T) {
 // up the wrong objective), and vice versa.
 func TestSCCCrossFamilyGuards(t *testing.T) {
 	ring := instance.AllToAll(9)
-	for _, st := range []Strategy{SCCExact{}, SCCKCycle{}, SCCGreedy{}} {
+	for _, st := range []Strategy{SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}} {
 		if _, err := st.Solve(context.Background(), ring, Options{}); !errors.Is(err, ErrNotApplicable) {
 			t.Errorf("%s on ring instance: err = %v, want ErrNotApplicable", st.Name(), err)
 		}

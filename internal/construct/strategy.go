@@ -50,7 +50,9 @@ type Options struct {
 type Outcome struct {
 	Covering *cover.Covering
 	Method   Method
-	// Optimal reports that the covering provably meets ρ(n).
+	// Optimal reports that the covering is provably optimal: it meets
+	// ρ(n) on a ring instance, and has the shortest total length of any
+	// cycle cover of the host on a general one.
 	Optimal bool
 	// Strategy is the registry name of the strategy that produced the
 	// covering; for a portfolio it names the winning member.
@@ -74,7 +76,7 @@ type Strategy interface {
 // members refuse general-topology instances and the scc members refuse
 // ring instances, so exactly one sub-family competes per instance.
 func Registry() []Strategy {
-	return []Strategy{ClosedForm{}, ExactSearch{}, Repair{}, GreedySweep{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
+	return []Strategy{ClosedForm{}, ExactSearch{}, Repair{}, GreedySweep{}, SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
 }
 
 // AnytimeRegistry returns the strategies cheap enough to serve under a
@@ -375,7 +377,7 @@ func (p *Portfolio) Solve(ctx context.Context, in instance.Instance, opts Option
 				casMin(&bounds[j], int64(size))
 			}
 			if out.Optimal {
-				// Nothing beats a provably-ρ(n) covering strictly; lower-
+				// Nothing beats a provably optimal covering strictly; lower-
 				// index members may still tie and win the tie, so only the
 				// higher-index racers are cancelled.
 				for j := i + 1; j < k; j++ {

@@ -185,7 +185,7 @@ func TestPortfolioDeterministic(t *testing.T) {
 // extras (other tests in this package add some) may only ever appear
 // after the pinned prefix, in sorted name order.
 func TestStrategyRegistry(t *testing.T) {
-	want := []string{"closed-form", "exact", "repair", "greedy", "scc-exact", "scc-kcycle", "scc-greedy", "portfolio"}
+	want := []string{"closed-form", "exact", "repair", "greedy", "scc-colour", "scc-exact", "scc-kcycle", "scc-greedy", "portfolio"}
 	got := Strategies()
 	if len(got) < len(want) {
 		t.Fatalf("Strategies() = %v, want prefix %v", got, want)

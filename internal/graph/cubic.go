@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // This file provides the cubic host-graph generators behind the
@@ -138,31 +139,52 @@ const maxCubicAttempts = 1000
 // stubs per vertex, a seeded uniform perfect matching on the stubs,
 // rejecting samples with self-loops, parallel edges, disconnection or a
 // bridge. Deterministic for a given (n, seed).
+//
+// Most pairings are not simple, so simplicity is checked on a 3n-slot
+// neighbour table first; only a simple pairing pays for the dense
+// Θ(n²) Graph that the connectivity and bridge checks need.
 func RandomCubicBridgeless(n int, seed int64) (*Graph, error) {
 	if n < 4 || n%2 != 0 {
 		return nil, fmt.Errorf("graph: random cubic graph needs even n >= 4, got %d", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	stubs := make([]int, 3*n)
+	nbr := make([]int, 3*n) // nbr[3v : 3v+deg[v]] lists v's neighbours so far
+	deg := make([]int, n)
 	for attempt := 0; attempt < maxCubicAttempts; attempt++ {
 		for i := range stubs {
 			stubs[i] = i / 3
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		g := New(n)
-		ok := true
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || g.HasEdge(u, v) {
-				ok = false
-				break
-			}
-			g.AddEdge(u, v)
+		if !simplePairing(stubs, nbr, deg) {
+			continue
 		}
-		if !ok || !g.Connected(false) || !g.Bridgeless() {
+		g := New(n)
+		for i := 0; i < len(stubs); i += 2 {
+			g.AddEdge(stubs[i], stubs[i+1])
+		}
+		if !g.Connected(false) || !g.Bridgeless() {
 			continue
 		}
 		return g, nil
 	}
 	return nil, fmt.Errorf("graph: no bridgeless cubic graph on %d vertices found for seed %d within %d attempts", n, seed, maxCubicAttempts)
+}
+
+// simplePairing reports whether the stub pairing (stubs[2i], stubs[2i+1])
+// has no self-loop and no repeated pair, recording neighbours in the
+// caller's nbr/deg scratch (three slots per vertex).
+func simplePairing(stubs, nbr, deg []int) bool {
+	clear(deg)
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u == v || slices.Contains(nbr[3*u:3*u+deg[u]], v) {
+			return false
+		}
+		nbr[3*u+deg[u]] = v
+		nbr[3*v+deg[v]] = u
+		deg[u]++
+		deg[v]++
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -180,6 +181,78 @@ func TestRandomCubicBridgeless(t *testing.T) {
 	}
 	if _, err := RandomCubicBridgeless(2, 1); err == nil {
 		t.Fatal("n=2 accepted")
+	}
+}
+
+// cubicGolden pins RandomCubicBridgeless's output: an FNV-1a hash of
+// each sampled graph's edge list, recorded before the sampler learned
+// to reject non-simple pairings on a neighbour table. Same shuffles,
+// same accept/reject decisions, so every (n, seed) keeps its graph.
+var cubicGolden = []struct {
+	n    int
+	seed int64
+	hash uint64
+}{
+	{4, 0, 0xbd2c58e45cc49061},
+	{4, 1, 0xbd2c58e45cc49061},
+	{4, 7919, 0xbd2c58e45cc49061},
+	{4, -3, 0xbd2c58e45cc49061},
+	{10, 0, 0x6fefbba6d09785f2},
+	{10, 1, 0xf8f8088b8b0dc61e},
+	{10, 7919, 0xb9d68f199c007454},
+	{10, -3, 0x07eb46e3df6788f6},
+	{26, 0, 0xa1cd5f8fc251d3f6},
+	{26, 1, 0x3f0d429c3f3ec1c6},
+	{26, 7919, 0xe06121f01c1fc04e},
+	{26, -3, 0x1fca9ff77e0f58ac},
+	{44, 0, 0x05c46fb99e569719},
+	{44, 1, 0x9079f5ad008ca8e5},
+	{44, 7919, 0xe4c744dfa7e23395},
+	{44, -3, 0x3655557b0c39fc31},
+	{120, 0, 0x9ed591328f9a5c37},
+	{120, 1, 0x255bc572c0992089},
+	{120, 7919, 0x5d21f972271ba8f9},
+	{120, -3, 0x937f5ce10f33551f},
+	{1024, 0, 0x1c0cca02abbf2905},
+	{1024, 1, 0x17713f04e83b16c1},
+	{1024, 7919, 0x4fb2e26ca53a6bc5},
+	{1024, -3, 0xd57b154c83f80937},
+}
+
+// edgeListHash hashes the edge list in ForEachEdge order, with
+// multiplicities.
+func edgeListHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	g.ForEachEdge(func(u, v, mult int) bool {
+		fmt.Fprintf(h, "%d-%d×%d,", u, v, mult)
+		return true
+	})
+	return h.Sum64()
+}
+
+func TestRandomCubicGolden(t *testing.T) {
+	for _, tc := range cubicGolden {
+		g, err := RandomCubicBridgeless(tc.n, tc.seed)
+		if err != nil {
+			t.Fatalf("n=%d seed=%d: %v", tc.n, tc.seed, err)
+		}
+		if got := edgeListHash(g); got != tc.hash {
+			t.Errorf("n=%d seed=%d: edge-list hash %#016x, want %#016x", tc.n, tc.seed, got, tc.hash)
+		}
+	}
+}
+
+// BenchmarkRandomCubic is the configuration-model sampler behind
+// cubic:<seed> specs.
+func BenchmarkRandomCubic(b *testing.B) {
+	for _, n := range []int{80, 120} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RandomCubicBridgeless(n, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ package instance
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -213,41 +214,50 @@ func ParseAdjacency(body string) (Instance, error) {
 //	edges:<u-v,u-v,...>      explicit edge list on n vertices
 //	adj:<nbrs;nbrs;...>      adjacency list, one row per vertex (n = rows)
 //
-// Fixed-size families double-check the caller's n so a surprising
-// instance size is an error, not a silent override. ok reports whether
-// the spec named a general family at all; when false the caller should
-// fall through to the ring families.
+// Fixed-size families check the caller's n so a surprising instance
+// size is an error, not a silent override. They check it before the
+// host is built: building is Θ(size²), and specs are untrusted. ok
+// reports whether the spec named a general family at all; when false
+// the caller should fall through to the ring families.
 func ParseGeneral(n int, spec string) (Instance, bool, error) {
-	wrongN := func(in Instance, err error) (Instance, bool, error) {
+	// fixed builds a fixed family's host of per·k vertices after checking
+	// that count against n. A k outside the family's range (inRange
+	// false) is left to build, which rejects it before building anything.
+	fixed := func(per, k int, inRange bool, build func() (Instance, error)) (Instance, bool, error) {
+		switch {
+		case !inRange:
+		case k > math.MaxInt/per:
+			return Instance{}, true, fmt.Errorf("instance: spec %q is too large a graph for n=%d", spec, n)
+		case per*k != n:
+			return Instance{}, true, fmt.Errorf("instance: spec %q is a graph on %d vertices, but n=%d was requested", spec, per*k, n)
+		}
+		in, err := build()
 		if err != nil {
 			return Instance{}, true, err
-		}
-		if in.N() != n {
-			return Instance{}, true, fmt.Errorf("instance: spec %q is a graph on %d vertices, but n=%d was requested", spec, in.N(), n)
 		}
 		return in, true, nil
 	}
 	switch {
 	case spec == "petersen":
-		return wrongN(Petersen(), nil)
+		return fixed(10, 1, true, func() (Instance, error) { return Petersen(), nil })
 	case strings.HasPrefix(spec, "blanusa:"):
 		which, err := strconv.Atoi(strings.TrimPrefix(spec, "blanusa:"))
 		if err != nil {
 			return Instance{}, true, fmt.Errorf("bad blanusa spec %q: want blanusa:<1|2>", spec)
 		}
-		return wrongN(Blanusa(which))
+		return fixed(18, 1, which == 1 || which == 2, func() (Instance, error) { return Blanusa(which) })
 	case strings.HasPrefix(spec, "flower:"):
 		k, err := strconv.Atoi(strings.TrimPrefix(spec, "flower:"))
 		if err != nil {
 			return Instance{}, true, fmt.Errorf("bad flower spec %q: want flower:<k> with odd integer k >= 3", spec)
 		}
-		return wrongN(Flower(k))
+		return fixed(4, k, k >= 3 && k%2 == 1, func() (Instance, error) { return Flower(k) })
 	case strings.HasPrefix(spec, "prism:"):
 		k, err := strconv.Atoi(strings.TrimPrefix(spec, "prism:"))
 		if err != nil {
 			return Instance{}, true, fmt.Errorf("bad prism spec %q: want prism:<k> with integer k >= 3", spec)
 		}
-		return wrongN(PrismInstance(k))
+		return fixed(2, k, k >= 3, func() (Instance, error) { return PrismInstance(k) })
 	case strings.HasPrefix(spec, "cubic:"):
 		seed, err := strconv.ParseInt(strings.TrimPrefix(spec, "cubic:"), 10, 64)
 		if err != nil {
@@ -265,7 +275,8 @@ func ParseGeneral(n int, spec string) (Instance, bool, error) {
 		}
 		return in, true, nil
 	case strings.HasPrefix(spec, "adj:"):
-		return wrongN(ParseAdjacency(strings.TrimPrefix(spec, "adj:")))
+		body := strings.TrimPrefix(spec, "adj:")
+		return fixed(1, strings.Count(body, ";")+1, true, func() (Instance, error) { return ParseAdjacency(body) })
 	default:
 		return Instance{}, false, nil
 	}

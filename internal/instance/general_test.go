@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,36 @@ func TestParseGeneralFamilies(t *testing.T) {
 	in, err := Parse(7, "alltoall")
 	if err != nil || in.IsGeneral() {
 		t.Fatalf("alltoall broken after general dispatch: %v %+v", err, in)
+	}
+}
+
+// oversizedSpecs name fixed families far larger than n = 10. Building
+// any of them is Θ(size²) in time and memory (flower:1000001 alone
+// would ask for about 32 TB).
+var oversizedSpecs = []string{
+	"prism:5000",
+	"flower:2501",
+	"adj:" + strings.Repeat(";", 19_999), // 20 000 empty rows
+	"flower:1000001",
+	"prism:333338",
+	"prism:9223372036854775807",
+}
+
+// TestParseOversizedFamilyBuildsNothing: an oversized fixed family is
+// rejected before its host is built, so the rejection allocates next to
+// nothing.
+func TestParseOversizedFamilyBuildsNothing(t *testing.T) {
+	for _, spec := range oversizedSpecs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(10, spec)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Parse(10, %.20q…) accepted", spec)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("Parse(10, %.20q…) allocated %d bytes before refusing, want < 1 MiB", spec, alloc)
+		}
 	}
 }
 

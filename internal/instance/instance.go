@@ -123,10 +123,16 @@ func Parse(n int, spec string) (Instance, error) {
 	if in, ok, err := ParseGeneral(n, spec); ok {
 		return in, err
 	}
+	if n < 0 {
+		return Instance{}, fmt.Errorf("bad demand size n=%d for %q: want n >= 0", n, spec)
+	}
 	switch {
 	case spec == "alltoall":
 		return AllToAll(n), nil
 	case spec == "neighbors":
+		if n < 3 {
+			return Instance{}, fmt.Errorf("bad neighbors spec: the ring-neighbour demand needs n >= 3, got n=%d", n)
+		}
 		return Neighbors(n), nil
 	case strings.HasPrefix(spec, "lambda:"):
 		k, err := strconv.Atoi(strings.TrimPrefix(spec, "lambda:"))

@@ -151,6 +151,59 @@ func TestParseErrorsNameValidRanges(t *testing.T) {
 	}
 }
 
+// TestParseSmallNErrors: sizes the ring families cannot take are errors
+// that name the valid range, not panics from the graph constructors.
+func TestParseSmallNErrors(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		spec string
+		want string
+	}{
+		{2, "neighbors", "n >= 3"},
+		{0, "neighbors", "n >= 3"},
+		{-1, "alltoall", "n >= 0"},
+		{-1, "lambda:2", "n >= 0"},
+		{-5, "random:0.5:1", "n >= 0"},
+	} {
+		_, err := Parse(tc.n, tc.spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%d, %q) err = %v, want one naming %q", tc.n, tc.spec, err, tc.want)
+		}
+	}
+}
+
+// FuzzParse drives every spec family with n reduced into [0, 64]. Parse
+// must never panic; a success has exactly n vertices, and a general host
+// is connected and bridgeless.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []struct {
+		n    int
+		spec string
+	}{
+		{7, "alltoall"}, {6, "lambda:3"}, {9, "hub:4"}, {8, "neighbors"}, {12, "random:0.4:7"},
+		{10, "petersen"}, {18, "blanusa:2"}, {20, "flower:5"}, {8, "prism:4"}, {12, "cubic:3"},
+		{4, "edges:0-1,1-2,2-3,3-0,0-2,1-3"}, {3, "adj:1,2;0,2;0,1"},
+		{10, "prism:5000"}, {10, "flower:2501"}, {10, "flower:1000001"}, {10, "prism:333338"},
+		{10, "adj:" + strings.Repeat(";", 999)},
+		{2, "neighbors"}, {-1, "alltoall"},
+	} {
+		f.Add(seed.n, seed.spec)
+	}
+	f.Fuzz(func(t *testing.T, n int, spec string) {
+		n = int(uint(n) % 65)
+		in, err := Parse(n, spec)
+		if err != nil {
+			return
+		}
+		if in.N() != n {
+			t.Fatalf("Parse(%d, %q) returned %d vertices", n, spec, in.N())
+		}
+		if in.IsGeneral() && (!in.Host.Connected(false) || !in.Host.Bridgeless()) {
+			t.Fatalf("Parse(%d, %q) admitted an uncoverable host", n, spec)
+		}
+	})
+}
+
 // TestZeroValueInstanceIsNilSafe: the zero Instance (what Parse returns
 // beside an error) must answer size queries with 0, not panic.
 func TestZeroValueInstanceIsNilSafe(t *testing.T) {

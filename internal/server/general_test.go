@@ -119,6 +119,16 @@ func TestSimulateRejectsGeneral(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsOversizedFamily: a fixed family far larger than n is a
+// 400, answered without building the family's host.
+func TestPlanRejectsOversizedFamily(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := get(t, ts.URL+"/plan?n=10&demand=prism:5000")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
 // TestPlanDeltaRejectsGeneralParent: delta replanning rebuilds children
 // from demand provenance, which would lose a general parent's host — the
 // endpoint must refuse cleanly.
