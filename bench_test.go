@@ -273,39 +273,29 @@ func BenchmarkSingleFailureSweep(b *testing.B) {
 	}
 }
 
-// S1: concurrent warm-hit throughput, single-lock store vs the sharded
-// default. All goroutines hammer warm keys; shards=1 reproduces the
-// pre-sharding store (one global mutex), the other case is the shipped
-// layout. The gap is the cost of serializing every hit on one lock and
-// grows with core count; on a single-core runner the two are within
-// noise (one core runs one critical section at a time regardless).
+// S1: concurrent warm-hit throughput of the store. All goroutines hammer
+// warm keys, so every operation is one lock acquisition, a map lookup
+// and an LRU move.
 func BenchmarkStoreWarmHitThroughput(b *testing.B) {
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("n=%d;d=k1", i+3)
 	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"single-lock", 1}, {"sharded", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := cache.NewStoreSharded(4096, tc.shards)
-			for i, k := range keys {
-				s.Put(k, i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, hit, _ := s.Do(keys[i%len(keys)], func() (any, error) { return nil, nil }); !hit {
-						b.Fatal("expected warm hit")
-					}
-					i++
-				}
-			})
-		})
+	s := cache.NewStore(4096)
+	for i, k := range keys {
+		s.Put(k, i)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, hit, _ := s.Do(keys[i%len(keys)], func() (any, error) { return nil, nil }); !hit {
+				b.Fatal("expected warm hit")
+			}
+			i++
+		}
+	})
 }
 
 // S2: exact-search certification at the largest search-certified even n,

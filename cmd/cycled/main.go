@@ -61,8 +61,9 @@
 // body, and the construction search itself is cancelled mid-search
 // (branch-and-bound stops within one node expansion) unless another
 // in-flight request still wants the result. Strategy selection is per
-// request via ?strategy= (closed-form, exact, repair, greedy,
-// portfolio); the default is the fixed pipeline.
+// request via ?strategy= (closed-form, exact, repair, greedy, the scc
+// members, portfolio); without it the default strategy picks by
+// instance class (see construct.Auto).
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops,
 // in-flight requests drain (bounded by -drain), then the worker pool

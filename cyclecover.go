@@ -20,9 +20,10 @@
 //     CoverAllToAllCtx and CoverInstanceCtx whose searches abort
 //     promptly when the context fires;
 //   - Strategies, CoverInstanceStrategy — the pluggable solver engine:
-//     every construction path (closed-form, exact, repair, greedy) is
-//     independently selectable by name, and "portfolio" races them
-//     under one context with deterministic winner selection;
+//     every construction path (closed-form, exact, repair, greedy, and
+//     the scc members for general hosts) is independently selectable by
+//     name, and "portfolio" races them under one context with
+//     deterministic winner selection;
 //   - Verify — independent validity checking of any covering, running
 //     on the flat dense graph core (DESIGN.md §7): link loads and
 //     coverage are tallied over pooled scratch in one pass, so repeated
@@ -171,14 +172,14 @@ func CoverAllToAllCtx(ctx context.Context, n int) (cv *Covering, optimal bool, e
 	return res.Covering, res.Optimal, nil
 }
 
-// CoverInstance constructs a valid covering for an arbitrary instance:
-// over C_n, the closed-form machinery for uniform λK_n demands (the
-// paper's optimal constructions for K_n, the λ-composition beyond) and
-// the greedy constructor otherwise — the same dispatch the cached
-// Planner and the cycled service use. General-topology instances
-// (petersen, blanusa:<w>, flower:<k>, prism:<k>, cubic:<seed>,
-// edges:<...>, adj:<...>) are covered by the shortest-cycle-cover
-// pipeline instead, minimising total edge count.
+// CoverInstance constructs a valid covering for an arbitrary instance
+// with the default strategy, the same one the cached Planner and the
+// cycled service use: over C_n, the closed-form machinery for uniform
+// λK_n demands (the paper's optimal constructions for K_n, the
+// λ-composition beyond) and the greedy constructor otherwise.
+// General-topology instances (petersen, blanusa:<w>, flower:<k>,
+// prism:<k>, cubic:<seed>, edges:<...>, adj:<...>) are covered by the
+// shortest-cycle-cover pipeline instead, minimising total edge count.
 func CoverInstance(in Instance) (*Covering, error) {
 	return CoverInstanceCtx(context.Background(), in)
 }
@@ -190,39 +191,20 @@ func CoverInstanceCtx(ctx context.Context, in Instance) (*Covering, error) {
 	if in.Demand == nil {
 		return nil, fmt.Errorf("cyclecover: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
-	if in.IsGeneral() {
-		out, err := construct.GeneralSCCCtx(ctx, in, construct.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return out.Covering, nil
-	}
-	n := in.N()
-	r, err := ring.New(n)
+	out, err := construct.Auto{}.Solve(ctx, in, construct.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if lam, ok := construct.UniformLambda(in.Demand); ok {
-		var res construct.Result
-		if lam == 1 {
-			res, err = construct.AllToAllCtx(ctx, n)
-		} else {
-			res, err = construct.LambdaCtx(ctx, n, lam)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return res.Covering, nil
-	}
-	return construct.GreedyCtx(ctx, r, in.Demand)
+	return out.Covering, nil
 }
 
 // Strategies lists the selectable construction strategy names: the
 // registry in priority order ("closed-form", "exact", "repair",
-// "greedy") plus "portfolio", which races them under one context and
-// returns a deterministic winner (lowest cost, ties toward the earliest
-// registry entry — exactly the fixed pipeline's result wherever the
-// closed forms apply).
+// "greedy" for rings; "scc-colour", "scc-exact", "scc-kcycle",
+// "scc-greedy" for general hosts) plus "portfolio", which races them
+// under one context and returns a deterministic winner (lowest cost,
+// ties toward the earliest registry entry — exactly the default
+// strategy's result wherever the closed forms apply).
 func Strategies() []string { return construct.Strategies() }
 
 // CoverInstanceStrategy constructs a covering with the named strategy

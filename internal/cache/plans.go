@@ -8,7 +8,6 @@ import (
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/instance"
-	"github.com/cyclecover/cyclecover/internal/ring"
 	"github.com/cyclecover/cyclecover/internal/wdm"
 )
 
@@ -42,7 +41,9 @@ func New(capacity int) *Plans {
 type CoverResult struct {
 	Covering *cover.Covering
 	Method   construct.Method
-	// Optimal reports that the covering provably has ρ(n) cycles.
+	// Optimal reports that the covering is provably optimal: ρ(n)
+	// cycles for K_n on a ring, the shortest total length for a general
+	// host (construct.Outcome.Optimal). Never set on a degraded result.
 	Optimal bool
 	// Degraded reports that the covering came from the deadline-degraded
 	// anytime pipeline (Options.Degrade): valid and verified, but
@@ -72,8 +73,9 @@ func (p *Plans) Stats() PlansStats {
 // the first request and serving clones from the cache afterwards. hit
 // reports whether this call avoided construction (cache hit or joined
 // flight). The constructor is selected by opts.Strategy; the default
-// (empty) pipeline picks by demand class — the paper's optimal machinery
-// for K_n, the λ-composition for λK_n, greedy otherwise.
+// (empty) is construct.Auto, which picks by instance class — the paper's
+// closed forms for λK_n, greedy for other ring demands, the
+// shortest-cycle-cover pipeline for a general host.
 func (p *Plans) Cover(in instance.Instance, opts Options) (CoverResult, bool, error) {
 	return p.CoverCtx(context.Background(), in, opts)
 }
@@ -105,7 +107,7 @@ func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options
 // Lookup probes the covering cache without computing: it returns the
 // cached (already verified) covering for the instance under the given
 // options, or ok=false on a miss. It never joins an in-flight
-// computation and never blocks beyond the shard lock — the degradation
+// computation and never blocks beyond the store lock — the degradation
 // path uses it to serve a stale-but-verified plan when the remaining
 // deadline cannot fit even the anytime pipeline. The returned covering
 // is the caller's private clone.
@@ -211,103 +213,44 @@ func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Optio
 	return v.(*wdm.Network), hit, nil
 }
 
-// buildCover constructs and verifies a covering for the instance. Only
-// verified coverings may enter the cache: an artifact that fails the
-// independent verifier is dropped with an error rather than memoized.
-// opts.Strategy selects the construction path through the strategy
-// registry; empty runs the fixed auto pipeline.
+// buildCover constructs and verifies a covering for the instance. Every
+// covering is built one way: resolve the strategy (opts.Strategy by
+// registry name, the anytime portfolio under opts.Degrade, construct.Auto
+// otherwise), run it behind construct.SafeSolve, verify. Only verified
+// coverings may enter the cache: an artifact that fails the independent
+// verifier is dropped with an error rather than memoized.
 func buildCover(ctx context.Context, in instance.Instance, opts Options) (CoverResult, error) {
-	if in.IsGeneral() {
-		return buildGeneralCover(ctx, in, opts)
-	}
-	n := in.N()
-	r, err := ring.New(n)
-	if err != nil {
-		return CoverResult{}, err
-	}
-	var res CoverResult
-	if opts.Strategy != "" {
-		st, ok := construct.LookupStrategy(opts.Strategy)
-		if !ok {
-			return CoverResult{}, fmt.Errorf("cache: unknown strategy %q (have %v)", opts.Strategy, construct.Strategies())
-		}
-		out, err := construct.SafeSolve(ctx, st, in, construct.Options{})
-		if err != nil {
-			return CoverResult{}, err
-		}
-		res = CoverResult{Covering: out.Covering, Method: out.Method, Optimal: out.Optimal, Degraded: opts.Degrade}
-	} else if opts.Degrade {
-		// Deadline-degraded default pipeline: race only the anytime
-		// members. No optimality claim ever; the result is marked so the
-		// degradation is visible end-to-end.
-		out, err := construct.SafeSolve(ctx, construct.NewDegradedPortfolio(), in, construct.Options{})
-		if err != nil {
-			return CoverResult{}, err
-		}
-		res = CoverResult{Covering: out.Covering, Method: out.Method, Degraded: true}
-	} else if lam, ok := construct.UniformLambda(in.Demand); ok {
-		var cres construct.Result
-		var err error
-		if lam == 1 {
-			cres, err = construct.AllToAllCtx(ctx, n)
-		} else {
-			cres, err = construct.LambdaCtx(ctx, n, lam)
-		}
-		if err != nil {
-			return CoverResult{}, err
-		}
-		res = CoverResult{Covering: cres.Covering, Method: cres.Method, Optimal: cres.Optimal}
-	} else {
-		cv, err := construct.GreedyCtx(ctx, r, in.Demand)
-		if err != nil {
-			return CoverResult{}, err
-		}
-		res = CoverResult{Covering: cv, Method: construct.MethodGreedy}
-	}
-	if opts.EliminateRedundant {
-		construct.EliminateRedundant(res.Covering, in.Demand)
-		// Redundancy elimination may shrink to ρ(n) but proves nothing;
-		// keep the constructor's optimality claim only.
-	}
-	if err := cover.Verify(res.Covering, in.Demand); err != nil {
-		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified covering: %w", err)
-	}
-	res.Demand = in.Demand
-	return res, nil
-}
-
-// buildGeneralCover is buildCover for general-topology instances: the
-// scc pipeline (or a named strategy) constructs, the general verifier
-// gates admission edge-by-edge against the host. Redundancy elimination
-// is a ring-tally optimiser and does not apply — a general cover's
-// slack is already minimised by the scc objective itself.
-func buildGeneralCover(ctx context.Context, in instance.Instance, opts Options) (CoverResult, error) {
-	var out construct.Outcome
-	var err error
+	var st construct.Strategy = construct.Auto{}
 	switch {
 	case opts.Strategy != "":
-		st, ok := construct.LookupStrategy(opts.Strategy)
-		if !ok {
+		var ok bool
+		if st, ok = construct.LookupStrategy(opts.Strategy); !ok {
 			return CoverResult{}, fmt.Errorf("cache: unknown strategy %q (have %v)", opts.Strategy, construct.Strategies())
 		}
-		out, err = construct.SafeSolve(ctx, st, in, construct.Options{})
 	case opts.Degrade:
-		out, err = construct.SafeSolve(ctx, construct.NewDegradedPortfolio(), in, construct.Options{})
-	default:
-		out, err = construct.GeneralSCCCtx(ctx, in, construct.Options{})
+		st = construct.NewDegradedPortfolio()
 	}
+	out, err := construct.SafeSolve(ctx, st, in, construct.Options{})
 	if err != nil {
 		return CoverResult{}, err
 	}
-	if err := cover.VerifyGeneral(out.Covering, in.Host); err != nil {
-		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified cover: %w", err)
+	if in.IsGeneral() {
+		// Redundancy elimination is a ring-tally optimiser: a general
+		// cover's slack is already minimised by the scc objective itself.
+		err = cover.VerifyGeneral(out.Covering, in.Host)
+	} else {
+		if opts.EliminateRedundant {
+			// Redundancy elimination may shrink to ρ(n) but proves nothing;
+			// keep the constructor's optimality claim only.
+			construct.EliminateRedundant(out.Covering, in.Demand)
+		}
+		err = cover.Verify(out.Covering, in.Demand)
 	}
-	// Degraded general results drop the optimality claim even if the
-	// anytime race happened to meet the bound: the flag's contract is
-	// "built for speed", and callers comparing against the lower bound
-	// can still see Length vs SCCLowerBound themselves.
-	if opts.Degrade {
-		out.Optimal = false
+	if err != nil {
+		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified covering: %w", err)
 	}
-	return CoverResult{Covering: out.Covering, Method: out.Method, Optimal: out.Optimal, Degraded: opts.Degrade, Demand: in.Demand}, nil
+	// A degraded result drops the optimality claim even if the anytime
+	// race happened to meet the bound: the flag's contract is "built for
+	// speed".
+	return CoverResult{Covering: out.Covering, Method: out.Method, Optimal: out.Optimal && !opts.Degrade, Degraded: opts.Degrade, Demand: in.Demand}, nil
 }

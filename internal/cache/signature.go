@@ -29,12 +29,14 @@ type Options struct {
 	// constructed covering before it is verified and cached.
 	EliminateRedundant bool
 	// Strategy selects the construction strategy by registry name
-	// (construct.Strategies: "closed-form", "exact", "repair", "greedy",
-	// "portfolio"). Empty selects the fixed auto pipeline — the paper's
-	// machinery for λK_n demands, greedy otherwise. Part of the cache
-	// key: the same demand under different strategies occupies distinct
-	// entries, so a strategy experiment never serves another strategy's
-	// covering.
+	// (construct.Strategies: the ring members "closed-form", "exact",
+	// "repair", "greedy", the general-host members "scc-colour",
+	// "scc-exact", "scc-kcycle", "scc-greedy", and "portfolio"). Empty
+	// selects construct.Auto — the paper's machinery for λK_n demands,
+	// greedy for other ring demands, the scc pipeline for general hosts.
+	// Part of the cache key: the same demand under different strategies
+	// occupies distinct entries, so a strategy experiment never serves
+	// another strategy's covering.
 	Strategy string
 	// Degrade selects the deadline-degraded pipeline: the anytime
 	// portfolio (construct.AnytimeRegistry) instead of the full

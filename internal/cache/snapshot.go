@@ -99,7 +99,7 @@ func (p *Plans) LoadSnapshot(r io.Reader) (loaded, skipped int, err error) {
 
 // rebuildEntry reconstructs and fully re-verifies one snapshot entry.
 func rebuildEntry(e snapshotEntry) (CoverResult, bool) {
-	if e.Lambda < 1 {
+	if e.Lambda < 1 || !enoughSlots(e) {
 		return CoverResult{}, false
 	}
 	rg, err := ring.New(e.N)
@@ -126,4 +126,21 @@ func rebuildEntry(e snapshotEntry) (CoverResult, bool) {
 		optimal = false
 	}
 	return CoverResult{Covering: cv, Method: construct.Method(e.Method), Optimal: optimal, Demand: demand}, true
+}
+
+// enoughSlots reports whether the entry's cycles could cover λK_n at all:
+// a DRC cycle on k vertices covers exactly k requests, so a cover needs
+// Σ|Cᵢ| ≥ λ·n(n−1)/2 slots. Checked before the Θ(n²) demand is built, it
+// bounds that cost by the entry's own size. n ≥ 3 keeps the divisor
+// positive, n ≤ slots (every vertex lies on a cycle) keeps it from
+// overflowing, and λ is compared by division.
+func enoughSlots(e snapshotEntry) bool {
+	slots := 0
+	for _, c := range e.Cycles {
+		slots += len(c)
+	}
+	if e.N < ring.MinVertices || e.N > slots {
+		return false
+	}
+	return e.Lambda <= slots/(e.N*(e.N-1)/2)
 }

@@ -3,10 +3,13 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
+	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/instance"
 )
 
@@ -132,4 +135,75 @@ func TestSnapshotRejectsTamperedEntries(t *testing.T) {
 	if _, _, err := New(8).LoadSnapshot(strings.NewReader("{")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
+}
+
+// hostileSnapshots are well-formed snapshots whose one entry claims a
+// demand far larger than its cycles could cover: λ past int32 (building
+// the demand panics), and K_20000 with no cycles (building the demand
+// allocates ~1.5 GB).
+var hostileSnapshots = []string{
+	`{"version":1,"coverings":[{"n":3,"lambda":3000000000,"cycles":[[0,1,2]]}]}`,
+	`{"version":1,"coverings":[{"n":20000,"lambda":1,"cycles":[]}]}`,
+}
+
+// TestSnapshotHostileEntryCostsNothing: an entry is skipped before its
+// demand is built when its cycles hold fewer slots than λK_n has
+// requests, so a hostile entry costs no more than its bytes.
+func TestSnapshotHostileEntryCostsNothing(t *testing.T) {
+	for _, snap := range hostileSnapshots {
+		p := New(8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, skipped, err := p.LoadSnapshot(strings.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if err != nil || loaded != 0 || skipped != 1 {
+			t.Fatalf("%s: (loaded %d, skipped %d, err %v), want (0, 1, nil)", snap, loaded, skipped, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before skipping, want < 1 MiB", snap, alloc)
+		}
+	}
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot: it must never
+// panic, every entry it admits must verify against λK_n, and an entry
+// may claim optimality only for K_n at exactly ρ(n) cycles.
+func FuzzLoadSnapshot(f *testing.F) {
+	src := New(8)
+	if _, _, err := src.CoverAllToAll(7, Options{}); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := src.Cover(instance.Lambda(5, 2), Options{}); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	f.Add(saved)
+	f.Add(saved[:len(saved)/2])
+	f.Add([]byte(`{"version":99,"coverings":[]}`))
+	for _, snap := range hostileSnapshots {
+		f.Add([]byte(snap))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := New(8)
+		if _, _, err := p.LoadSnapshot(bytes.NewReader(data)); err != nil {
+			return
+		}
+		p.coverings.Each(func(key string, val any) {
+			var n, lam int
+			if _, err := fmt.Sscanf(key, "n=%d;d=k%d", &n, &lam); err != nil {
+				t.Fatalf("admitted entry under non-λ key %q", key)
+			}
+			res := val.(CoverResult)
+			if err := cover.Verify(res.Covering, graph.LambdaComplete(n, lam)); err != nil {
+				t.Fatalf("admitted entry %q does not cover λK_n: %v", key, err)
+			}
+			if res.Optimal && (lam != 1 || res.Covering.Size() != cover.Rho(n)) {
+				t.Fatalf("admitted entry %q claims optimality at %d cycles", key, res.Covering.Size())
+			}
+		})
+	})
 }

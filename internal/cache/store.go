@@ -3,38 +3,23 @@ package cache
 import (
 	"container/list"
 	"context"
-	"runtime"
 	"sync"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
 )
 
-// DefaultShards is the shard count selected by NewStore. It is sized to
-// a small multiple of typical core counts so that concurrent warm hits —
-// which take only the shard lock of their key — rarely contend, while
-// keeping per-shard LRU books small enough to stay cache-friendly.
-const DefaultShards = 16
-
-// Store is a bounded memoization table: hash-partitioned shards, each an
-// LRU map joined with a single-flight group. Do serves repeated keys
-// from memory and collapses concurrent misses for one key onto a single
-// computation. A key's shard is fixed by its hash, so all single-flight
-// and LRU bookkeeping for it happens under one shard lock and warm-hit
-// throughput scales with the number of shards rather than serializing on
-// a store-global mutex. Errors are never cached — a failed computation
-// is reported to every waiter and the next request retries.
+// Store is a bounded memoization table: one LRU map joined with a
+// single-flight group, under one mutex. Do serves repeated keys from
+// memory and collapses concurrent misses for one key onto a single
+// computation. The store holds at most its capacity and evicts the
+// globally least recently used entry. Errors are never cached — a
+// failed computation is reported to every waiter and the next request
+// retries.
 //
-// The capacity bound and the LRU policy are per shard: shard capacities
-// carry skew headroom (see NewStoreSharded), so total residency may
-// exceed the requested capacity by up to ~a third, and eviction order
-// is least-recently-used within each shard, not globally.
+// One lock is enough: a warm hit holds it for a map lookup and a list
+// move, and on 2 vCPUs it outran a 16-way sharded store in
+// BenchmarkStoreWarmHitThroughput (EXPERIMENTS.md §L).
 type Store struct {
-	shards []*storeShard
-}
-
-// storeShard is one lock domain of the store: an LRU list plus the
-// in-flight calls for the keys that hash here.
-type storeShard struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List               // most-recent first
@@ -52,10 +37,10 @@ type entry struct {
 // originator included — currently blocked on it; a waiter whose context
 // fires detaches (decrementing the count) without disturbing the entry,
 // and only when the count reaches zero is the computation itself
-// cancelled. Guarded by the shard mutex, except done/val/err which
+// cancelled. Guarded by the store mutex, except done/val/err which
 // follow the close-after-write protocol (val and err are written, and
-// done closed, under the shard lock; readers may select on done without
-// the lock and then read val/err freely).
+// done closed, under the lock; readers may select on done without the
+// lock and then read val/err freely).
 type call struct {
 	done    chan struct{} // closed when val/err are final
 	val     any
@@ -79,85 +64,24 @@ type Stats struct {
 	Entries   int    `json:"entries"`
 }
 
-// NewStore returns a store bounded to about capacity entries (capacity
-// ≥ 1), partitioned into DefaultShards shards — fewer when core count
-// or capacity is small (shards are kept ≥ 64 entries each, so small
-// default stores do not fragment their capacity into skew-prone
-// slivers).
+// NewStore returns a store holding at most capacity entries (values
+// below 1 become 1).
 func NewStore(capacity int) *Store {
-	shards := DefaultShards
-	if p := 2 * runtime.GOMAXPROCS(0); p < shards {
-		shards = p
-	}
-	if c := capacity / 64; c < shards {
-		shards = c
-	}
-	return NewStoreSharded(capacity, shards)
-}
-
-// NewStoreSharded returns a store bounded to about capacity entries
-// (capacity ≥ 1) partitioned into the given number of shards. shards
-// ≤ 0 selects DefaultShards; shards is additionally clamped to capacity
-// so every shard can hold at least one entry.
-//
-// With more than one shard the capacity is a target, not an exact
-// bound: each shard holds its fair share plus a third of headroom
-// (worst-case residency ≈ 4/3·capacity), because keys hash unevenly
-// and an exactly-split shard would evict — and force recomputation of —
-// entries of a working set that fits the store as a whole. A
-// single-shard store (NewStoreSharded(capacity, 1)) bounds exactly and
-// keeps strict global LRU order — the benchmark baseline and the right
-// choice when whole-store recency matters more than concurrent
-// throughput.
-func NewStoreSharded(capacity, shards int) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if shards <= 0 {
-		shards = DefaultShards
+	return &Store{
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		inflight: make(map[string]*call),
 	}
-	if shards > capacity {
-		shards = capacity
-	}
-	perShard := (capacity + shards - 1) / shards
-	if shards > 1 {
-		perShard += (perShard + 2) / 3
-	}
-	s := &Store{shards: make([]*storeShard, shards)}
-	for i := range s.shards {
-		s.shards[i] = &storeShard{
-			capacity: perShard,
-			ll:       list.New(),
-			items:    make(map[string]*list.Element),
-			inflight: make(map[string]*call),
-		}
-	}
-	return s
-}
-
-// shard returns the shard owning key: inline FNV-1a over the key bytes
-// (no hasher allocation — this sits on every warm hit).
-func (s *Store) shard(key string) *storeShard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return s.shards[h%uint32(len(s.shards))]
 }
 
 // Do returns the cached value for key, computing it with compute on a
 // miss. hit reports whether the value was served without running compute
 // in this call (an LRU hit, or a join onto another caller's in-flight
-// computation). Successful results are inserted at the front of their
-// shard's LRU.
+// computation). Successful results are inserted at the front of the LRU.
 func (s *Store) Do(key string, compute func() (any, error)) (val any, hit bool, err error) {
 	return s.DoCtx(context.Background(), key, func(context.Context) (any, error) { return compute() })
 }
@@ -172,47 +96,46 @@ func (s *Store) Do(key string, compute func() (any, error)) (val any, hit bool, 
 // the key starts fresh. Errors — including a cancelled computation's —
 // are never cached.
 func (s *Store) DoCtx(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(el)
-		sh.stats.Hits++
+	s.mu.Lock()
+	if el, ok := s.items[key]; ok {
+		s.ll.MoveToFront(el)
+		s.stats.Hits++
 		v := el.Value.(*entry).val
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return v, true, nil
 	}
-	if c, ok := sh.inflight[key]; ok {
+	if c, ok := s.inflight[key]; ok {
 		c.waiters++
-		sh.stats.Coalesced++
-		sh.mu.Unlock()
-		return sh.wait(ctx, key, c, true)
+		s.stats.Coalesced++
+		s.mu.Unlock()
+		return s.wait(ctx, key, c, true)
 	}
 	// The computation must outlive this caller (other waiters may join),
 	// so its context derives from Background, not ctx; ctx's cancellation
 	// reaches it only through the last-waiter-departs rule below.
 	cctx, cancel := context.WithCancel(context.Background())
 	c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	sh.inflight[key] = c
-	sh.stats.Misses++
-	sh.mu.Unlock()
+	s.inflight[key] = c
+	s.stats.Misses++
+	s.mu.Unlock()
 
 	go func() {
 		v, err := runCompute(cctx, compute)
 		cancel()
-		sh.mu.Lock()
+		s.mu.Lock()
 		c.val, c.err = v, err
-		if sh.inflight[key] == c {
-			delete(sh.inflight, key)
+		if s.inflight[key] == c {
+			delete(s.inflight, key)
 		}
 		if err == nil {
 			// Cache even if every waiter gave up: the value is computed
 			// and deterministic for the key, so the next request hits.
-			sh.add(key, v)
+			s.add(key, v)
 		}
 		close(c.done) // under the lock: wait() rechecks done while holding it
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}()
-	return sh.wait(ctx, key, c, false)
+	return s.wait(ctx, key, c, false)
 }
 
 // runCompute shields the store from a panicking computation: compute
@@ -234,117 +157,95 @@ func runCompute(ctx context.Context, compute func(context.Context) (any, error))
 // wait blocks until c finishes or ctx fires, detaching on the latter.
 // joined reports whether this caller coalesced onto an existing call
 // (it becomes the hit flag on success).
-func (sh *storeShard) wait(ctx context.Context, key string, c *call, joined bool) (any, bool, error) {
+func (s *Store) wait(ctx context.Context, key string, c *call, joined bool) (any, bool, error) {
 	select {
 	case <-c.done:
 		return c.val, joined, c.err
 	case <-ctx.Done():
 	}
-	sh.mu.Lock()
+	s.mu.Lock()
 	select {
 	case <-c.done:
 		// The result landed while we were acquiring the lock; take it.
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return c.val, joined, c.err
 	default:
 	}
 	c.waiters--
-	sh.stats.Abandoned++
+	s.stats.Abandoned++
 	if c.waiters == 0 {
 		// Last waiter departing: nobody wants the result. Cancel the
 		// computation and clear the in-flight slot so a fresh request
 		// starts over instead of joining a doomed call.
-		if sh.inflight[key] == c {
-			delete(sh.inflight, key)
+		if s.inflight[key] == c {
+			delete(s.inflight, key)
 		}
-		sh.stats.Cancelled++
+		s.stats.Cancelled++
 		c.cancel()
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return nil, false, ctx.Err()
 }
 
 // Put inserts a value directly, as if computed. Used by snapshot loading.
 func (s *Store) Put(key string, val any) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sh.add(key, val)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.add(key, val)
+	s.mu.Unlock()
 }
 
-// Each calls f for every resident entry, shard by shard and from most to
-// least recently used within each shard, holding that shard's lock:
-// f must not call back into the store.
+// Each calls f for every resident entry, from most to least recently
+// used, holding the store lock: f must not call back into the store.
 func (s *Store) Each(f func(key string, val any)) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			f(e.key, e.val)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		f(e.key, e.val)
 	}
 }
 
 // Get returns the cached value without computing, refreshing recency.
 func (s *Store) Get(key string) (any, bool) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[key]
 	if !ok {
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
+	s.ll.MoveToFront(el)
 	return el.Value.(*entry).val, true
 }
 
 // Len returns the number of resident entries.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ll.Len()
 }
 
-// Shards returns the number of shards (for introspection and tests).
-func (s *Store) Shards() int { return len(s.shards) }
-
-// Stats returns a snapshot of the counters, aggregated over all shards.
-// Shards are snapshotted one at a time, so the aggregate is not a single
-// atomic cut — fine for the monitoring counters it feeds.
+// Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
-	var st Stats
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.Hits += sh.stats.Hits
-		st.Misses += sh.stats.Misses
-		st.Coalesced += sh.stats.Coalesced
-		st.Abandoned += sh.stats.Abandoned
-		st.Cancelled += sh.stats.Cancelled
-		st.Evictions += sh.stats.Evictions
-		st.Entries += sh.ll.Len()
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
+	st.Entries = s.ll.Len()
 	return st
 }
 
-// add inserts (or refreshes) key at the front of the shard's LRU,
-// evicting the tail when the shard bound is exceeded. Caller holds sh.mu.
-func (sh *storeShard) add(key string, val any) {
-	if el, ok := sh.items[key]; ok {
+// add inserts (or refreshes) key at the front of the LRU, evicting the
+// tail when the capacity is exceeded. Caller holds s.mu.
+func (s *Store) add(key string, val any) {
+	if el, ok := s.items[key]; ok {
 		el.Value.(*entry).val = val
-		sh.ll.MoveToFront(el)
+		s.ll.MoveToFront(el)
 		return
 	}
-	sh.items[key] = sh.ll.PushFront(&entry{key: key, val: val})
-	for sh.ll.Len() > sh.capacity {
-		tail := sh.ll.Back()
-		sh.ll.Remove(tail)
-		delete(sh.items, tail.Value.(*entry).key)
-		sh.stats.Evictions++
+	s.items[key] = s.ll.PushFront(&entry{key: key, val: val})
+	if s.ll.Len() > s.capacity {
+		tail := s.ll.Back()
+		s.ll.Remove(tail)
+		delete(s.items, tail.Value.(*entry).key)
+		s.stats.Evictions++
 	}
 }

@@ -10,9 +10,7 @@ import (
 )
 
 func TestStoreHitMissAndRecency(t *testing.T) {
-	// One shard: the eviction assertions below rely on exact whole-store
-	// LRU order, which the sharded default only guarantees per shard.
-	s := NewStoreSharded(2, 1)
+	s := NewStore(2)
 	compute := func(v int) func() (any, error) {
 		return func() (any, error) { return v, nil }
 	}
@@ -130,46 +128,47 @@ func TestStoreCapacityFloor(t *testing.T) {
 	}
 }
 
-func TestStoreShardingPartitionsCapacity(t *testing.T) {
-	s := NewStoreSharded(256, 4)
-	if got := s.Shards(); got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
-	}
-	// Every shard gets at least its fair share (so a balanced working
-	// set that fits the store never evicts), at most fair share plus the
-	// documented ~1/3 skew headroom.
-	for _, sh := range s.shards {
-		if sh.capacity < 64 || sh.capacity > 64+22 {
-			t.Fatalf("shard capacity %d outside [64, 86]", sh.capacity)
+// TestStoreExactGlobalLRU pins the capacity contract: NewStore(c) holds
+// exactly c entries, and the one it evicts is the least recently used
+// across the whole store.
+func TestStoreExactGlobalLRU(t *testing.T) {
+	for _, c := range []int{2, 10, 32, 63, 64, 256} {
+		s := NewStore(c)
+		key := func(i int) string { return fmt.Sprintf("n=%d;d=k1", i+3) }
+		for i := 0; i < c; i++ {
+			s.Put(key(i), i)
+			if ev := s.Stats().Evictions; ev != 0 {
+				t.Fatalf("c=%d: insert #%d evicted %d entries below capacity", c, i+1, ev)
+			}
 		}
-	}
-	// A single-shard store bounds exactly: no skew, no headroom.
-	one := NewStoreSharded(10, 1)
-	if one.shards[0].capacity != 10 {
-		t.Fatalf("single shard capacity = %d, want exactly 10", one.shards[0].capacity)
-	}
-	// Tiny capacities clamp the shard count so no shard is zero-sized.
-	if got := NewStoreSharded(3, 16).Shards(); got != 3 {
-		t.Fatalf("capacity 3: shards = %d, want 3", got)
-	}
-	if got := NewStoreSharded(1, 0).Shards(); got != 1 {
-		t.Fatalf("capacity 1: shards = %d, want 1", got)
-	}
-	// The default constructor keeps shards ≥ 64 entries: a 256-entry
-	// store must not fragment into 16-entry slivers that evict under
-	// hash skew while the store as a whole has room.
-	if got := NewStore(256).Shards(); got > 4 {
-		t.Fatalf("NewStore(256) uses %d shards, want ≤ 4", got)
+		if n := s.Len(); n != c {
+			t.Fatalf("c=%d: len = %d after %d inserts, want %d", c, n, c, c)
+		}
+		if _, ok := s.Get(key(0)); !ok {
+			t.Fatalf("c=%d: key 0 missing from a full store", c)
+		}
+		s.Put(key(c), c)
+		st := s.Stats()
+		if st.Evictions != 1 || st.Entries != c {
+			t.Fatalf("c=%d: one insert past capacity gave %d evictions, %d entries; want 1 and %d", c, st.Evictions, st.Entries, c)
+		}
+		if _, ok := s.Get(key(1)); ok {
+			t.Fatalf("c=%d: key 1, the least recently used, survived", c)
+		}
+		for i := 0; i <= c; i++ {
+			if _, ok := s.Get(key(i)); !ok && i != 1 {
+				t.Fatalf("c=%d: key %d evicted instead of key 1", c, i)
+			}
+		}
 	}
 }
 
-// TestStoreShardedFullWorkingSetDoesNotThrash loads exactly capacity
-// many keys and re-touches them all: the skew headroom must absorb the
-// uneven hash spread so a working set that fits the store keeps
-// hitting, instead of hot shards evicting while cold shards sit empty.
-func TestStoreShardedFullWorkingSetDoesNotThrash(t *testing.T) {
+// TestStoreFullWorkingSetDoesNotThrash loads exactly capacity many keys
+// and re-touches them all: a working set that fits the store keeps
+// hitting, and exactly capacity keys stay resident.
+func TestStoreFullWorkingSetDoesNotThrash(t *testing.T) {
 	const capacity = 256
-	s := NewStoreSharded(capacity, 4)
+	s := NewStore(capacity)
 	keys := make([]string, capacity)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("n=%d;d=k%d", i+3, 1+i%3)
@@ -180,45 +179,22 @@ func TestStoreShardedFullWorkingSetDoesNotThrash(t *testing.T) {
 			t.Fatalf("key %q evicted although the working set equals the capacity", k)
 		}
 	}
-	if st := s.Stats(); st.Evictions != 0 {
-		t.Fatalf("%d evictions for a capacity-sized working set", st.Evictions)
+	if st := s.Stats(); st.Evictions != 0 || st.Entries != capacity {
+		t.Fatalf("capacity-sized working set: %d evictions, %d resident; want 0 and %d", st.Evictions, st.Entries, capacity)
 	}
 }
 
-// TestStoreShardedKeysLandOnOneShard pins the shard-routing invariant the
-// single-flight semantics depend on: every operation for one key uses one
-// shard, so a Do and a Get for the same key can never disagree.
-func TestStoreShardedKeysLandOnOneShard(t *testing.T) {
-	s := NewStore(64)
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if s.shard(key) != s.shard(key) {
-			t.Fatalf("key %q routed to two shards", key)
-		}
-		s.Put(key, i)
-		v, ok := s.Get(key)
-		if !ok || v.(int) != i {
-			t.Fatalf("Get(%q) = (%v, %v) after Put", key, v, ok)
-		}
-	}
-	if s.Len() != 50 {
-		t.Fatalf("len = %d, want 50", s.Len())
-	}
-}
-
-// TestStoreShardedConcurrentMixedTraffic hammers a sharded store from
-// many goroutines with overlapping keys — warm hits, cold misses and
-// single-flight joins all interleaved — and then checks the aggregate
-// accounting. Run under -race this is the shard-locking correctness test.
-func TestStoreShardedConcurrentMixedTraffic(t *testing.T) {
+// TestStoreConcurrentMixedTraffic hammers the store from many goroutines
+// with overlapping keys — warm hits, cold misses and single-flight joins
+// all interleaved — and then checks the accounting. Run under -race this
+// is the locking correctness test.
+func TestStoreConcurrentMixedTraffic(t *testing.T) {
 	const (
 		goroutines = 32
 		keys       = 40
 		rounds     = 50
 	)
-	// Per-shard capacity must cover every key (keys hash unevenly across
-	// shards), or a skewed shard would evict and break the checks below.
-	s := NewStoreSharded(keys*8, 8)
+	s := NewStore(keys)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -255,9 +231,10 @@ func TestStoreShardedConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestStoreShardedSingleFlight re-runs the stampede check against the
-// sharded store: one key, many concurrent callers, exactly one compute.
-func TestStoreShardedSingleFlight(t *testing.T) {
+// TestStoreDefaultSingleFlightStampede re-runs the stampede check at the
+// default capacity: one key, many concurrent callers, exactly one
+// compute.
+func TestStoreDefaultSingleFlightStampede(t *testing.T) {
 	const waiters = 64
 	s := NewStore(DefaultCapacity)
 	gate := make(chan struct{})

@@ -47,8 +47,8 @@ const MethodSCC Method = "shortest-cycle-cover"
 
 // CoverCost is the objective a covering is ranked by: cycle count for
 // ring instances (the paper's ρ(n) objective), total cover length for
-// general-topology instances (the SCC objective). The portfolio and the
-// fixed pipelines break ties on this cost toward the lowest registry
+// general-topology instances (the SCC objective). The portfolio and
+// GeneralSCCCtx break ties on this cost toward the lowest registry
 // index.
 func CoverCost(in instance.Instance, cv *cover.Covering) int {
 	if in.IsGeneral() {
@@ -57,7 +57,7 @@ func CoverCost(in instance.Instance, cv *cover.Covering) int {
 	return cv.Size()
 }
 
-// GeneralSCCCtx is the fixed general-topology pipeline, the serial
+// GeneralSCCCtx is the general-topology half of Auto, the serial
 // pinned counterpart of racing the scc members in the portfolio: it
 // runs scc-colour, scc-exact, scc-kcycle and scc-greedy in registry
 // order and keeps the cheapest cover (total length, ties to the earliest

@@ -143,7 +143,8 @@ func TestSCCCrossFamilyGuards(t *testing.T) {
 // pin to the general-topology families: for every spec the racing
 // portfolio must return bit-identically the serial pinned winner
 // (GeneralSCCCtx), across worker counts and with the ring members in
-// the race.
+// the race. Auto, the default strategy, must return that winner
+// outright.
 func TestPortfolioMatchesGeneralPipeline(t *testing.T) {
 	pf := NewPortfolio()
 	for _, tc := range sccFamilies {
@@ -155,6 +156,17 @@ func TestPortfolioMatchesGeneralPipeline(t *testing.T) {
 			want, err := GeneralSCCCtx(context.Background(), in, Options{})
 			if err != nil {
 				t.Fatalf("pipeline: %v", err)
+			}
+			auto, err := Auto{}.Solve(context.Background(), in, Options{})
+			if err != nil {
+				t.Fatalf("auto: %v", err)
+			}
+			if auto.Method != want.Method || auto.Optimal != want.Optimal || auto.Strategy != want.Strategy {
+				t.Fatalf("auto (%s, %s, optimal %v), pipeline (%s, %s, optimal %v)",
+					auto.Method, auto.Strategy, auto.Optimal, want.Method, want.Strategy, want.Optimal)
+			}
+			if !equalMultisets(cycleMultiset(auto.Covering), cycleMultiset(want.Covering)) {
+				t.Fatal("auto: cycle multiset differs from the pipeline")
 			}
 			for _, par := range []int{1, 2, 8} {
 				got, err := pf.Solve(context.Background(), in, Options{Parallelism: par})

@@ -16,13 +16,13 @@ import (
 
 // This file is the strategy layer: every construction path the package
 // offers — the paper's closed forms, exact branch-and-bound, the
-// min-conflicts repair search, greedy — wrapped behind one interface, a
-// registry to select them by name, and a Portfolio that races a subset
-// under one context. The cache, the Planner facade and the cycled
-// service all dispatch through here; the fixed pipeline that predates
-// the registry (closed forms for λK_n, greedy otherwise) remains the
-// default and is reproduced exactly by the Portfolio's determinism rule
-// (see Portfolio).
+// min-conflicts repair search, greedy, and the scc members for general
+// hosts (scc.go) — wrapped behind one interface, a registry to select
+// them by name, a Portfolio that races a subset under one context, and
+// Auto, the default that picks one member by instance class. The cache,
+// the Planner facade and the cycled service all dispatch through here;
+// the Portfolio's determinism rule reproduces Auto's covering exactly
+// wherever the closed forms apply (see Portfolio).
 
 // ErrNotApplicable reports that a strategy does not address an
 // instance's demand class (e.g. exact search on a non-complete demand).
@@ -71,10 +71,10 @@ type Strategy interface {
 
 // Registry returns the concrete strategies in priority order. The order
 // is part of the contract: the Portfolio breaks cost ties toward the
-// lowest index, which keeps its output pinned to the fixed pipeline
-// (closed forms preferred, greedy the universal fallback). The ring
-// members refuse general-topology instances and the scc members refuse
-// ring instances, so exactly one sub-family competes per instance.
+// lowest index, which keeps its output pinned to Auto's (closed forms
+// preferred, greedy the universal fallback). The ring members refuse
+// general-topology instances and the scc members refuse ring instances,
+// so exactly one sub-family competes per instance.
 func Registry() []Strategy {
 	return []Strategy{ClosedForm{}, ExactSearch{}, Repair{}, GreedySweep{}, SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
 }
@@ -110,8 +110,10 @@ func Strategies() []string {
 }
 
 // LookupStrategy resolves a strategy by registry name ("closed-form",
-// "exact", "repair", "greedy", or "portfolio" for the default race),
-// falling back to RegisterStrategy extras.
+// "exact", "repair", "greedy", "scc-colour", "scc-exact", "scc-kcycle",
+// "scc-greedy", or "portfolio" for the full race), falling back to
+// RegisterStrategy extras. Auto has no name here: the default is
+// selected by naming no strategy.
 func LookupStrategy(name string) (Strategy, bool) {
 	if name == "portfolio" {
 		return NewPortfolio(), true
@@ -288,6 +290,31 @@ func (GreedySweep) Solve(ctx context.Context, in instance.Instance, opts Options
 	return Outcome{Covering: cv, Method: MethodGreedy, Strategy: "greedy"}, nil
 }
 
+// Auto is the default construction, used whenever no strategy is named:
+// the shortest-cycle-cover pipeline (GeneralSCCCtx) for a general host,
+// ClosedForm for a uniform λK_n ring demand, GreedySweep for every other
+// ring demand. It returns the chosen member's Outcome unchanged, so
+// Strategy names that member. Auto is deliberately not in the registry
+// or LookupStrategy: a second name for the default would split the
+// cache key.
+type Auto struct{}
+
+// Name implements Strategy.
+func (Auto) Name() string { return "auto" }
+
+// Solve implements Strategy. ClosedForm refuses a ring demand with
+// ErrNotApplicable exactly when it is not λK_n.
+func (Auto) Solve(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
+	if in.IsGeneral() {
+		return GeneralSCCCtx(ctx, in, opts)
+	}
+	out, err := ClosedForm{}.Solve(ctx, in, opts)
+	if errors.Is(err, ErrNotApplicable) {
+		return GreedySweep{}.Solve(ctx, in, opts)
+	}
+	return out, err
+}
+
 // Portfolio races its member strategies concurrently under one parent
 // context and returns a deterministic winner. Each member runs with its
 // own cancellable sub-context and a private bound fed by every
@@ -303,9 +330,9 @@ func (GreedySweep) Solve(ctx context.Context, in instance.Instance, opts Options
 // results that this rule would discard anyway (a cancelled member ranks
 // below an optimal earlier one and cannot beat it strictly), so the
 // returned covering is independent of scheduling — with the default
-// registry it is byte-identical to the fixed pipeline's output wherever
-// the closed forms apply, which the equivalence test pins for every
-// demand family × n ∈ 3..16.
+// registry it is byte-identical to Auto's output wherever the closed
+// forms apply, which the equivalence test pins for every demand family ×
+// n ∈ 3..16.
 type Portfolio struct {
 	members []Strategy
 }

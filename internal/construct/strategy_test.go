@@ -40,8 +40,8 @@ func equalMultisets(a, b []string) bool {
 
 // fixedPipeline reproduces the pre-registry construction dispatch: the
 // paper's machinery for uniform λK_n demands, greedy otherwise. The
-// portfolio is pinned against it.
-func fixedPipeline(t *testing.T, in instance.Instance) *cover.Covering {
+// portfolio and Auto are pinned against it.
+func fixedPipeline(t *testing.T, in instance.Instance) Result {
 	t.Helper()
 	if lam, ok := UniformLambda(in.Demand); ok {
 		var res Result
@@ -54,9 +54,9 @@ func fixedPipeline(t *testing.T, in instance.Instance) *cover.Covering {
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
-		return res.Covering
+		return res
 	}
-	return Greedy(ring.MustNew(in.N()), in.Demand)
+	return Result{Covering: Greedy(ring.MustNew(in.N()), in.Demand), Method: MethodGreedy}
 }
 
 // TestUniformLambda pins the λ-class test: λK_n answers (λ, true), and
@@ -106,7 +106,8 @@ func TestUniformLambda(t *testing.T) {
 // where they apply (they are optimal for K_n, and the λ-composition is
 // at worst tied by greedy), so the lowest-cost-then-lowest-index rule
 // always selects them; on demands they do not address, greedy is the
-// only applicable member.
+// only applicable member. Auto, the default strategy, must return the
+// fixed pipeline's covering, Method and Optimal outright.
 func TestPortfolioMatchesPipeline(t *testing.T) {
 	specs := func(n int) []string {
 		return []string{
@@ -130,7 +131,19 @@ func TestPortfolioMatchesPipeline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				want := fixedPipeline(t, in)
+				ref := fixedPipeline(t, in)
+				want := ref.Covering
+				auto, err := Auto{}.Solve(context.Background(), in, Options{})
+				if err != nil {
+					t.Fatalf("auto: %v", err)
+				}
+				if auto.Method != ref.Method || auto.Optimal != ref.Optimal {
+					t.Fatalf("auto (method %s, optimal %v), pipeline (method %s, optimal %v)",
+						auto.Method, auto.Optimal, ref.Method, ref.Optimal)
+				}
+				if !equalMultisets(cycleMultiset(auto.Covering), cycleMultiset(want)) {
+					t.Fatalf("auto (strategy %s): cycle multiset differs from pipeline", auto.Strategy)
+				}
 				got, err := pf.Solve(context.Background(), in, Options{})
 				if err != nil {
 					t.Fatalf("portfolio: %v", err)

@@ -101,8 +101,8 @@ func TestChaosInjectedPanicFailsOneRequest(t *testing.T) {
 		t.Fatalf("500 body %s does not name the injected panic", body)
 	}
 
-	// Only the owning request failed: the default pipeline is untouched,
-	// and the #1 limit means the retry succeeds.
+	// Only the owning request failed: the default requests pass the same
+	// failpoint, but the #1 limit is spent, so they and the retry succeed.
 	for _, q := range []string{"/plan?n=11", "/plan?n=13", "/plan?n=9&strategy=greedy"} {
 		if resp, body := get(t, ts.URL+q); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s after injected panic = %d (%s), want 200", q, resp.StatusCode, body)
@@ -115,6 +115,34 @@ func TestChaosInjectedPanicFailsOneRequest(t *testing.T) {
 	}
 	if got := faultinject.Fired(faultinject.SiteStrategySolve); got != 1 {
 		t.Fatalf("panic failpoint fired %d times, want 1 (#1 limit)", got)
+	}
+}
+
+// TestChaosDefaultPipelinePanicFailsOneRequest: the default strategy
+// runs inside the same panic boundary as a named one, so a panic
+// injected into a default /plan fails that request with a 500 naming
+// strategy:auto, and the retry and a general host still answer 200.
+func TestChaosDefaultPipelinePanicFailsOneRequest(t *testing.T) {
+	arm(t, "strategy.solve=panic(chaos)#1", 7)
+	s := New(Config{CacheSize: 64, Workers: 2, Queue: 8})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
+	resp, body := get(t, ts.URL+"/plan?n=9")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panic-injected default request = %d (%s), want 500", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "strategy:auto") || !strings.Contains(string(body), "chaos") {
+		t.Fatalf("500 body %s does not name strategy:auto and the injected panic", body)
+	}
+	for _, q := range []string{"/plan?n=9", "/plan?n=10&demand=petersen"} {
+		if resp, body := get(t, ts.URL+q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s after injected panic = %d (%s), want 200", q, resp.StatusCode, body)
+		}
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	if !strings.Contains(string(metrics), "cycled_panics_recovered_total 1") {
+		t.Fatalf("metrics should count exactly one recovered panic:\n%s", metrics)
 	}
 }
 

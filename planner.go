@@ -51,9 +51,10 @@ func WithCacheSize(n int) PlannerOption {
 
 // WithStrategy selects the construction strategy for every plan this
 // planner produces, by registry name (see Strategies). The empty default
-// is the fixed auto pipeline: the paper's machinery for λK_n demands,
-// greedy otherwise. An unknown name surfaces as an error from the first
-// planning call, not from NewPlanner.
+// is the strategy CoverInstance uses: the paper's machinery for λK_n
+// demands, greedy for other ring demands, the shortest-cycle-cover
+// pipeline for general hosts. An unknown name surfaces as an error from
+// the first planning call, not from NewPlanner.
 func WithStrategy(name string) PlannerOption {
 	return func(c *plannerConfig) { c.strategy = name }
 }

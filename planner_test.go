@@ -213,7 +213,7 @@ func TestPlanManyEmptyAndSerial(t *testing.T) {
 
 // TestPlanManyConcurrentBatches runs several PlanMany calls on one
 // planner at once; with -race this checks the fan-out workers against
-// the sharded cache.
+// the cache.
 func TestPlanManyConcurrentBatches(t *testing.T) {
 	p := NewPlanner()
 	ins := []Instance{AllToAll(9), AllToAll(11), Hub(9, 0), Neighbors(8)}
