@@ -97,7 +97,7 @@ func main() {
 	snapshot := flag.String("snapshot", "", "cache snapshot file: warm at boot, persist atomically on shutdown (empty = disabled)")
 	pprofAddr := flag.String("pprof", "", "loopback address for net/http/pprof profiling endpoints (empty = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "per-endpoint in-flight admission cap; past it requests shed with 429 (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "shed new work when the pool queue is this deep (0 = unlimited)")
+	maxQueue := flag.Int("max-queue", 0, "shed new work when this many jobs wait for a worker, submissions blocked on a full -queue buffer included, so it also holds above -queue (0 = unlimited)")
 	degrade := flag.Bool("degrade", false, "deadline-aware degradation: demote to the anytime portfolio when the measured full-pipeline cost exceeds the remaining budget")
 	fault := flag.String("fault", "", "failpoint spec site=verb[(arg)][@prob][#limit];... (requires a -tags faultinject build)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed keying the deterministic failpoint schedule")

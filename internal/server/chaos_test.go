@@ -36,8 +36,8 @@ func TestChaosShedUnderInjectedLatency(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 
-	// 4× the admitted capacity, all distinct instances so nothing
-	// coalesces.
+	// 4× the admitted capacity, all distinct instances so no two share
+	// a construction.
 	const burst = 8
 	codes := make(chan int, burst)
 	var wg sync.WaitGroup

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
@@ -41,8 +42,8 @@ type deltaResponse struct {
 // falling back to cold construction when repair exhausts its budget. The
 // repaired plan verifies and costs no more cycles than a cold replan,
 // and is admitted under the child instance's own signature, so identical
-// concurrent requests — delta or cold — coalesce on the pool and the
-// cache's single flight.
+// concurrent requests — delta or cold — each take a worker and share one
+// construction through the cache's single flight.
 //
 // 400 table: malformed JSON body, missing parent, missing delta, an
 // unparseable delta spec, an unknown (never planned or evicted) parent
@@ -116,12 +117,7 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.planContext(r)
 	defer cancel()
-	// The pool signature carries the delta shape, not just the child
-	// signature: a /plan job for the same child returns a different
-	// payload type, so the two must never coalesce at the pool layer.
-	// They still share one construction via the cache's single flight.
-	sig := "delta:" + dp.ParentSig + "->" + dp.ChildSig
-	v, err := s.pool.Submit(ctx, sig, func(jctx context.Context) (any, error) {
+	v, err := s.pool.Submit(ctx, "", func(jctx context.Context) (any, error) {
 		res, coverHit, err := s.plans.CoverDeltaCtx(jctx, dp)
 		if err != nil {
 			return nil, err
@@ -133,12 +129,7 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 		return planned{res: res, nw: nw, hit: coverHit && netHit}, nil
 	})
 	if err != nil {
-		status := jobStatus(ctx, err)
-		if status == http.StatusGatewayTimeout {
-			writeJSON(w, status, timeoutBody{Error: "delta plan failed: " + err.Error(), Timeout: s.planTimeout.String()})
-			return
-		}
-		writeError(w, status, "delta plan failed: %v", err)
+		s.writeJobError(w, jobStatus(ctx, err), fmt.Errorf("delta plan failed: %w", err))
 		return
 	}
 	pl := v.(planned)

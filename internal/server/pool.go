@@ -1,11 +1,11 @@
 // Package server exposes the planner over HTTP/JSON: /plan, /plan/batch,
 // /plan/delta, /simulate and /verify for the work itself, /healthz and
 // /metrics for operations.
-// Requests are executed by a bounded worker pool that batches same-signature requests
-// — while a signature is queued or running, later requests for it attach
-// to the existing job instead of occupying another worker — and results
-// are memoized by the covering cache, so a burst of identical traffic
-// costs one construction. See DESIGN.md §5.
+// Requests are executed by a bounded worker pool and results are
+// memoized by the covering cache, whose single flight is the one place
+// identical concurrent work is shared: a burst of identical traffic
+// takes one worker per request but costs one construction. See
+// DESIGN.md §5.
 package server
 
 import (
@@ -13,8 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
 	"github.com/cyclecover/cyclecover/internal/fanout"
@@ -24,26 +24,36 @@ import (
 // ErrPoolClosed is returned by Submit after Close.
 var ErrPoolClosed = errors.New("server: worker pool closed")
 
-// ErrNotScheduled is what coalesced waiters receive when the submitter
-// that owned their job gave up (its context fired) before the job
-// reached a worker. It is retryable: the waiter's own context is intact.
-var ErrNotScheduled = errors.New("server: job abandoned before reaching a worker")
-
-// Pool is a bounded worker pool with same-signature batching. At most
-// `workers` jobs run at once and at most `queue` more wait; every
-// additional submission either attaches to a pending job with the same
-// signature or blocks until queue space frees.
+// Pool is a bounded executor. At most `workers` jobs run at once and at
+// most `queue` more wait in its buffer; a further submission blocks until
+// buffer space frees, its context fires, or the pool closes. Each job runs
+// under its submitter's context, stamped with its fan-out share, behind
+// the pool's recover boundary. The pool never deduplicates: identical
+// concurrent jobs each run, and the covering cache's single flight shares
+// the work they have in common.
 type Pool struct {
-	jobs    chan *poolJob
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	workers int
+	jobs     chan *poolJob
+	quit     chan struct{} // closed by Close: wakes blocked submitters, stops the workers
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	workers  int
 
-	mu        sync.Mutex
-	pending   map[string]*poolJob // queued or running, by signature
-	closed    bool
-	executed  uint64
-	coalesced uint64
+	// closeMu orders enqueues against Close. Submit holds it shared from
+	// its closed check through its send; Close holds it exclusively while
+	// it sets closed, after closing quit has woken every submitter blocked
+	// on a full buffer. From then on no job can enter the queue, so once
+	// the workers exit, what they left there is all Close must fail.
+	// Workers never take closeMu: a submitter blocked on a full buffer
+	// holds it while it waits for them.
+	closeMu sync.RWMutex
+	closed  bool
+
+	// blocked counts submitters waiting on a full buffer, so QueueDepth
+	// sees the backlog past the buffer's capacity.
+	blocked atomic.Int64
+
+	mu       sync.Mutex
+	executed uint64
 	// panics counts recovered panics per fingerprint (construct.PanicError
 	// from any containment layer — the pool's own boundary, the cache's
 	// compute goroutine, or a strategy guard), counted once per failed
@@ -58,22 +68,11 @@ type Pool struct {
 }
 
 type poolJob struct {
-	sig  string
+	ctx  context.Context // the submitter's: fires when it gives up
 	run  func(context.Context) (any, error)
 	done chan struct{}
 	val  any
 	err  error
-	// ctx is the job's execution context, handed to run. It is cancelled
-	// when the last attached waiter departs (every interested caller's
-	// own context fired), so an abandoned computation stops burning a
-	// worker instead of running to completion. Waiter bookkeeping is
-	// guarded by Pool.mu.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	waiters int
-	// finalized guards done against double close when a submitter's
-	// failure path races Close's orphan sweep. Guarded by Pool.mu.
-	finalized bool
 }
 
 // NewPool starts a pool with the given worker count and queue bound.
@@ -93,7 +92,6 @@ func NewPool(workers, queue int) *Pool {
 		jobs:    make(chan *poolJob, queue),
 		quit:    make(chan struct{}),
 		workers: workers,
-		pending: make(map[string]*poolJob),
 		panics:  make(map[string]uint64),
 	}
 	for i := 0; i < workers; i++ {
@@ -103,85 +101,51 @@ func NewPool(workers, queue int) *Pool {
 	return p
 }
 
-// Submit runs fn on the pool and returns its result, attaching to an
-// already-pending job when one with the same signature exists. It blocks
-// until the result is ready, ctx is done, or the pool closes. fn
-// receives the job's context, which is cancelled only when every waiter
-// attached to the job has departed: a job with surviving waiters keeps
-// running even if its original submitter gives up, while a job nobody
-// wants any more is aborted mid-computation. A job abandoned before
-// reaching a worker fails its waiters with ErrNotScheduled (never with
-// the submitter's context error, which is not theirs).
-func (p *Pool) Submit(ctx context.Context, sig string, fn func(context.Context) (any, error)) (any, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
+// Submit runs fn on a worker and returns its result. It blocks until the
+// result is ready, ctx is done, or the pool closes. fn receives ctx
+// stamped with the job's fan-out share, so a submitter that gives up
+// returns ctx's error at once and its job is cancelled mid-run, or
+// skipped if still queued. The string argument is ignored; it stays in
+// the signature so that existing callers, such as _perfbench's traced
+// replay (a separate module), compile unchanged.
+func (p *Pool) Submit(ctx context.Context, _ string, fn func(context.Context) (any, error)) (any, error) {
+	j := &poolJob{ctx: ctx, run: fn, done: make(chan struct{})}
+	if err := p.enqueue(j); err != nil {
+		return nil, err
 	}
-	// Attach only to a live job: one whose waiters all departed is
-	// already cancelled (the worker will skip it), so a fresh caller
-	// must replace it rather than inherit its doom.
-	if j, ok := p.pending[sig]; ok && j.waiters > 0 {
-		j.waiters++
-		p.coalesced++
-		p.mu.Unlock()
-		return p.await(ctx, j)
-	}
-	jctx, cancel := context.WithCancel(context.Background())
-	j := &poolJob{sig: sig, run: fn, done: make(chan struct{}), ctx: jctx, cancel: cancel, waiters: 1}
-	p.pending[sig] = j
-	p.mu.Unlock()
-
-	select {
-	case p.jobs <- j:
-		return p.await(ctx, j)
-	case <-ctx.Done():
-		p.fail(j, ErrNotScheduled)
-		return nil, ctx.Err()
-	case <-p.quit:
-		p.fail(j, ErrPoolClosed)
-		return nil, ErrPoolClosed
-	}
-}
-
-// await waits for j to finish or for the caller to give up. A departing
-// waiter detaches from the job; the last one out cancels the job's
-// context so an unwanted computation stops instead of running to
-// completion.
-func (p *Pool) await(ctx context.Context, j *poolJob) (any, error) {
 	select {
 	case <-j.done:
 		return j.val, j.err
 	case <-ctx.Done():
-		p.mu.Lock()
-		if !j.finalized {
-			j.waiters--
-			if j.waiters == 0 {
-				j.cancel()
-			}
-		}
-		p.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// fail finalises a job that never reached a worker, releasing any waiters
-// that attached while it sat in pending. Idempotent: a submitter's quit/
-// cancel path and Close's orphan sweep may both reach the same job.
-func (p *Pool) fail(j *poolJob, err error) {
-	p.mu.Lock()
-	if j.finalized {
-		p.mu.Unlock()
-		return
+// enqueue puts j in the queue, waiting for buffer space while its
+// context and the pool allow. A submitter counts as blocked only after a
+// non-blocking send has failed: a job handed straight to an idle worker,
+// or into free buffer space, never waited.
+func (p *Pool) enqueue(j *poolJob) error {
+	p.closeMu.RLock()
+	defer p.closeMu.RUnlock()
+	if p.closed {
+		return ErrPoolClosed
 	}
-	j.finalized = true
-	if p.pending[j.sig] == j {
-		delete(p.pending, j.sig)
+	select {
+	case p.jobs <- j:
+		return nil
+	default:
 	}
-	p.mu.Unlock()
-	j.cancel()
-	j.err = err
-	close(j.done)
+	p.blocked.Add(1)
+	defer p.blocked.Add(-1)
+	select {
+	case p.jobs <- j:
+		return nil
+	case <-j.ctx.Done():
+		return j.ctx.Err()
+	case <-p.quit:
+		return ErrPoolClosed
+	}
 }
 
 func (p *Pool) worker() {
@@ -189,12 +153,11 @@ func (p *Pool) worker() {
 	for {
 		select {
 		case j := <-p.jobs:
-			// A job whose waiters all departed while it sat in the queue
-			// (its context is already cancelled) is skipped outright:
-			// nobody will read the result, so running it would only burn
-			// the worker.
-			if j.ctx.Err() != nil {
-				j.err = j.ctx.Err()
+			// A job whose submitter gave up while it sat in the queue is
+			// skipped outright: nobody will read the result, so running it
+			// would only burn the worker.
+			if err := j.ctx.Err(); err != nil {
+				j.err = err
 			} else {
 				// Stamp the job's context with its fair share of the cores
 				// given current pool occupancy: a lone job may fan out over
@@ -208,12 +171,7 @@ func (p *Pool) worker() {
 				p.running--
 				p.mu.Unlock()
 			}
-			j.cancel()
 			p.mu.Lock()
-			j.finalized = true
-			if p.pending[j.sig] == j {
-				delete(p.pending, j.sig)
-			}
 			p.executed++
 			// Count recovered panics once per failed job, wherever the
 			// containment boundary that caught them lives.
@@ -232,10 +190,10 @@ func (p *Pool) worker() {
 
 // runJob executes one job on a worker behind the pool's containment
 // boundary: a panic escaping the computation is recovered into a
-// fingerprinted *construct.PanicError that fails only this job's
-// waiters — the worker survives, every other queued job still runs, and
-// the daemon keeps serving. (Goroutines a job spawns internally are out
-// of this recover's reach; the portfolio runner guards its members with
+// fingerprinted *construct.PanicError that fails only this job — the
+// worker survives, every other queued job still runs, and the daemon
+// keeps serving. (Goroutines a job spawns internally are out of this
+// recover's reach; the portfolio runner guards its members with
 // construct.SafeSolve for exactly that reason.)
 func (p *Pool) runJob(j *poolJob, share int) (val any, err error) {
 	defer func() {
@@ -250,50 +208,31 @@ func (p *Pool) runJob(j *poolJob, share int) (val any, err error) {
 	return j.run(fanout.With(j.ctx, share))
 }
 
-// Close stops the workers and fails every unfinished job. Callers should
-// drain in-flight HTTP traffic (http.Server.Shutdown) before closing the
-// pool so no handler is left waiting.
+// Close stops the workers and fails every job that never ran with
+// ErrPoolClosed; a Submit racing it returns its own result or
+// ErrPoolClosed. Callers should drain in-flight HTTP traffic
+// (http.Server.Shutdown) before closing the pool so no handler is left
+// waiting.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.quit)
-	p.wg.Wait()
-	// Every job that never ran — queued in the channel, or inserted by a
-	// Submit racing this Close and possibly stranded mid-send — is still
-	// in pending (workers remove jobs only when they finish them, and all
-	// workers have exited). Fail them all; fail is idempotent against the
-	// racing submitter's own quit path.
-	p.mu.Lock()
-	orphanKeys := make([]string, 0, len(p.pending))
-	//cyclecover:nondet keys are sorted immediately below; orphans fail in key order
-	for key := range p.pending {
-		orphanKeys = append(orphanKeys, key)
-	}
-	sort.Strings(orphanKeys)
-	orphans := make([]*poolJob, 0, len(orphanKeys))
-	for _, key := range orphanKeys {
-		orphans = append(orphans, p.pending[key])
-	}
-	p.mu.Unlock()
-	// Failing in sorted key order keeps shutdown behaviour reproducible:
-	// waiters observe ErrPoolClosed in a deterministic sequence.
-	for _, j := range orphans {
-		p.fail(j, ErrPoolClosed)
-	}
+	p.stopOnce.Do(func() {
+		close(p.quit)
+		p.closeMu.Lock()
+		p.closed = true
+		p.closeMu.Unlock()
+		p.wg.Wait()
+		for len(p.jobs) > 0 {
+			j := <-p.jobs
+			j.err = ErrPoolClosed
+			close(j.done)
+		}
+	})
 }
 
-// PoolStats reports pool traffic: jobs executed by workers, submissions
-// batched onto an existing job, current occupancy (running jobs and
-// queued depth — the admission layer's shed signal), and panics
-// recovered at any containment boundary.
+// PoolStats reports pool traffic: jobs executed by workers, current
+// occupancy (running jobs and queued depth — the admission layer's shed
+// signal), and panics recovered at any containment boundary.
 type PoolStats struct {
 	Executed        uint64 `json:"executed"`
-	Coalesced       uint64 `json:"coalesced"`
 	Running         int    `json:"running"`
 	QueueDepth      int    `json:"queueDepth"`
 	PanicsRecovered uint64 `json:"panicsRecovered"`
@@ -305,16 +244,16 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	return PoolStats{
 		Executed:        p.executed,
-		Coalesced:       p.coalesced,
 		Running:         p.running,
-		QueueDepth:      len(p.jobs),
+		QueueDepth:      p.QueueDepth(),
 		PanicsRecovered: p.panicsTotal,
 	}
 }
 
 // QueueDepth reports how many jobs are waiting for a worker right now —
-// the signal the admission layer sheds on.
-func (p *Pool) QueueDepth() int { return len(p.jobs) }
+// the signal the admission layer sheds on: the buffered jobs plus the
+// submitters blocked on a full buffer.
+func (p *Pool) QueueDepth() int { return len(p.jobs) + int(p.blocked.Load()) }
 
 // Workers reports the worker count. /plan/batch bounds its own fan-out
 // to it: handler goroutines beyond the worker count could only park in
@@ -324,8 +263,8 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Closed reports whether the pool has stopped accepting work (/readyz).
 func (p *Pool) Closed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.closeMu.RLock()
+	defer p.closeMu.RUnlock()
 	return p.closed
 }
 

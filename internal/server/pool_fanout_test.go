@@ -2,11 +2,17 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/cyclecover/cyclecover/internal/construct"
 	"github.com/cyclecover/cyclecover/internal/fanout"
+	"github.com/cyclecover/cyclecover/internal/instance"
 )
 
 // TestPoolStampsFanOutShare verifies that every pool job runs under a
@@ -64,5 +70,39 @@ func TestPoolStampsFanOutShare(t *testing.T) {
 	}
 	if want := fanout.Share(cores, 2); min > want {
 		t.Fatalf("concurrent jobs stamped %v; the later one should get ≤ %d", got, want)
+	}
+}
+
+// fanoutProbe is a strategy that records the fan-out stamp its Solve
+// runs under, then answers with the greedy sweep.
+type fanoutProbe struct {
+	name  string
+	limit *atomic.Int64
+}
+
+func (p fanoutProbe) Name() string { return p.name }
+
+func (p fanoutProbe) Solve(ctx context.Context, in instance.Instance, opts construct.Options) (construct.Outcome, error) {
+	p.limit.Store(int64(fanout.Limit(ctx)))
+	return construct.GreedySweep{}.Solve(ctx, in, opts)
+}
+
+// TestPoolFanOutShareReachesCachedConstruction: the pool's stamp must
+// survive the cache's single flight into the strategy it runs, or a
+// cached exact search fans out over GOMAXPROCS per job (DESIGN.md §8.3).
+func TestPoolFanOutShareReachesCachedConstruction(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	probe := fanoutProbe{name: fmt.Sprintf("fanout-probe-%d", testStrategySeq.Add(1)), limit: &atomic.Int64{}}
+	if err := construct.RegisterStrategy(probe); err != nil {
+		t.Fatal(err)
+	}
+
+	if resp, body := get(t, ts.URL+"/plan?n=9&strategy="+probe.name); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got, cores := probe.limit.Load(), runtime.GOMAXPROCS(0); got < 1 || got > int64(cores) {
+		t.Fatalf("cached construction ran under fan-out limit %d, want a pool share in [1, %d]", got, cores)
 	}
 }

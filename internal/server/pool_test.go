@@ -49,53 +49,6 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	}
 }
 
-// TestPoolCoalescesSameSignature holds one job open and floods its
-// signature: exactly one execution, everyone gets its result.
-func TestPoolCoalescesSameSignature(t *testing.T) {
-	p := NewPool(4, 64)
-	defer p.Close()
-
-	const waiters = 32
-	gate := make(chan struct{})
-	var executions atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := p.Submit(context.Background(), "same", func(context.Context) (any, error) {
-				executions.Add(1)
-				<-gate
-				return "result", nil
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if v.(string) != "result" {
-				errs <- fmt.Errorf("got %v", v)
-			}
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for p.Stats().Coalesced < waiters-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("stampede never coalesced: %+v", p.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if got := executions.Load(); got != 1 {
-		t.Fatalf("job ran %d times, want 1", got)
-	}
-}
-
 func TestPoolSubmitHonorsContext(t *testing.T) {
 	p := NewPool(1, -1) // unbuffered: the second submit must queue behind the blocker
 	defer p.Close()
@@ -117,63 +70,6 @@ func TestPoolSubmitHonorsContext(t *testing.T) {
 	close(block)
 }
 
-// TestPoolAbandonedJobFailsWaitersWithErrNotScheduled: when the
-// submitter that owns a never-scheduled job cancels, coalesced waiters
-// must not inherit its context error.
-func TestPoolAbandonedJobFailsWaitersWithErrNotScheduled(t *testing.T) {
-	p := NewPool(1, -1) // one worker, unbuffered queue
-	defer p.Close()
-
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go p.Submit(context.Background(), "blocker", func(context.Context) (any, error) {
-		close(started)
-		<-block
-		return nil, nil
-	})
-	<-started
-	defer close(block)
-
-	// A: owns job "x", stuck sending to the full queue.
-	actx, acancel := context.WithCancel(context.Background())
-	aErr := make(chan error, 1)
-	go func() {
-		_, err := p.Submit(actx, "x", func(context.Context) (any, error) { return nil, nil })
-		aErr <- err
-	}()
-	// B: coalesces onto A's pending job.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Coalesced == 0 {
-		bReady := func() bool { p.mu.Lock(); defer p.mu.Unlock(); _, ok := p.pending["x"]; return ok }()
-		if bReady {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job x never became pending")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	bErr := make(chan error, 1)
-	go func() {
-		_, err := p.Submit(context.Background(), "x", func(context.Context) (any, error) { return nil, nil })
-		bErr <- err
-	}()
-	for p.Stats().Coalesced == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("B never coalesced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	acancel()
-	if err := <-aErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submitter err = %v, want its own context.Canceled", err)
-	}
-	if err := <-bErr; !errors.Is(err, ErrNotScheduled) {
-		t.Fatalf("waiter err = %v, want ErrNotScheduled", err)
-	}
-}
-
 func TestPoolCloseFailsPending(t *testing.T) {
 	p := NewPool(1, 8)
 	release := make(chan struct{})
@@ -188,4 +84,49 @@ func TestPoolCloseFailsPending(t *testing.T) {
 		t.Fatalf("submit after close = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
+}
+
+// TestPoolSubmitRacesClose: submissions racing Close onto a small queue
+// are never stranded. Submitters keep submitting until the pool refuses
+// them, so Close meets jobs running, buffered, blocked on the full buffer
+// and mid-enqueue; every Submit returns its own value or ErrPoolClosed.
+func TestPoolSubmitRacesClose(t *testing.T) {
+	const rounds, submitters = 50, 16
+	for round := 0; round < rounds; round++ {
+		p := NewPool(2, 2)
+		errs := make(chan error, submitters)
+		var started, finished sync.WaitGroup
+		started.Add(submitters)
+		finished.Add(submitters)
+		for i := 0; i < submitters; i++ {
+			go func() {
+				defer finished.Done()
+				started.Done()
+				for k := 0; ; k++ {
+					want := i<<16 | k
+					v, err := p.Submit(context.Background(), "", func(context.Context) (any, error) { return want, nil })
+					switch {
+					case errors.Is(err, ErrPoolClosed):
+						return
+					case err != nil || v != want:
+						errs <- fmt.Errorf("submitter %d job %d: got (%v, %v), want %d", i, k, v, err, want)
+						return
+					}
+				}
+			}()
+		}
+		started.Wait()
+		p.Close()
+		allReturned := make(chan struct{})
+		go func() { finished.Wait(); close(allReturned) }()
+		select {
+		case <-allReturned:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: a Submit was stranded by Close", round)
+		}
+		close(errs)
+		for err := range errs {
+			t.Errorf("round %d: %v", round, err)
+		}
+	}
 }

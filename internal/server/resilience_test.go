@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +159,59 @@ func TestShedQueueDepth(t *testing.T) {
 
 	close(g.release)
 	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("queued request finished %d, want 200", code)
+		}
+	}
+}
+
+// TestShedQueueDepthBeyondQueueBuffer: MaxQueue also holds above Queue,
+// because the queue depth counts submitters blocked on a full buffer.
+// With one job running, one buffered and one blocked, the depth is 2 and
+// a fourth request is shed.
+func TestShedQueueDepthBeyondQueueBuffer(t *testing.T) {
+	s := New(Config{CacheSize: 32, Workers: 1, Queue: 1, MaxQueue: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	g := registerGate(t, "shed-beyond-buffer-gate")
+	release := sync.OnceFunc(func() { close(g.release) })
+	defer release() // before ts.Close: parked requests must finish
+
+	codes := make(chan int, 3)
+	for _, n := range []int{9, 11, 13} {
+		go func() {
+			resp, err := http.Get(fmt.Sprintf("%s/plan?n=%d&strategy=%s", ts.URL, n, g.name))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	waitStarted(t, g)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.pool.QueueDepth() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d with one job running, one buffered and one blocked on the full buffer, want 2", s.pool.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Were the fourth request admitted, it would park behind the gate:
+	// the client timeout turns that into a failure instead of a hang.
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(ts.URL + "/plan?n=15")
+	if err != nil {
+		t.Fatalf("fourth /plan was admitted past MaxQueue: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("fourth /plan status = %d, want 429", resp.StatusCode)
+	}
+
+	release()
+	for i := 0; i < 3; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Fatalf("queued request finished %d, want 200", code)
 		}

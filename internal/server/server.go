@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,6 +65,45 @@ func checkDemandSize(in instance.Instance) error {
 	return nil
 }
 
+// parseInstance validates one request's ring size, demand spec (empty
+// means alltoall) and strategy name (empty means the default pipeline),
+// then builds its instance. n is checked before anything Θ(n²) is built.
+// Every error is a client-side input problem: the caller answers 400.
+func parseInstance(n int, spec, strategy string) (instance.Instance, error) {
+	if err := checkRingSize(n); err != nil {
+		return instance.Instance{}, err
+	}
+	if spec == "" {
+		spec = "alltoall"
+	}
+	if strategy != "" {
+		if _, ok := construct.LookupStrategy(strategy); !ok {
+			return instance.Instance{}, fmt.Errorf("unknown strategy %q (have %s, or omit for the default pipeline)", strategy, strings.Join(construct.Strategies(), ", "))
+		}
+	}
+	in, err := instance.Parse(n, spec)
+	if err != nil {
+		return instance.Instance{}, err
+	}
+	if err := checkDemandSize(in); err != nil {
+		return instance.Instance{}, err
+	}
+	return in, nil
+}
+
+// formN reads the required ring size parameter n of /plan and /simulate.
+func formN(r *http.Request) (int, error) {
+	nStr := r.FormValue("n")
+	if nStr == "" {
+		return 0, errors.New("missing required parameter n")
+	}
+	n, err := strconv.Atoi(nStr)
+	if err != nil {
+		return 0, fmt.Errorf("bad n %q: %v", nStr, err)
+	}
+	return n, nil
+}
+
 // isAllToAll reports whether the demand is K_n with multiplicity one —
 // the class ρ(n) speaks about. Keyed on the demand itself, not on the
 // spec string, so demand=lambda:1 and demand=alltoall answer alike (they
@@ -102,9 +140,11 @@ type Config struct {
 	// cap the endpoint sheds with a structured 429 and a Retry-After
 	// hint derived from observed job latency. 0 disables the cap.
 	MaxInflight int
-	// MaxQueue sheds new work while the pool's pending queue is at least
-	// this deep, bounding how much latency the queue can accumulate
-	// ahead of an admitted request. 0 disables the check.
+	// MaxQueue sheds new work while at least this many jobs wait for a
+	// worker — the buffered ones plus submissions blocked on a full
+	// buffer, so it holds above Queue too — bounding how much latency the
+	// queue can accumulate ahead of an admitted request. 0 disables the
+	// check.
 	MaxQueue int
 	// Degrade enables deadline-aware graceful degradation: when a
 	// request's remaining context budget is smaller than the measured
@@ -260,7 +300,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // jobStatus maps a failed pool job's error to the HTTP status it
 // answers with: 400 for client-side input problems, 504 when the plan
 // deadline expired, 503 while shutting down or when the caller gave up,
-// 500 otherwise. Shared by /plan, /plan/batch and /simulate.
+// 500 otherwise. Shared by every work endpoint.
 func jobStatus(ctx context.Context, err error) int {
 	switch {
 	case errors.Is(err, construct.ErrNotApplicable):
@@ -269,10 +309,20 @@ func jobStatus(ctx context.Context, err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrPoolClosed) || errors.Is(err, ErrNotScheduled) || ctx.Err() != nil:
+	case errors.Is(err, ErrPoolClosed) || ctx.Err() != nil:
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
+}
+
+// writeJobError answers a failed request with status: a 504 carries the
+// structured timeout body (§5.5), anything else the plain error body.
+func (s *Server) writeJobError(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusGatewayTimeout {
+		writeJSON(w, status, timeoutBody{Error: err.Error(), Timeout: s.planTimeout.String()})
+		return
+	}
+	writeError(w, status, "%v", err)
 }
 
 // planResponse is the JSON shape of a successful /plan.
@@ -317,32 +367,16 @@ type planned struct {
 // planOne validates one (n, demand-spec, strategy) request and computes
 // its plan through the worker pool and covering cache. On failure it
 // returns the HTTP status the error maps to (400 for malformed input,
-// 504 when the plan deadline expired, 503 while shutting down or when
-// the caller gave up, 500 otherwise). It is the shared execution path of
-// /plan and /plan/batch: identical requests in flight — whether from
-// single or batch callers — coalesce on the pool's same-signature
-// batching and the cache's single flight. ctx cancellation propagates
-// all the way into the construction searches: a request that times out
-// detaches immediately, and the search itself is aborted once no other
-// request wants its result.
+// otherwise jobStatus). It is the shared execution path of /plan and
+// /plan/batch: each request takes its own worker, and identical requests
+// in flight — whether from single or batch callers — share one
+// construction through the cache's single flight. ctx cancellation
+// propagates all the way into the construction searches: a request that
+// times out detaches immediately, and the search itself is aborted once
+// no other request wants its result.
 func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (planResponse, int, error) {
-	if err := checkRingSize(n); err != nil {
-		return planResponse{}, http.StatusBadRequest, err
-	}
-	if spec == "" {
-		spec = "alltoall"
-	}
-	if strategy != "" {
-		if _, ok := construct.LookupStrategy(strategy); !ok {
-			return planResponse{}, http.StatusBadRequest,
-				fmt.Errorf("unknown strategy %q (have %s, or omit for the default pipeline)", strategy, strings.Join(construct.Strategies(), ", "))
-		}
-	}
-	in, err := instance.Parse(n, spec)
+	in, err := parseInstance(n, spec, strategy)
 	if err != nil {
-		return planResponse{}, http.StatusBadRequest, err
-	}
-	if err := checkDemandSize(in); err != nil {
 		return planResponse{}, http.StatusBadRequest, err
 	}
 
@@ -373,7 +407,7 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 	}
 	sig := cache.Signature(in, opts)
 	jobStart := time.Now()
-	v, err := s.pool.Submit(ctx, sig, func(jctx context.Context) (any, error) {
+	v, err := s.pool.Submit(ctx, "", func(jctx context.Context) (any, error) {
 		res, coverHit, err := s.plans.CoverCtx(jctx, in, opts)
 		if err != nil {
 			return nil, err
@@ -485,25 +519,16 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	nStr := r.FormValue("n")
-	if nStr == "" {
-		writeError(w, http.StatusBadRequest, "missing required parameter n")
-		return
-	}
-	n, err := strconv.Atoi(nStr)
+	n, err := formN(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad n %q: %v", nStr, err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := s.planContext(r)
 	defer cancel()
 	resp, status, err := s.planOne(ctx, n, r.FormValue("demand"), r.FormValue("strategy"))
 	if err != nil {
-		if status == http.StatusGatewayTimeout {
-			writeJSON(w, status, timeoutBody{Error: err.Error(), Timeout: s.planTimeout.String()})
-			return
-		}
-		writeError(w, status, "%v", err)
+		s.writeJobError(w, status, err)
 		return
 	}
 	if resp.CacheHit {
@@ -552,8 +577,9 @@ type batchPlanLine struct {
 // stream of plan requests, answered by a newline-delimited JSON stream
 // of results written as they complete. Items run concurrently through
 // the same bounded worker pool as /plan — same-signature items (within
-// the batch or against live /plan traffic) attach to one job — and
-// per-item failures are reported in-line without failing the batch.
+// the batch or against live /plan traffic) share one construction
+// through the cache — and per-item failures are reported in-line without
+// failing the batch.
 // Batch fan-out is bounded to the pool's worker count, and every slot
 // re-checks the request context before touching the pool: when the
 // client disconnects mid-batch, not-yet-started slots fail in place
@@ -735,37 +761,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad verify request: %v", err)
 		return
 	}
-	if err := checkRingSize(req.N); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	spec := req.Demand
-	if spec == "" {
-		spec = "alltoall"
-	}
-	in, err := instance.Parse(req.N, spec)
+	in, err := parseInstance(req.N, req.Demand, "")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := checkDemandSize(in); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rg, err := ring.New(req.N)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	rg, _ := ring.New(req.N) // parseInstance has checked n
 
 	// Verification is Θ(n²)-ish work, so it runs through the same pool
-	// admission control as /plan. The signature hashes the request body:
-	// identical concurrent verifications coalesce, distinct ones just
-	// queue for a worker slot. The hash must be collision-resistant —
-	// coalescing hands one caller another's verdict, so a forgeable hash
-	// would let a crafted body inherit a different covering's result.
-	sig := fmt.Sprintf("verify:%x", sha256.Sum256(body))
-	v, err := s.pool.Submit(r.Context(), sig, func(context.Context) (any, error) {
+	// admission control as /plan, one job per request.
+	v, err := s.pool.Submit(r.Context(), "", func(context.Context) (any, error) {
 		resp := verifyResponse{Size: len(req.Cycles)}
 		if in.IsGeneral() {
 			// General-topology verification: cycles are explicit closed
@@ -806,11 +811,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrPoolClosed) || errors.Is(err, ErrNotScheduled) || r.Context().Err() != nil {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "verify failed: %v", err)
+		s.writeJobError(w, jobStatus(r.Context(), err), fmt.Errorf("verify failed: %w", err))
 		return
 	}
 	resp := v.(verifyResponse)
@@ -895,7 +896,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("cycled_cache_entries", l, uint64(store.s.Entries))
 	}
 	emit("cycled_pool_executed_total", "", ps.Executed)
-	emit("cycled_pool_coalesced_total", "", ps.Coalesced)
 	emit("cycled_pool_running", "", uint64(ps.Running))
 	emit("cycled_queue_depth", "", uint64(ps.QueueDepth))
 	// Resilience counters: shed requests (total and per endpoint),

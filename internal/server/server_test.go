@@ -474,8 +474,8 @@ func TestPlanBatchMixedItems(t *testing.T) {
 }
 
 // TestPlanBatchCoalescesDuplicates: a batch of identical requests must
-// cost one construction — the pool's same-signature batching and the
-// cache's single flight both serve the batch path.
+// cost one construction — each item takes a worker, and the cache's
+// single flight shares the construction among them.
 func TestPlanBatchCoalescesDuplicates(t *testing.T) {
 	s, ts := newTestServer(t)
 	var b strings.Builder

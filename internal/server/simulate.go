@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"github.com/cyclecover/cyclecover/internal/cache"
-	"github.com/cyclecover/cyclecover/internal/construct"
-	"github.com/cyclecover/cyclecover/internal/instance"
 	"github.com/cyclecover/cyclecover/internal/survive"
 )
 
@@ -84,22 +81,12 @@ func parseSweepOptions(r *http.Request, links int) (survive.SweepOptions, error)
 	}
 	if opts.K <= 2 {
 		// Exhaustive sweeps ignore the sampler: normalize its parameters
-		// out of the pool-job key (so identical sweeps coalesce whatever
-		// sample/seed the caller sent) and out of the echoed report.
+		// out of the echoed report, so identical sweeps answer alike
+		// whatever sample/seed the caller sent.
 		opts.Sample = DefaultSweepSample
 		opts.Seed = 0
 	}
 	return opts, nil
-}
-
-// simulateJobSig keys a /simulate pool job: the plan's cache signature
-// plus the normalized sweep parameters. Because parseSweepOptions resets
-// the sampler fields for exhaustive (k ≤ 2) sweeps, two k ≤ 2 requests
-// that differ only in sample/seed produce the same key and coalesce onto
-// one job; for k ≥ 3 the sampler parameters are part of the scenario set
-// and therefore of the key.
-func simulateJobSig(planSig string, opts survive.SweepOptions) string {
-	return fmt.Sprintf("%s;sim:k=%d,sample=%d,seed=%d", planSig, opts.K, opts.Sample, opts.Seed)
 }
 
 // simulated bundles what one /simulate pool job computes.
@@ -115,9 +102,8 @@ type simulated struct {
 // cache as /plan (the strategy, when given, is keyed into the plan's
 // cache signature), then the planned network is swept with k-failure
 // scenarios — plan once, sweep many: repeated simulations of one
-// signature under different k/sample/seed reuse the cached plan. The
-// pool job is keyed by plan signature plus sweep parameters, so
-// identical concurrent simulations coalesce onto one sweep. With a
+// signature under different k/sample/seed reuse the cached plan. Each
+// request runs its own sweep; only the plan is shared. With a
 // configured plan timeout an expired deadline answers 504 with a
 // structured body, and the sweep (or the underlying construction) is
 // cancelled once no request wants it, exactly like /plan.
@@ -134,34 +120,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	nStr := r.FormValue("n")
-	if nStr == "" {
-		writeError(w, http.StatusBadRequest, "missing required parameter n")
-		return
-	}
-	n, err := strconv.Atoi(nStr)
+	n, err := formN(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad n %q: %v", nStr, err)
-		return
-	}
-	if err := checkRingSize(n); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec := r.FormValue("demand")
-	if spec == "" {
-		spec = "alltoall"
-	}
 	strategy := r.FormValue("strategy")
-	if strategy != "" {
-		if _, ok := construct.LookupStrategy(strategy); !ok {
-			writeError(w, http.StatusBadRequest,
-				"unknown strategy %q (have %s, or omit for the default pipeline)",
-				strategy, strings.Join(construct.Strategies(), ", "))
-			return
-		}
-	}
-	in, err := instance.Parse(n, spec)
+	in, err := parseInstance(n, r.FormValue("demand"), strategy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -171,10 +136,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// ring links or wavelengths to fail.
 		writeError(w, http.StatusBadRequest,
 			"simulation requires a ring instance: %q is general-topology", in.Name)
-		return
-	}
-	if err := checkDemandSize(in); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	sweepOpts, err := parseSweepOptions(r, n)
@@ -187,8 +148,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	opts := cache.Options{Strategy: strategy}
 	planSig := cache.Signature(in, opts)
-	sig := simulateJobSig(planSig, sweepOpts)
-	v, err := s.pool.Submit(ctx, sig, func(jctx context.Context) (any, error) {
+	v, err := s.pool.Submit(ctx, "", func(jctx context.Context) (any, error) {
 		nw, hit, err := s.plans.NetworkCtx(jctx, in, opts)
 		if err != nil {
 			return nil, err
@@ -211,12 +171,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}, nil
 	})
 	if err != nil {
-		status := jobStatus(ctx, err)
-		if status == http.StatusGatewayTimeout {
-			writeJSON(w, status, timeoutBody{Error: fmt.Sprintf("simulate failed: %v", err), Timeout: s.planTimeout.String()})
-			return
-		}
-		writeError(w, status, "simulate failed: %v", err)
+		s.writeJobError(w, jobStatus(ctx, err), fmt.Errorf("simulate failed: %w", err))
 		return
 	}
 	sm := v.(simulated)

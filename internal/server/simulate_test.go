@@ -333,32 +333,6 @@ func TestParseSweepOptionsNormalization(t *testing.T) {
 	}
 }
 
-// TestSimulateJobSigCoalescing pins the coalescing contract: the pool
-// key is built from the *normalized* options, so two exhaustive (k ≤ 2)
-// requests that differ only in sampler parameters provably share one
-// pool job, while k ≥ 3 requests with different seeds provably do not.
-func TestSimulateJobSigCoalescing(t *testing.T) {
-	const planSig = "n=11;d=k1"
-	sigFor := func(query string) string {
-		t.Helper()
-		r := httptest.NewRequest(http.MethodGet, "/simulate?n=11&"+query, nil)
-		opts, err := parseSweepOptions(r, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return simulateJobSig(planSig, opts)
-	}
-	if a, b := sigFor("k=2&seed=1"), sigFor("k=2&seed=2&sample=99"); a != b {
-		t.Fatalf("exhaustive sweeps with different sampler params must coalesce: %q != %q", a, b)
-	}
-	if a, b := sigFor("k=3&seed=1"), sigFor("k=3&seed=2"); a == b {
-		t.Fatalf("sampled sweeps with different seeds must not coalesce: both %q", a)
-	}
-	if a, b := sigFor("k=3&sample=64"), sigFor("k=3&sample=128"); a == b {
-		t.Fatalf("sampled sweeps with different sample sizes must not coalesce: both %q", a)
-	}
-}
-
 // TestSimulateEchoesNormalizedSeed drives the normalization through the
 // HTTP surface: a k = 2 request carrying a seed gets the seed echoed as
 // 0 in the report — proof the handler swept with the normalized options,
