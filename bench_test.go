@@ -12,6 +12,7 @@
 package cyclecover
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func BenchmarkTheorem1OddCovering(b *testing.B) {
 	ns := []int{3, 9, 15, 21, 27, 33, 41}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.TableT1(ns)
+		rows, err := bench.TableT1(context.Background(), ns)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func BenchmarkTheorem2EvenCovering(b *testing.B) {
 	ns := []int{4, 8, 12, 16, 20, 24, 40}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.TableT2(ns)
+		rows, err := bench.TableT2(context.Background(), ns)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func BenchmarkTheorem2EvenCovering(b *testing.B) {
 func BenchmarkExactSolverSmallN(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.TableT3([]int{4, 5, 6}, 6)
+		rows, err := bench.TableT3(context.Background(), []int{4, 5, 6}, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func BenchmarkBaselineComparison(b *testing.B) {
 func BenchmarkObjectiveComparison(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableC2([]int{5, 9, 15, 21}); err != nil {
+		if _, err := bench.TableC2(context.Background(), []int{5, 9, 15, 21}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +118,7 @@ func BenchmarkRhoAsymptotics(b *testing.B) {
 func BenchmarkFailureRecovery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.TableF2([]int{5, 8, 11, 15}, 8)
+		rows, err := bench.TableF2(context.Background(), []int{5, 8, 11, 15}, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func BenchmarkFailureRecovery(b *testing.B) {
 func BenchmarkWDMCost(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableF3([]int{5, 9, 13, 17}); err != nil {
+		if _, err := bench.TableF3(context.Background(), []int{5, 9, 13, 17}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +144,7 @@ func BenchmarkWDMCost(b *testing.B) {
 func BenchmarkLambdaKn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableX1([]int{7, 9}, []int{1, 2, 3, 4}); err != nil {
+		if _, err := bench.TableX1(context.Background(), []int{7, 9}, []int{1, 2, 3, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +154,7 @@ func BenchmarkLambdaKn(b *testing.B) {
 func BenchmarkExtensionTopologies(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableX2(); err != nil {
+		if _, err := bench.TableX2(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +164,9 @@ func BenchmarkExtensionTopologies(b *testing.B) {
 func BenchmarkEvenAblation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bench.TableA1([]int{8, 12, 16, 24, 48})
+		if _, err := bench.TableA1(context.Background(), []int{8, 12, 16, 24, 48}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -200,7 +203,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.ParallelTableT1(ns, 1); err != nil {
+			if _, err := bench.ParallelTableT1Ctx(context.Background(), ns, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -208,7 +211,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := bench.ParallelTableT1(ns, 0); err != nil {
+			if _, err := bench.ParallelTableT1Ctx(context.Background(), ns, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -247,15 +250,15 @@ func BenchmarkGreedyCovering(b *testing.B) {
 	demand := graph.Complete(31)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cv := construct.Greedy(r, demand)
-		if cv.Size() == 0 {
+		cv, err := construct.GreedyCtx(context.Background(), r, demand)
+		if err != nil || cv.Size() == 0 {
 			b.Fatal("empty")
 		}
 	}
 }
 
 func BenchmarkSingleFailureSweep(b *testing.B) {
-	res, err := construct.AllToAll(21)
+	res, err := construct.AllToAllCtx(context.Background(), 21)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +269,7 @@ func BenchmarkSingleFailureSweep(b *testing.B) {
 	sim := survive.NewSimulator(nw)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep, err := sim.Sweep(survive.SweepOptions{K: 1})
+		sweep, err := sim.SweepCtx(context.Background(), survive.SweepOptions{K: 1})
 		if err != nil || !sweep.AllRestored {
 			b.Fatal("sweep failed")
 		}
@@ -290,7 +293,7 @@ func BenchmarkStoreWarmHitThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, hit, _ := s.Do(keys[i%len(keys)], func() (any, error) { return nil, nil }); !hit {
+			if _, hit, _ := s.DoCtx(context.Background(), keys[i%len(keys)], func(context.Context) (any, error) { return nil, nil }); !hit {
 				b.Fatal("expected warm hit")
 			}
 			i++
@@ -313,7 +316,7 @@ func BenchmarkExactCertification(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := construct.Exact(n, construct.ExactOptions{
+				out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
 					Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 8_000_000, Parallelism: tc.par,
 				})
 				if out.Covering == nil {
@@ -335,7 +338,7 @@ func BenchmarkExact(b *testing.B) {
 	b.ReportAllocs()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		out := construct.Exact(n, construct.ExactOptions{
+		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
 			Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 8_000_000, Parallelism: 1,
 		})
 		if out.Covering == nil {
@@ -357,7 +360,7 @@ func BenchmarkExactCert(b *testing.B) {
 	b.ReportAllocs()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		out := construct.Exact(n, construct.ExactOptions{
+		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
 			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit, Parallelism: 1,
 		})
 		if out.Covering != nil || !out.Complete {
@@ -377,7 +380,7 @@ func BenchmarkExactCertRho13(b *testing.B) {
 	b.ReportAllocs()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		out := construct.Exact(n, construct.ExactOptions{
+		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
 			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit, Parallelism: 1,
 		})
 		if out.Covering != nil || !out.Complete {
@@ -393,7 +396,7 @@ func BenchmarkExactCertRho13(b *testing.B) {
 // plan, serial, measuring the per-sweep fixed costs plus the scenario
 // evaluate loop.
 func BenchmarkSweep(b *testing.B) {
-	res, err := construct.AllToAll(12)
+	res, err := construct.AllToAllCtx(context.Background(), 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,7 +409,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sweep, err := sim.Sweep(survive.SweepOptions{K: k, Workers: 1})
+				sweep, err := sim.SweepCtx(context.Background(), survive.SweepOptions{K: k, Workers: 1})
 				if err != nil || sweep.Evaluated == 0 {
 					b.Fatal("sweep failed")
 				}

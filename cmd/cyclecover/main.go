@@ -93,49 +93,17 @@ func main() {
 	}
 
 	var cv *cyclecover.Covering
-	optimal := false
-	switch {
-	case *strategy != "":
+	if *strategy != "" {
 		cv, err = cyclecover.CoverInstanceStrategy(ctx, in, *strategy)
-		if err == nil && !in.IsGeneral() {
-			optimal = *demandSpec == "alltoall" && cv.Size() == cyclecover.Rho(*n)
-		}
-	case *demandSpec == "alltoall":
-		cv, optimal, err = cyclecover.CoverAllToAllCtx(ctx, *n)
-	default:
-		cv, err = cyclecover.CoverInstanceCtx(ctx, in)
+	} else {
+		cv, err = cyclecover.CoverInstance(ctx, in)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	if in.IsGeneral() {
-		optimal = cv.TotalLength() == cyclecover.SCCLowerBound(in)
-	}
-	verifyErr := cyclecover.Verify(cv, in)
+	out, verifyErr := report(*n, in, *strategy, cv)
 
 	if *asJSON {
-		out := output{
-			N:        *n,
-			Demand:   in.Name,
-			Strategy: *strategy,
-			Size:     cv.Size(),
-			Optimal:  optimal,
-			Valid:    verifyErr == nil,
-		}
-		if in.IsGeneral() {
-			out.Length = cv.TotalLength()
-			out.SCCLowerBound = cyclecover.SCCLowerBound(in)
-		} else {
-			out.Triangles = cv.NumTriangles()
-			out.Quads = cv.NumQuads()
-			out.Slack = cv.DuplicateSlots()
-			if *demandSpec == "alltoall" {
-				out.Rho = cyclecover.Rho(*n)
-			}
-		}
-		for _, c := range cv.Cycles {
-			out.Cycles = append(out.Cycles, c.Vertices())
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -150,14 +118,14 @@ func main() {
 	}
 	if in.IsGeneral() {
 		fmt.Printf("shortest cycle cover: %d cycles, total length %d (lower bound %d)\n",
-			cv.Size(), cv.TotalLength(), cyclecover.SCCLowerBound(in))
-		if optimal {
+			out.Size, out.Length, out.SCCLowerBound)
+		if out.Optimal {
 			fmt.Println("provably optimal: meets the counting lower bound")
 		}
 	} else {
 		fmt.Println(cyclecover.Describe(cv))
-		if *demandSpec == "alltoall" {
-			fmt.Printf("rho(%d) = %d, optimal certified: %v\n", *n, cyclecover.Rho(*n), optimal)
+		if in.IsAllToAll() {
+			fmt.Printf("rho(%d) = %d, optimal certified: %v\n", *n, out.Rho, out.Optimal)
 		}
 	}
 	if verifyErr != nil {
@@ -174,6 +142,38 @@ func main() {
 			fmt.Printf("  cycle %3d: %v\n", i, c)
 		}
 	}
+}
+
+// report summarises a covering of in for both output modes, and returns
+// the verifier's verdict on it. A covering is optimal when it meets its
+// lower bound: ρ(n) cycles for K_n, whatever spec named the demand, or
+// the counting bound on total length for a general host.
+func report(n int, in cyclecover.Instance, strategy string, cv *cyclecover.Covering) (output, error) {
+	verifyErr := cyclecover.Verify(cv, in)
+	out := output{
+		N:        n,
+		Demand:   in.Name,
+		Strategy: strategy,
+		Size:     cv.Size(),
+		Valid:    verifyErr == nil,
+	}
+	if in.IsGeneral() {
+		out.Length = cv.TotalLength()
+		out.SCCLowerBound = cyclecover.SCCLowerBound(in)
+		out.Optimal = out.Length == out.SCCLowerBound
+	} else {
+		out.Triangles = cv.NumTriangles()
+		out.Quads = cv.NumQuads()
+		out.Slack = cv.DuplicateSlots()
+		if in.IsAllToAll() {
+			out.Rho = cyclecover.Rho(n)
+			out.Optimal = out.Size == out.Rho
+		}
+	}
+	for _, c := range cv.Cycles {
+		out.Cycles = append(out.Cycles, c.Vertices())
+	}
+	return out, verifyErr
 }
 
 // deltaOutput is the JSON shape of a -delta run.
@@ -198,10 +198,10 @@ func runDelta(ctx context.Context, in cyclecover.Instance, strategy, deltaSpec s
 		fatal(err)
 	}
 	p := cyclecover.NewPlanner(cyclecover.WithStrategy(strategy))
-	if _, err := p.CoverInstanceCtx(ctx, in); err != nil {
+	if _, err := p.CoverInstance(ctx, in); err != nil {
 		fatal(fmt.Errorf("planning parent: %w", err))
 	}
-	pd, err := p.PlanDeltaCtx(ctx, p.SignatureOf(in), d)
+	pd, err := p.PlanDelta(ctx, p.SignatureOf(in), d)
 	if err != nil {
 		fatal(err)
 	}

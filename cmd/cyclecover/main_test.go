@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	cyclecover "github.com/cyclecover/cyclecover"
+)
 
 func TestParseDemand(t *testing.T) {
 	cases := []struct {
@@ -31,6 +36,39 @@ func TestParseDemand(t *testing.T) {
 		}
 		if err == nil && in.Requests() != c.requests {
 			t.Errorf("parseDemand(%q): %d requests, want %d", c.spec, in.Requests(), c.requests)
+		}
+	}
+}
+
+// TestReportKeysAllToAllOnDemand: the ρ(n) figure and the optimality
+// claim follow the demand, not the spec string, so lambda:1 reports K_n
+// exactly as alltoall does.
+func TestReportKeysAllToAllOnDemand(t *testing.T) {
+	cases := []struct {
+		spec    string
+		rho     int
+		optimal bool
+	}{
+		{"alltoall", 10, true},
+		{"lambda:1", 10, true},
+		{"lambda:2", 0, false},
+		{"hub:3", 0, false},
+	}
+	for _, c := range cases {
+		in, err := parseDemand(9, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv, err := cyclecover.CoverInstance(context.Background(), in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		out, err := report(9, in, "", cv)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if out.Rho != c.rho || out.Optimal != c.optimal {
+			t.Errorf("%s: rho %d optimal %v, want %d %v", c.spec, out.Rho, out.Optimal, c.rho, c.optimal)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintln(w, bench.RenderT2(t2))
 
 	section(w, "T3 — exact optima by search (rho certified; rho-1 proved infeasible)")
-	t3, err := bench.TableT3(t3Ns, proofLimit)
+	t3, err := bench.TableT3(ctx, t3Ns, proofLimit)
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintln(w, bench.RenderC1(bench.TableC1(c1Ns)))
 
 	section(w, "C2 — objective comparison: number of cycles (this paper) vs total size (EMZ/GLS)")
-	c2, err := bench.TableC2(c1Ns)
+	c2, err := bench.TableC2(ctx, c1Ns)
 	if err != nil {
 		return err
 	}
@@ -139,28 +139,32 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintln(w, bench.RenderF2(f2))
 
 	section(w, "F3 — WDM cost profile of planned networks")
-	f3, err := bench.TableF3(f3Ns)
+	f3, err := bench.TableF3(ctx, f3Ns)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, bench.RenderF3(f3))
 
 	section(w, "X1 — extension: lambda*K_n instances")
-	x1, err := bench.TableX1([]int{7, 9}, []int{1, 2, 3, 4})
+	x1, err := bench.TableX1(ctx, []int{7, 9}, []int{1, 2, 3, 4})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, bench.RenderX1(x1))
 
 	section(w, "X2 — extension topologies: grid, torus, tree of rings")
-	x2, err := bench.TableX2()
+	x2, err := bench.TableX2(ctx)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, bench.RenderX2(x2))
 
 	section(w, "A1 — ablation: even constructor layers")
-	fmt.Fprintln(w, bench.RenderA1(bench.TableA1(a1Ns)))
+	a1, err := bench.TableA1(ctx, a1Ns)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, bench.RenderA1(a1))
 	return nil
 }
 

@@ -62,7 +62,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		nw, err := planner.PlanWDMCtx(ctx, in)
+		nw, err := planner.PlanWDM(ctx, in)
 		if err != nil {
 			fatal(err)
 		}
@@ -83,7 +83,7 @@ func main() {
 		return
 	}
 
-	sim, err := planner.SimulateCtx(ctx, in, cyclecover.SweepOptions{
+	sim, err := planner.Simulate(ctx, in, cyclecover.SweepOptions{
 		K:       *k,
 		Sample:  *sample,
 		Seed:    *seed,

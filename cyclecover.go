@@ -16,9 +16,9 @@
 //   - CoverAllToAll, CoverInstance — constructors (Theorem 1's
 //     construction for odd n is exactly optimal; even n is
 //     search-certified optimal up to the documented limit and
-//     asymptotically optimal beyond), with context-aware variants
-//     CoverAllToAllCtx and CoverInstanceCtx whose searches abort
-//     promptly when the context fires;
+//     asymptotically optimal beyond). CoverInstance takes a context
+//     and its searches abort promptly when it fires; CoverAllToAll is
+//     the context-free paper-level helper;
 //   - Strategies, CoverInstanceStrategy — the pluggable solver engine:
 //     every construction path (closed-form, exact, repair, greedy, and
 //     the scc members for general hosts) is independently selectable by
@@ -36,8 +36,8 @@
 //   - Planner — the cached planning facade: verified coverings and WDM
 //     plans memoized per instance signature with single-flight
 //     deduplication, the same path the cycled HTTP service (cmd/cycled)
-//     serves. Its CoverInstanceCtx, PlanWDMCtx and PlanManyCtx methods
-//     propagate cancellation and deadlines all the way into
+//     serves. Every planning method takes a context first and
+//     propagates cancellation and deadlines all the way into
 //     branch-and-bound: a caller that gives up detaches immediately and
 //     the search is cancelled once nobody wants it, without poisoning
 //     the cache. Planner.Simulate plans through the cache and sweeps
@@ -156,16 +156,13 @@ func ParseDelta(spec string) (Delta, error) { return instance.ParseDelta(spec) }
 
 // CoverAllToAll constructs a DRC covering of K_n. optimal reports that the
 // covering provably has ρ(n) cycles (always true for odd n; true for even
-// n within the search range documented in DESIGN.md).
+// n within the search range documented in DESIGN.md). It is the
+// paper-level helper and cannot be cancelled; Planner.CoverAllToAll is
+// the cached path whose searches abort when its context fires.
+//
+//cyclecover:ctxfree paper-level helper; Planner.CoverAllToAll is the cancellable path
 func CoverAllToAll(n int) (cv *Covering, optimal bool, err error) {
-	return CoverAllToAllCtx(context.Background(), n)
-}
-
-// CoverAllToAllCtx is CoverAllToAll under a context: the even-n repair
-// and exact searches poll ctx and abort promptly (within one branch
-// expansion) when it fires, returning ctx's error.
-func CoverAllToAllCtx(ctx context.Context, n int) (cv *Covering, optimal bool, err error) {
-	res, err := construct.AllToAllCtx(ctx, n)
+	res, err := construct.AllToAllCtx(context.Background(), n)
 	if err != nil {
 		return nil, false, err
 	}
@@ -180,14 +177,9 @@ func CoverAllToAllCtx(ctx context.Context, n int) (cv *Covering, optimal bool, e
 // General-topology instances (petersen, blanusa:<w>, flower:<k>,
 // prism:<k>, cubic:<seed>, edges:<...>, adj:<...>) are covered by the
 // shortest-cycle-cover pipeline instead, minimising total edge count.
-func CoverInstance(in Instance) (*Covering, error) {
-	return CoverInstanceCtx(context.Background(), in)
-}
-
-// CoverInstanceCtx is CoverInstance under a context: cancellation or a
-// deadline aborts the underlying construction search promptly and
-// returns ctx's error, never a partial covering.
-func CoverInstanceCtx(ctx context.Context, in Instance) (*Covering, error) {
+// Cancellation or a deadline aborts the underlying construction search
+// promptly and returns ctx's error, never a partial covering.
+func CoverInstance(ctx context.Context, in Instance) (*Covering, error) {
 	if in.Demand == nil {
 		return nil, fmt.Errorf("cyclecover: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
@@ -211,7 +203,7 @@ func Strategies() []string { return construct.Strategies() }
 // (see Strategies), uncached. A strategy that does not address the
 // instance's demand class (e.g. "exact" on a hub demand) returns an
 // error; "portfolio" always succeeds on demands greedy can serve.
-// Cancellation semantics match CoverInstanceCtx.
+// Cancellation semantics match CoverInstance.
 func CoverInstanceStrategy(ctx context.Context, in Instance, strategy string) (*Covering, error) {
 	if in.Demand == nil {
 		return nil, fmt.Errorf("cyclecover: instance %q has no demand graph (zero-value instance?)", in.Name)

@@ -1,6 +1,7 @@
 package cyclecover
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestFacadeRhoAndBounds(t *testing.T) {
 
 func TestFacadeCoverInstance(t *testing.T) {
 	// Complete instance routes through the optimal machinery.
-	cv, err := CoverInstance(AllToAll(7))
+	cv, err := CoverInstance(context.Background(), AllToAll(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestFacadeCoverInstance(t *testing.T) {
 	}
 	// Partial demand goes greedy but must verify.
 	hub := Hub(9, 0)
-	cvh, err := CoverInstance(hub)
+	cvh, err := CoverInstance(context.Background(), hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestFacadeCoverInstance(t *testing.T) {
 	}
 	// Uniform multigraph demand routes through the λ-composition.
 	lam := LambdaAllToAll(6, 2)
-	cvl, err := CoverInstance(lam)
+	cvl, err := CoverInstance(context.Background(), lam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFacadePlanAndSimulate(t *testing.T) {
 		t.Error("cost must be positive")
 	}
 	sim := NewSimulator(nw)
-	sweep, err := sim.Sweep(SweepOptions{})
+	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestDeltaMatchesOrBeatsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %s: parse: %v", n, spec, err)
 			}
-			if _, err := warm.CoverInstanceCtx(ctx, in); err != nil {
+			if _, err := warm.CoverInstance(ctx, in); err != nil {
 				t.Fatalf("n=%d %s: parent plan: %v", n, spec, err)
 			}
 			parentSig := warm.SignatureOf(in)
@@ -77,14 +77,14 @@ func TestDeltaMatchesOrBeatsCold(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d %s %s: %v", n, spec, dspec, err)
 					}
-					pd, err := warm.PlanDeltaCtx(ctx, parentSig, d)
+					pd, err := warm.PlanDelta(ctx, parentSig, d)
 					if err != nil {
 						t.Fatalf("n=%d %s %s: delta plan: %v", n, spec, dspec, err)
 					}
 					if err := Verify(pd.Covering, pd.Child); err != nil {
 						t.Fatalf("n=%d %s %s: repaired covering invalid: %v", n, spec, dspec, err)
 					}
-					coldCv, err := cold.CoverInstanceCtx(ctx, pd.Child)
+					coldCv, err := cold.CoverInstance(ctx, pd.Child)
 					if err != nil {
 						t.Fatalf("n=%d %s %s: cold replan: %v", n, spec, dspec, err)
 					}

@@ -1,6 +1,7 @@
 package cyclecover
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestEveryDemandFamilyEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				cv, err := CoverInstance(in)
+				cv, err := CoverInstance(context.Background(), in)
 				if err != nil {
 					t.Fatalf("cover: %v", err)
 				}
@@ -62,7 +63,7 @@ func TestNilInputsReturnErrors(t *testing.T) {
 	if zero.N() != 0 || zero.Requests() != 0 {
 		t.Errorf("zero instance: N=%d requests=%d, want 0/0", zero.N(), zero.Requests())
 	}
-	if _, err := CoverInstance(zero); err == nil {
+	if _, err := CoverInstance(context.Background(), zero); err == nil {
 		t.Error("CoverInstance(zero): want error")
 	}
 	cv, _, err := CoverAllToAll(5)
@@ -85,10 +86,10 @@ func TestNilInputsReturnErrors(t *testing.T) {
 	// The cached facade must harden the same way — the cycled service
 	// feeds it whatever the parser handed back next to an error.
 	p := NewPlanner()
-	if _, err := p.CoverInstance(zero); err == nil {
+	if _, err := p.CoverInstance(context.Background(), zero); err == nil {
 		t.Error("Planner.CoverInstance(zero): want error")
 	}
-	if _, err := p.PlanWDM(zero); err == nil {
+	if _, err := p.PlanWDM(context.Background(), zero); err == nil {
 		t.Error("Planner.PlanWDM(zero): want error")
 	}
 	// And the error path must not poison the cache.
@@ -105,11 +106,11 @@ func TestParseInstanceErrorPathIsUsable(t *testing.T) {
 	if err == nil {
 		t.Fatal("NaN density must not parse")
 	}
-	if _, cerr := CoverInstance(in); cerr == nil {
+	if _, cerr := CoverInstance(context.Background(), in); cerr == nil {
 		t.Error("covering the error-path instance: want error")
 	}
 	p := NewPlanner()
-	if _, perr := p.PlanWDM(in); perr == nil {
+	if _, perr := p.PlanWDM(context.Background(), in); perr == nil {
 		t.Error("planning the error-path instance: want error")
 	}
 }

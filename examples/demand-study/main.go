@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("coverings over C_%d (ρ(%d) = %d for the full exchange)\n\n", n, n, cyclecover.Rho(n))
 	fmt.Printf("%-28s  %9s  %7s  %5s  %5s  %9s\n", "demand", "requests", "cycles", "C3", "C4", "portfolio")
 	for _, in := range patterns {
-		covering, err := cyclecover.CoverInstanceCtx(ctx, in)
+		covering, err := cyclecover.CoverInstance(ctx, in)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,10 +16,11 @@ import (
 
 func main() {
 	const n = 8
+	ctx := context.Background()
 	planner := cyclecover.NewPlanner()
 	instance := cyclecover.AllToAll(n)
 
-	network, err := planner.PlanWDM(instance)
+	network, err := planner.PlanWDM(ctx, instance)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,14 +42,14 @@ func main() {
 
 	// Sweep k = 1, 2 and sampled k = 3 against the same cached plan:
 	// only the first Simulate call constructs anything.
-	single, err := planner.Simulate(instance, cyclecover.SweepOptions{K: 1})
+	single, err := planner.Simulate(ctx, instance, cyclecover.SweepOptions{K: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nall %d single-link failures restored: %v\n",
 		single.Sweep.Evaluated, single.Sweep.AllRestored)
 
-	double, err := planner.Simulate(instance, cyclecover.SweepOptions{K: 2})
+	double, err := planner.Simulate(ctx, instance, cyclecover.SweepOptions{K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	fmt.Printf("  worst pair %v loses %d demands; critical links: %v\n",
 		worst.Links, worst.Lost, double.Sweep.Critical)
 
-	triple, err := planner.Simulate(instance, cyclecover.SweepOptions{K: 3, Sample: 20, Seed: 1})
+	triple, err := planner.Simulate(ctx, instance, cyclecover.SweepOptions{K: 3, Sample: 20, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cyclecover
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,7 @@ func TestGeneralEndToEnd(t *testing.T) {
 			if !in.IsGeneral() {
 				t.Fatalf("%q did not parse as a general-topology instance", tc.spec)
 			}
-			cv, err := CoverInstance(in)
+			cv, err := CoverInstance(context.Background(), in)
 			if err != nil {
 				t.Fatalf("cover: %v", err)
 			}
@@ -127,7 +128,7 @@ func TestPlannerCoverGeneral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.spec, err)
 		}
-		cv, err := p.CoverInstance(in)
+		cv, err := p.CoverInstance(context.Background(), in)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.spec, err)
 		}
@@ -138,14 +139,14 @@ func TestPlannerCoverGeneral(t *testing.T) {
 			t.Fatalf("%s: length %d exceeds 4/3·m + c = %d", spec.spec, got, ub)
 		}
 		misses := p.CacheStats().Coverings.Misses
-		if _, err := p.CoverInstance(in); err != nil {
+		if _, err := p.CoverInstance(context.Background(), in); err != nil {
 			t.Fatalf("%s warm: %v", spec.spec, err)
 		}
 		if p.CacheStats().Coverings.Misses != misses {
 			t.Fatalf("%s: second CoverInstance missed the cache", spec.spec)
 		}
 		// The optical layer has no meaning over a general host.
-		if _, err := p.PlanWDM(in); err == nil {
+		if _, err := p.PlanWDM(context.Background(), in); err == nil {
 			t.Fatalf("%s: Planner.PlanWDM accepted a general instance", spec.spec)
 		} else if !strings.Contains(err.Error(), "ring instances only") {
 			t.Fatalf("%s: unexpected PlanWDM rejection: %v", spec.spec, err)
@@ -167,11 +168,11 @@ func TestGeneralRingSeparation(t *testing.T) {
 	if p.SignatureOf(gen) == p.SignatureOf(ringIn) {
 		t.Fatal("general K_4 host shares a cache signature with ring AllToAll(4)")
 	}
-	gcv, err := p.CoverInstance(gen)
+	gcv, err := p.CoverInstance(context.Background(), gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := p.CoverInstance(ringIn)
+	rcv, err := p.CoverInstance(context.Background(), ringIn)
 	if err != nil {
 		t.Fatal(err)
 	}

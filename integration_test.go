@@ -1,6 +1,7 @@
 package cyclecover
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		sweep, err := NewSimulator(nw).Sweep(SweepOptions{})
+		sweep, err := NewSimulator(nw).SweepCtx(context.Background(), SweepOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -130,8 +131,8 @@ func TestPropertyGreedyAlwaysValid(t *testing.T) {
 		if demand.M() == 0 {
 			return true
 		}
-		cv := construct.Greedy(r, demand)
-		return cover.Verify(cv, demand) == nil &&
+		cv, err := construct.GreedyCtx(context.Background(), r, demand)
+		return err == nil && cover.Verify(cv, demand) == nil &&
 			cv.Size() >= cover.InstanceLowerBound(r, demand)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -13,21 +13,19 @@ import (
 //     or poll Done/Err/Deadline/Value — and must not bind it to the
 //     blank identifier; a `...Ctx` variant that ignores its context
 //     silently un-cancels every caller above it;
-//  2. every exported non-context function that papers over the gap by
-//     calling a callee with context.Background() or context.TODO()
-//     must have an exported `<Name>Ctx` sibling (same receiver), so
-//     callers always have a cancellable path. Genuinely non-blocking
-//     wrappers opt out with `//cyclecover:ctxfree <reason>` in the doc
-//     comment.
+//  2. no exported function without a context parameter may call
+//     context.Background() or context.TODO(): a blocking operation has
+//     exactly one exported form, and it takes ctx first, so a
+//     context-free twin beside a ctx-taking one is a finding. The only
+//     escape is `//cyclecover:ctxfree <reason>` in the doc comment.
 var CtxDiscipline = &Analyzer{
 	Name: "ctxdiscipline",
-	Doc: "exported ctx-taking functions must thread or poll their context; exported wrappers " +
-		"hardcoding context.Background() need an exported Ctx sibling or //cyclecover:ctxfree <reason>",
+	Doc: "exported ctx-taking functions must thread or poll their context; exported functions " +
+		"must not hardcode context.Background()/TODO() unless annotated //cyclecover:ctxfree <reason>",
 	Run: runCtx,
 }
 
 func runCtx(pass *Pass) {
-	siblings := exportedFuncKeys(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -42,40 +40,9 @@ func runCtx(pass *Pass) {
 				checkCtxUse(pass, fd, obj)
 				continue
 			}
-			checkCtxSibling(pass, fd, siblings)
+			checkNoBackground(pass, fd)
 		}
 	}
-}
-
-// exportedFuncKeys collects "recv.Name" keys for every exported
-// function and method in the package, for sibling lookups.
-func exportedFuncKeys(pass *Pass) map[string]bool {
-	keys := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			keys[funcKey(fd)] = true
-		}
-	}
-	return keys
-}
-
-// funcKey is "ReceiverType.Name" for methods, "Name" for functions.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }
 
 // ctxParam returns the object of a leading named context.Context
@@ -166,10 +133,9 @@ func usesObj(pass *Pass, e ast.Expr, obj *types.Var) bool {
 	return found
 }
 
-// checkCtxSibling flags exported non-context functions that hardcode
-// context.Background()/TODO() into a callee without an exported Ctx
-// sibling.
-func checkCtxSibling(pass *Pass, fd *ast.FuncDecl, siblings map[string]bool) {
+// checkNoBackground flags exported non-context functions that hardcode
+// context.Background()/TODO().
+func checkNoBackground(pass *Pass, fd *ast.FuncDecl) {
 	var bg ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if bg != nil {
@@ -196,14 +162,8 @@ func checkCtxSibling(pass *Pass, fd *ast.FuncDecl, siblings map[string]bool) {
 		}
 		return true
 	})
-	if bg == nil {
+	if bg == nil || pass.Exempt(fd.Pos(), "ctxfree") {
 		return
 	}
-	if siblings[funcKey(fd)+"Ctx"] {
-		return
-	}
-	if pass.Exempt(fd.Pos(), "ctxfree") {
-		return
-	}
-	pass.Reportf(fd.Pos(), "exported %s hardcodes context.Background/TODO but has no exported %sCtx sibling; add one or annotate //cyclecover:ctxfree <reason>", fd.Name.Name, fd.Name.Name)
+	pass.Reportf(fd.Pos(), "exported %s hardcodes context.Background/TODO; take ctx first or annotate //cyclecover:ctxfree <reason>", fd.Name.Name)
 }

@@ -36,7 +36,7 @@ var knownVerbs = map[string]bool{
 	"nondet":  true, // detiter: sanctioned order-nondeterministic iteration
 	"rngok":   true, // rngdiscipline: sanctioned wall-clock/global-RNG use
 	"allocok": true, // noalloc: sanctioned allocation inside a noalloc function
-	"ctxfree": true, // ctxdiscipline: sanctioned ctx-less exported wrapper
+	"ctxfree": true, // ctxdiscipline: sanctioned context-free exported function pinning Background
 	"nodoc":   true, // docs: sanctioned undocumented identifier/package
 	"noalloc": true, // noalloc: opt-in marking a function's warm path
 

@@ -1,6 +1,6 @@
 // Package fixture exercises the ctxdiscipline analyzer: exported
 // context-taking functions must thread or poll their context, and
-// exported wrappers hardcoding context.Background need a Ctx sibling.
+// exported functions must not hardcode context.Background.
 package fixture
 
 import "context"
@@ -46,17 +46,18 @@ func DerivesCtx(ctx context.Context) error {
 	return workCtx(sub)
 }
 
-// Flagged: an exported wrapper that pins Background with no Ctx sibling.
-func Blocking() error { // want "no exported BlockingCtx sibling"
+// Flagged: an exported wrapper that pins Background.
+func Blocking() error { // want "Blocking hardcodes context.Background/TODO"
 	return workCtx(context.Background())
 }
 
-// Not flagged: the wrapper pattern with its exported Ctx sibling.
-func Covered() error {
+// Flagged: a ctx-taking sibling does not excuse a wrapper pinning
+// Background — a blocking operation has one exported form.
+func Covered() error { // want "Covered hardcodes context.Background/TODO"
 	return CoveredCtx(context.Background())
 }
 
-// CoveredCtx is the sibling that makes Covered acceptable.
+// CoveredCtx is the ctx-taking form; it alone is acceptable.
 func CoveredCtx(ctx context.Context) error { return workCtx(ctx) }
 
 // Not flagged: explicitly opted out.

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,17 +33,26 @@ import (
 // clone of the covering.
 var plans = cache.New(512)
 
-// allToAll is the cached construct.AllToAll.
-func allToAll(n int) (cache.CoverResult, error) {
+// allToAll is the cached construct.AllToAllCtx. It fails with ctx's
+// error once ctx has fired, even when the cache could serve the covering,
+// so a table never emits a row after an interrupt.
+func allToAll(ctx context.Context, n int) (cache.CoverResult, error) {
 	warm()
-	res, _, err := plans.CoverAllToAll(n, cache.Options{})
+	res, _, err := plans.CoverAllToAllCtx(ctx, n, cache.Options{})
+	if err == nil {
+		err = ctx.Err()
+	}
 	return res, err
 }
 
-// allToAllNetwork is the cached wdm.Plan over the all-to-all covering.
-func allToAllNetwork(n int) (*wdm.Network, error) {
+// allToAllNetwork is the cached wdm.Plan over the all-to-all covering,
+// failing like allToAll once ctx has fired.
+func allToAllNetwork(ctx context.Context, n int) (*wdm.Network, error) {
 	warm()
-	nw, _, err := plans.NetworkAllToAll(n, cache.Options{})
+	nw, _, err := plans.NetworkAllToAllCtx(ctx, n, cache.Options{})
+	if err == nil {
+		err = ctx.Err()
+	}
 	return nw, err
 }
 
@@ -96,14 +106,16 @@ type T1Row struct {
 	Valid, Optimal       bool
 }
 
-// TableT1 builds the Theorem 1 table for the given odd sizes.
-func TableT1(ns []int) ([]T1Row, error) {
+// TableT1 builds the Theorem 1 table for the given odd sizes. Like
+// every table that constructs or sweeps, it returns ctx's error, and no
+// rows, once ctx has fired.
+func TableT1(ctx context.Context, ns []int) ([]T1Row, error) {
 	var rows []T1Row
 	for _, n := range ns {
 		if n%2 == 0 {
 			return nil, fmt.Errorf("bench: T1 wants odd n, got %d", n)
 		}
-		res, err := allToAll(n) // odd n: the Theorem 1 construction, cached
+		res, err := allToAll(ctx, n) // odd n: the Theorem 1 construction, cached
 		if err != nil {
 			return nil, err
 		}
@@ -155,13 +167,13 @@ type T2Row struct {
 }
 
 // TableT2 builds the Theorem 2 table for the given even sizes.
-func TableT2(ns []int) ([]T2Row, error) {
+func TableT2(ctx context.Context, ns []int) ([]T2Row, error) {
 	var rows []T2Row
 	for _, n := range ns {
 		if n%2 == 1 {
 			return nil, fmt.Errorf("bench: T2 wants even n, got %d", n)
 		}
-		res, err := allToAll(n) // even n: search within range, layered beyond
+		res, err := allToAll(ctx, n) // even n: search within range, layered beyond
 		if err != nil {
 			return nil, err
 		}
@@ -213,25 +225,33 @@ type T3Row struct {
 }
 
 // TableT3 runs the certifications. proofLimit bounds the n for which the
-// (expensive, unbounded-cycle-length) infeasibility proof runs.
-func TableT3(ns []int, proofLimit int) ([]T3Row, error) {
+// (expensive, unbounded-cycle-length) infeasibility proof runs. A search
+// that ctx interrupts proves nothing either way, so the table returns
+// ctx's error instead of a row.
+func TableT3(ctx context.Context, ns []int, proofLimit int) ([]T3Row, error) {
 	var rows []T3Row
 	for _, n := range ns {
 		row := T3Row{N: n, Rho: cover.Rho(n)}
 		if n <= 9 {
-			_, row.FoundAtRho = construct.ExactOptimal(n, 6_000_000)
+			_, row.FoundAtRho = construct.ExactOptimal(ctx, n, 6_000_000)
 		} else {
 			// Even path uses the repair search; served from the sweep cache.
-			res, err := allToAll(n)
+			res, err := allToAll(ctx, n)
 			if err != nil {
 				return nil, err
 			}
 			row.FoundAtRho = res.Optimal && res.Covering.Size() == row.Rho
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if n <= proofLimit {
-			out := construct.Exact(n, construct.ExactOptions{
+			out := construct.ExactCtx(ctx, n, construct.ExactOptions{
 				Budget: row.Rho - 1, MaxLen: 0, NodeLimit: 50_000_000,
 			})
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			row.ProvedBelow = out.Complete && out.Covering == nil
 			row.ProofNodes = out.Nodes
 		}
@@ -342,10 +362,10 @@ type C2Row struct {
 }
 
 // TableC2 builds the objective comparison.
-func TableC2(ns []int) ([]C2Row, error) {
+func TableC2(ctx context.Context, ns []int) ([]C2Row, error) {
 	var rows []C2Row
 	for _, n := range ns {
-		res, err := allToAll(n)
+		res, err := allToAll(ctx, n)
 		if err != nil {
 			return nil, err
 		}
@@ -422,17 +442,17 @@ type F2Row struct {
 
 // TableF2 runs the failure sweeps on the survivability engine (serial:
 // the sweep sizes here are small and the table rows already fan out via
-// ParallelTableF2). Double-failure sweeps are quadratic in n and run
+// ParallelTableF2Ctx). Double-failure sweeps are quadratic in n and run
 // only for n ≤ doubleLimit.
-func TableF2(ns []int, doubleLimit int) ([]F2Row, error) {
+func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 	var rows []F2Row
 	for _, n := range ns {
-		nw, err := allToAllNetwork(n)
+		nw, err := allToAllNetwork(ctx, n)
 		if err != nil {
 			return nil, err
 		}
 		sim := survive.NewSimulator(nw)
-		sweep, err := sim.Sweep(survive.SweepOptions{K: 1, Workers: 1})
+		sweep, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 1, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -450,11 +470,14 @@ func TableF2(ns []int, doubleLimit int) ([]F2Row, error) {
 			row.MeanSpareLen = float64(sweep.SumSpareLen) / float64(sweep.TotalAffected)
 		}
 		if n <= doubleLimit {
-			double, err := sim.Sweep(survive.SweepOptions{K: 2, Workers: 1})
+			double, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 2, Workers: 1})
 			if err != nil {
 				return nil, err
 			}
 			row.DoubleMean, row.DoubleWorst = double.MeanRestoration, double.WorstRestoration
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
@@ -494,10 +517,10 @@ type F3Row struct {
 }
 
 // TableF3 evaluates the default cost model over planned networks.
-func TableF3(ns []int) ([]F3Row, error) {
+func TableF3(ctx context.Context, ns []int) ([]F3Row, error) {
 	var rows []F3Row
 	for _, n := range ns {
-		nw, err := allToAllNetwork(n)
+		nw, err := allToAllNetwork(ctx, n)
 		if err != nil {
 			return nil, err
 		}
@@ -538,14 +561,17 @@ type X1Row struct {
 }
 
 // TableX1 sweeps λ for fixed sizes.
-func TableX1(ns []int, lambdas []int) ([]X1Row, error) {
+func TableX1(ctx context.Context, ns []int, lambdas []int) ([]X1Row, error) {
 	var rows []X1Row
 	warm()
 	for _, n := range ns {
 		for _, l := range lambdas {
 			in := instance.Lambda(n, l)
-			res, _, err := plans.Cover(in, cache.Options{})
+			res, _, err := plans.CoverCtx(ctx, in, cache.Options{})
 			if err != nil {
+				return nil, err
+			}
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			rows = append(rows, X1Row{
@@ -582,7 +608,7 @@ type X2Row struct {
 }
 
 // TableX2 runs the grid/torus/tree-of-rings demonstrations.
-func TableX2() ([]X2Row, error) {
+func TableX2(ctx context.Context) ([]X2Row, error) {
 	var rows []X2Row
 
 	grid := topo.Grid(6, 5)
@@ -629,8 +655,11 @@ func TableX2() ([]X2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	plans, err := tree.PlanIntraRing()
+	plans, err := tree.PlanIntraRing(ctx)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	edges := 0
@@ -670,10 +699,16 @@ type A1Row struct {
 }
 
 // TableA1 runs the ablation.
-func TableA1(ns []int) []A1Row {
+func TableA1(ctx context.Context, ns []int) ([]A1Row, error) {
 	var rows []A1Row
 	for _, n := range ns {
-		cv, opt := construct.Even(n)
+		cv, opt, err := construct.EvenCtx(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		rows = append(rows, A1Row{
 			N:        n,
 			Rho:      cover.Rho(n),
@@ -682,7 +717,7 @@ func TableA1(ns []int) []A1Row {
 			Optimal:  opt,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderA1 formats the ablation table.

@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestTableT1(t *testing.T) {
-	rows, err := TableT1([]int{3, 5, 7, 9, 21})
+	rows, err := TableT1(context.Background(), []int{3, 5, 7, 9, 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestTableT1(t *testing.T) {
 			t.Errorf("n=%d: odd covering must be a partition", r.N)
 		}
 	}
-	if _, err := TableT1([]int{4}); err == nil {
+	if _, err := TableT1(context.Background(), []int{4}); err == nil {
 		t.Error("even n in T1: want error")
 	}
 	out := RenderT1(rows)
@@ -32,7 +34,7 @@ func TestTableT1(t *testing.T) {
 }
 
 func TestTableT2(t *testing.T) {
-	rows, err := TableT2([]int{4, 6, 8, 10, 24})
+	rows, err := TableT2(context.Background(), []int{4, 6, 8, 10, 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestTableT2(t *testing.T) {
 			t.Errorf("n=%d: ratio %f out of band", r.N, r.Ratio)
 		}
 	}
-	if _, err := TableT2([]int{5}); err == nil {
+	if _, err := TableT2(context.Background(), []int{5}); err == nil {
 		t.Error("odd n in T2: want error")
 	}
 	if out := RenderT2(rows); !strings.Contains(out, "method") {
@@ -59,7 +61,7 @@ func TestTableT2(t *testing.T) {
 }
 
 func TestTableT3(t *testing.T) {
-	rows, err := TableT3([]int{4, 5, 6}, 6)
+	rows, err := TableT3(context.Background(), []int{4, 5, 6}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +75,35 @@ func TestTableT3(t *testing.T) {
 	}
 	if out := RenderT3(rows); !strings.Contains(out, "infeasible") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestTablesCancelledReturnNoRows pins the interrupt contract of every
+// table that constructs or sweeps: once ctx has fired the table reports
+// its error and no rows — a cancelled T3 search proves nothing, so rows
+// reading "not found" or "not proved" would be wrong, and a row served
+// from the cache after an interrupt is no better.
+func TestTablesCancelledReturnNoRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		table func() (int, error)
+	}{
+		{"T1", func() (int, error) { rows, err := TableT1(ctx, []int{5, 7}); return len(rows), err }},
+		{"T2", func() (int, error) { rows, err := TableT2(ctx, []int{6, 8}); return len(rows), err }},
+		{"T3", func() (int, error) { rows, err := TableT3(ctx, []int{5, 7}, 6); return len(rows), err }},
+		{"C2", func() (int, error) { rows, err := TableC2(ctx, []int{5, 7}); return len(rows), err }},
+		{"F2", func() (int, error) { rows, err := TableF2(ctx, []int{5, 8}, 8); return len(rows), err }},
+		{"F3", func() (int, error) { rows, err := TableF3(ctx, []int{5, 9}); return len(rows), err }},
+		{"X1", func() (int, error) { rows, err := TableX1(ctx, []int{7}, []int{1, 2}); return len(rows), err }},
+		{"X2", func() (int, error) { rows, err := TableX2(ctx); return len(rows), err }},
+		{"A1", func() (int, error) { rows, err := TableA1(ctx, []int{8, 12}); return len(rows), err }},
+	} {
+		rows, err := tc.table()
+		if !errors.Is(err, context.Canceled) || rows != 0 {
+			t.Errorf("%s under a cancelled context: %d rows, err = %v; want no rows and context.Canceled", tc.name, rows, err)
+		}
 	}
 }
 
@@ -102,7 +133,7 @@ func TestTableC1(t *testing.T) {
 }
 
 func TestTableC2(t *testing.T) {
-	rows, err := TableC2([]int{5, 7, 9})
+	rows, err := TableC2(context.Background(), []int{5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +170,7 @@ func TestSeriesF1(t *testing.T) {
 }
 
 func TestTableF2(t *testing.T) {
-	rows, err := TableF2([]int{5, 8, 11}, 8)
+	rows, err := TableF2(context.Background(), []int{5, 8, 11}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +204,7 @@ func TestTableF3(t *testing.T) {
 	for _, r := range want {
 		ns = append(ns, r.N)
 	}
-	rows, err := TableF3(ns)
+	rows, err := TableF3(context.Background(), ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +217,7 @@ func TestTableF3(t *testing.T) {
 }
 
 func TestTableX1(t *testing.T) {
-	rows, err := TableX1([]int{7}, []int{1, 2, 3})
+	rows, err := TableX1(context.Background(), []int{7}, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +238,7 @@ func TestTableX1(t *testing.T) {
 }
 
 func TestTableX2(t *testing.T) {
-	rows, err := TableX2()
+	rows, err := TableX2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +260,10 @@ func TestTableX2(t *testing.T) {
 }
 
 func TestTableA1(t *testing.T) {
-	rows := TableA1([]int{8, 12, 24})
+	rows, err := TableA1(context.Background(), []int{8, 12, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.Achieved > r.Layered {
 			t.Errorf("n=%d: full constructor worse than layered", r.N)

@@ -67,16 +67,11 @@ func parallelMap[T any](ctx context.Context, ns []int, workers int, f func(n int
 	return out, nil
 }
 
-// ParallelTableT1 is TableT1 with the rows computed concurrently.
-func ParallelTableT1(ns []int, workers int) ([]T1Row, error) {
-	return ParallelTableT1Ctx(context.Background(), ns, workers)
-}
-
-// ParallelTableT1Ctx is ParallelTableT1 under a context: a fired ctx
-// skips unstarted rows and fails the sweep with ctx's error.
+// ParallelTableT1Ctx is TableT1 with the rows computed concurrently: a
+// fired ctx skips unstarted rows and fails the sweep with ctx's error.
 func ParallelTableT1Ctx(ctx context.Context, ns []int, workers int) ([]T1Row, error) {
 	return parallelMap(ctx, ns, workers, func(n int) (T1Row, error) {
-		rows, err := TableT1([]int{n})
+		rows, err := TableT1(ctx, []int{n})
 		if err != nil {
 			return T1Row{}, err
 		}
@@ -84,15 +79,10 @@ func ParallelTableT1Ctx(ctx context.Context, ns []int, workers int) ([]T1Row, er
 	})
 }
 
-// ParallelTableT2 is TableT2 with the rows computed concurrently.
-func ParallelTableT2(ns []int, workers int) ([]T2Row, error) {
-	return ParallelTableT2Ctx(context.Background(), ns, workers)
-}
-
-// ParallelTableT2Ctx is ParallelTableT2 under a context.
+// ParallelTableT2Ctx is TableT2 with the rows computed concurrently.
 func ParallelTableT2Ctx(ctx context.Context, ns []int, workers int) ([]T2Row, error) {
 	return parallelMap(ctx, ns, workers, func(n int) (T2Row, error) {
-		rows, err := TableT2([]int{n})
+		rows, err := TableT2(ctx, []int{n})
 		if err != nil {
 			return T2Row{}, err
 		}
@@ -100,16 +90,11 @@ func ParallelTableT2Ctx(ctx context.Context, ns []int, workers int) ([]T2Row, er
 	})
 }
 
-// ParallelTableF2 is TableF2 with the rows computed concurrently (the
+// ParallelTableF2Ctx is TableF2 with the rows computed concurrently (the
 // failure sweeps dominate large-n experiment time).
-func ParallelTableF2(ns []int, doubleLimit, workers int) ([]F2Row, error) {
-	return ParallelTableF2Ctx(context.Background(), ns, doubleLimit, workers)
-}
-
-// ParallelTableF2Ctx is ParallelTableF2 under a context.
 func ParallelTableF2Ctx(ctx context.Context, ns []int, doubleLimit, workers int) ([]F2Row, error) {
 	return parallelMap(ctx, ns, workers, func(n int) (F2Row, error) {
-		rows, err := TableF2([]int{n}, doubleLimit)
+		rows, err := TableF2(ctx, []int{n}, doubleLimit)
 		if err != nil {
 			return F2Row{}, err
 		}

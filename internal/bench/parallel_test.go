@@ -8,11 +8,11 @@ import (
 
 func TestParallelT1MatchesSerial(t *testing.T) {
 	ns := []int{3, 5, 7, 9, 11, 13, 15, 17, 19, 21}
-	serial, err := TableT1(ns)
+	serial, err := TableT1(context.Background(), ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ParallelTableT1(ns, 4)
+	parallel, err := ParallelTableT1Ctx(context.Background(), ns, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestParallelT1MatchesSerial(t *testing.T) {
 
 func TestParallelT2MatchesSerial(t *testing.T) {
 	ns := []int{4, 6, 8, 10, 12}
-	serial, err := TableT2(ns)
+	serial, err := TableT2(context.Background(), ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ParallelTableT2(ns, 3)
+	parallel, err := ParallelTableT2Ctx(context.Background(), ns, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParallelT2MatchesSerial(t *testing.T) {
 }
 
 func TestParallelF2(t *testing.T) {
-	rows, err := ParallelTableF2([]int{5, 8, 11}, 8, 0) // 0 → GOMAXPROCS
+	rows, err := ParallelTableF2Ctx(context.Background(), []int{5, 8, 11}, 8, 0) // 0 → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

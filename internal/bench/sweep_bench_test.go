@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/survive"
@@ -11,7 +12,7 @@ import (
 // it: the plan comes from the sweep-shared covering cache, so the
 // numbers isolate sweep cost from construction cost.
 func BenchmarkSurvivabilitySweep(b *testing.B) {
-	nw, err := allToAllNetwork(21)
+	nw, err := allToAllNetwork(context.Background(), 21)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func BenchmarkSurvivabilitySweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Sweep(bc.opts); err != nil {
+				if _, err := sim.SweepCtx(context.Background(), bc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -39,7 +40,7 @@ func BenchmarkSurvivabilitySweep(b *testing.B) {
 // mid-size ring (plan from cache, single + double sweep, row assembly).
 func BenchmarkTableF2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := TableF2([]int{12}, 12)
+		rows, err := TableF2(context.Background(), []int{12}, 12)
 		if err != nil || len(rows) != 1 {
 			b.Fatalf("rows=%d err=%v", len(rows), err)
 		}

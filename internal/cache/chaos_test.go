@@ -3,6 +3,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ import (
 func TestChaosSnapshotSaveFailureKeepsPrevious(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.snap")
 	p := New(8)
-	if _, _, err := p.Cover(instance.AllToAll(9), Options{}); err != nil {
+	if _, _, err := p.CoverCtx(context.Background(), instance.AllToAll(9), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SaveSnapshotFile(path); err != nil {
@@ -62,7 +63,7 @@ func TestChaosSnapshotSaveFailureKeepsPrevious(t *testing.T) {
 func TestChaosSnapshotLoadFailureStartsCold(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.snap")
 	p := New(8)
-	if _, _, err := p.Cover(instance.AllToAll(9), Options{}); err != nil {
+	if _, _, err := p.CoverCtx(context.Background(), instance.AllToAll(9), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SaveSnapshotFile(path); err != nil {
@@ -87,7 +88,7 @@ func TestChaosSnapshotLoadFailureStartsCold(t *testing.T) {
 
 	// The daemon's log-and-skip policy then serves from a cold cache.
 	faultinject.Reset()
-	if _, hit, err := cold.Cover(instance.AllToAll(9), Options{}); err != nil || hit {
+	if _, hit, err := cold.CoverCtx(context.Background(), instance.AllToAll(9), Options{}); err != nil || hit {
 		t.Fatalf("cold serve after failed load = (hit=%v, %v)", hit, err)
 	}
 }

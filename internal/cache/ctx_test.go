@@ -109,7 +109,7 @@ func TestDoCtxLastWaiterCancelsComputation(t *testing.T) {
 		t.Fatal("computation was not cancelled after its last waiter departed")
 	}
 	// Nothing cached, nothing poisoned: a fresh request recomputes.
-	v, hit, err := s.Do("k", func() (any, error) { return "fresh", nil })
+	v, hit, err := s.DoCtx(context.Background(), "k", func(context.Context) (any, error) { return "fresh", nil })
 	if err != nil || hit || v != "fresh" {
 		t.Fatalf("after abandoned computation: (%v, %v, %v), want (fresh, false, nil)", v, hit, err)
 	}
@@ -169,14 +169,38 @@ func TestDoCtxDetachRace(t *testing.T) {
 // cached, and the key recovers.
 func TestDoCtxComputePanic(t *testing.T) {
 	s := NewStore(8)
-	_, _, err := s.Do("k", func() (any, error) { panic("constructor bug") })
+	_, _, err := s.DoCtx(context.Background(), "k", func(context.Context) (any, error) { panic("constructor bug") })
 	var pe *construct.PanicError
 	if err == nil || !errors.As(err, &pe) || !strings.Contains(pe.Value, "constructor bug") {
 		t.Fatalf("err = %v, want *construct.PanicError carrying the panic message", err)
 	}
-	v, hit, err := s.Do("k", func() (any, error) { return "ok", nil })
+	v, hit, err := s.DoCtx(context.Background(), "k", func(context.Context) (any, error) { return "ok", nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("after panic: (%v, %v, %v), want (ok, false, nil)", v, hit, err)
+	}
+}
+
+// TestDoCtxDeadCallerStartsNothing: a caller whose context has already
+// fired gets the context's error on a miss without starting or joining a
+// computation and without moving a counter, yet may still take a cached
+// value.
+func TestDoCtxDeadCallerStartsNothing(t *testing.T) {
+	s := NewStore(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, hit, err := s.DoCtx(ctx, "k", func(context.Context) (any, error) { return 1, nil })
+	if !errors.Is(err, context.Canceled) || hit {
+		t.Fatalf("dead caller on a miss: (hit=%v, err=%v), want (false, Canceled)", hit, err)
+	}
+	if st := s.Stats(); st != (Stats{}) {
+		t.Fatalf("stats = %+v, want all zero", st)
+	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("a dead caller's computation landed in the cache")
+	}
+	s.Put("k", 7)
+	if v, hit, err := s.DoCtx(ctx, "k", nil); err != nil || !hit || v != 7 {
+		t.Fatalf("dead caller on a hit: (%v, %v, %v), want (7, true, nil)", v, hit, err)
 	}
 }
 
@@ -191,7 +215,7 @@ func TestCoverCtxCancelledNotPoisoned(t *testing.T) {
 	if _, _, err := p.CoverCtx(ctx, in, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CoverCtx err = %v, want Canceled", err)
 	}
-	res, _, err := p.Cover(in, Options{})
+	res, _, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatalf("cache poisoned by cancelled request: %v", err)
 	}

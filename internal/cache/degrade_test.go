@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestDegradeSignatureDimension(t *testing.T) {
 func TestCoverDegraded(t *testing.T) {
 	p := New(8)
 	in := instance.AllToAll(9)
-	res, hit, err := p.Cover(in, Options{Degrade: true})
+	res, hit, err := p.CoverCtx(context.Background(), in, Options{Degrade: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCoverDegraded(t *testing.T) {
 
 	// The full-budget entry is computed independently and is optimal for
 	// K_9 (the paper machinery), proving the degraded entry did not leak.
-	fullRes, hit, err := p.Cover(in, Options{})
+	fullRes, hit, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCoverDegraded(t *testing.T) {
 	}
 
 	// Warm repeats on each dimension keep their provenance.
-	res2, hit, err := p.Cover(in, Options{Degrade: true})
+	res2, hit, err := p.CoverCtx(context.Background(), in, Options{Degrade: true})
 	if err != nil || !hit || !res2.Degraded {
 		t.Fatalf("warm degraded repeat = (%+v, %v, %v), want degraded hit", res2.Degraded, hit, err)
 	}
@@ -82,7 +83,7 @@ func TestCoverDegradedGeneral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := p.Cover(in, Options{Degrade: true})
+	res, _, err := p.CoverCtx(context.Background(), in, Options{Degrade: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestLookupProbe(t *testing.T) {
 	if _, ok := p.Lookup(in, Options{}); ok {
 		t.Fatal("Lookup hit an empty cache")
 	}
-	want, _, err := p.Cover(in, Options{})
+	want, _, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestLookupProbe(t *testing.T) {
 	if _, ok := p.LookupNetwork(in, Options{}); ok {
 		t.Fatal("LookupNetwork hit before any network was planned")
 	}
-	if _, _, err := p.Network(in, Options{}); err != nil {
+	if _, _, err := p.NetworkCtx(context.Background(), in, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.LookupNetwork(in, Options{}); !ok {

@@ -105,11 +105,6 @@ func optionsFromSignature(sig string) Options {
 	return opts
 }
 
-// CoverDelta is CoverDeltaCtx under context.Background().
-func (p *Plans) CoverDelta(dp DeltaPlan) (CoverResult, bool, error) {
-	return p.CoverDeltaCtx(context.Background(), dp)
-}
-
 // CoverDeltaCtx plans the child of a resolved delta, warm-starting from
 // the parent covering and admitting the result under the child's own
 // canonical signature — so a later cold request for the same instance is

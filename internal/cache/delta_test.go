@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func mustDelta(t *testing.T, spec string) instance.Delta {
 // ResolveDelta.
 func planParent(t *testing.T, p *Plans, in instance.Instance, opts Options) string {
 	t.Helper()
-	if _, _, err := p.Cover(in, opts); err != nil {
+	if _, _, err := p.CoverCtx(context.Background(), in, opts); err != nil {
 		t.Fatal(err)
 	}
 	return Signature(in, opts)
@@ -95,7 +96,7 @@ func TestCoverDeltaWarmRepairAdmitsChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, hit, err := p.CoverDelta(dp)
+	res, hit, err := p.CoverDeltaCtx(context.Background(), dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCoverDeltaWarmRepairAdmitsChild(t *testing.T) {
 	}
 
 	// Repeat delta: cache hit with the same answer.
-	res2, hit2, err := p.CoverDelta(dp)
+	res2, hit2, err := p.CoverDeltaCtx(context.Background(), dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCoverDeltaWarmRepairAdmitsChild(t *testing.T) {
 	}
 	// Cold plan of the same child instance: also a hit — the child was
 	// admitted under its canonical signature, not a delta-private key.
-	res3, hit3, err := p.Cover(dp.Child, dp.Opts)
+	res3, hit3, err := p.CoverCtx(context.Background(), dp.Child, dp.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCoverDeltaWarmRepairAdmitsChild(t *testing.T) {
 
 	// Returned coverings are private clones: mutating one must not leak.
 	res.Covering.Cycles = nil
-	res4, _, err := p.CoverDelta(dp)
+	res4, _, err := p.CoverDeltaCtx(context.Background(), dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestCoverDeltaStrategyParentRebuildsCold(t *testing.T) {
 	if dp.Opts.Strategy != "greedy" {
 		t.Fatalf("child options lost the parent's strategy: %+v", dp.Opts)
 	}
-	res, _, err := p.CoverDelta(dp)
+	res, _, err := p.CoverDeltaCtx(context.Background(), dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCoverDeltaChainsAcrossGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generation %d (%s): %v", gen, spec, err)
 		}
-		res, _, err := p.CoverDelta(dp)
+		res, _, err := p.CoverDeltaCtx(context.Background(), dp)
 		if err != nil {
 			t.Fatalf("generation %d (%s): %v", gen, spec, err)
 		}

@@ -70,7 +70,7 @@ func TestCoverGeneralCachedAndVerified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.spec, err)
 		}
-		res, hit, err := p.Cover(in, Options{})
+		res, hit, err := p.CoverCtx(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.spec, err)
 		}
@@ -83,7 +83,7 @@ func TestCoverGeneralCachedAndVerified(t *testing.T) {
 		if got := res.Covering.TotalLength(); got != spec.want {
 			t.Fatalf("%s: length %d, want %d", spec.spec, got, spec.want)
 		}
-		again, hit, err := p.Cover(in, Options{})
+		again, hit, err := p.CoverCtx(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("%s warm: %v", spec.spec, err)
 		}
@@ -105,11 +105,11 @@ func TestCoverGeneralVsRingNoCrosstalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, _, err := p.Cover(k4, Options{})
+	gres, _, err := p.CoverCtx(context.Background(), k4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, hit, err := p.Cover(instance.AllToAll(4), Options{})
+	rres, hit, err := p.CoverCtx(context.Background(), instance.AllToAll(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestNetworkRejectsGeneral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Network(in, Options{}); err == nil {
+	if _, _, err := p.NetworkCtx(context.Background(), in, Options{}); err == nil {
 		t.Fatal("Network accepted a general-topology instance")
 	} else if !strings.Contains(err.Error(), "ring instances only") {
 		t.Fatalf("unexpected rejection: %v", err)
@@ -151,7 +151,7 @@ func TestResolveDeltaRejectsGeneralParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Cover(in, Options{}); err != nil {
+	if _, _, err := p.CoverCtx(context.Background(), in, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	sig := Signature(in, Options{})
@@ -170,7 +170,7 @@ func TestCoverGeneralStrategyOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := p.Cover(in, Options{Strategy: "scc-greedy"})
+	res, _, err := p.CoverCtx(context.Background(), in, Options{Strategy: "scc-greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCoverGeneralStrategyOption(t *testing.T) {
 	}
 	// closed-form is a ring member: it refuses general instances, and the
 	// refusal must propagate rather than cache garbage.
-	if _, _, err := p.Cover(in, Options{Strategy: "closed-form"}); err == nil {
+	if _, _, err := p.CoverCtx(context.Background(), in, Options{Strategy: "closed-form"}); err == nil {
 		t.Fatal("ring-only strategy produced a cached general cover")
 	}
 }

@@ -69,23 +69,20 @@ func (p *Plans) Stats() PlansStats {
 	return PlansStats{Coverings: p.coverings.Stats(), Networks: p.networks.Stats()}
 }
 
-// Cover returns a verified covering of the instance, constructing it on
-// the first request and serving clones from the cache afterwards. hit
+// CoverCtx returns a verified covering of the instance, constructing it
+// on the first request and serving clones from the cache afterwards. hit
 // reports whether this call avoided construction (cache hit or joined
 // flight). The constructor is selected by opts.Strategy; the default
 // (empty) is construct.Auto, which picks by instance class — the paper's
 // closed forms for λK_n, greedy for other ring demands, the
 // shortest-cycle-cover pipeline for a general host.
-func (p *Plans) Cover(in instance.Instance, opts Options) (CoverResult, bool, error) {
-	return p.CoverCtx(context.Background(), in, opts)
-}
-
-// CoverCtx is Cover under a context: a caller whose ctx fires while the
-// covering is being constructed detaches immediately (the construction
-// continues for other waiters, and is itself cancelled when the last
-// waiter departs — see Store.DoCtx). A cancelled construction is never
-// cached, so the entry delivered to surviving waiters is always a
-// verified, completed covering.
+//
+// A caller whose ctx fires while the covering is being constructed
+// detaches immediately (the construction continues for other waiters,
+// and is itself cancelled when the last waiter departs — see
+// Store.DoCtx). A cancelled construction is never cached, so the entry
+// delivered to surviving waiters is always a verified, completed
+// covering.
 func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options) (CoverResult, bool, error) {
 	if in.Demand == nil {
 		return CoverResult{}, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
@@ -138,14 +135,9 @@ func (p *Plans) LookupNetwork(in instance.Instance, opts Options) (*wdm.Network,
 	return v.(*wdm.Network), true
 }
 
-// CoverAllToAll is Cover for the all-to-all instance, keyed in O(1): the
-// demand graph is only materialized on a miss, so warm calls cost a
-// lookup and a clone.
-func (p *Plans) CoverAllToAll(n int, opts Options) (CoverResult, bool, error) {
-	return p.CoverAllToAllCtx(context.Background(), n, opts)
-}
-
-// CoverAllToAllCtx is CoverAllToAll under a context (see CoverCtx).
+// CoverAllToAllCtx is CoverCtx for the all-to-all instance, keyed in
+// O(1): the demand graph is only materialized on a miss, so warm calls
+// cost a lookup and a clone.
 func (p *Plans) CoverAllToAllCtx(ctx context.Context, n int, opts Options) (CoverResult, bool, error) {
 	sig := SignatureAllToAll(n, opts)
 	v, hit, err := p.coverings.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
@@ -159,12 +151,8 @@ func (p *Plans) CoverAllToAllCtx(ctx context.Context, n int, opts Options) (Cove
 	return res, hit, nil
 }
 
-// NetworkAllToAll is Network for the all-to-all instance, keyed in O(1).
-func (p *Plans) NetworkAllToAll(n int, opts Options) (*wdm.Network, bool, error) {
-	return p.NetworkAllToAllCtx(context.Background(), n, opts)
-}
-
-// NetworkAllToAllCtx is NetworkAllToAll under a context (see CoverCtx).
+// NetworkAllToAllCtx is NetworkCtx for the all-to-all instance, keyed in
+// O(1).
 func (p *Plans) NetworkAllToAllCtx(ctx context.Context, n int, opts Options) (*wdm.Network, bool, error) {
 	sig := SignatureAllToAll(n, opts)
 	v, hit, err := p.networks.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
@@ -181,15 +169,10 @@ func (p *Plans) NetworkAllToAllCtx(ctx context.Context, n int, opts Options) (*w
 	return v.(*wdm.Network), hit, nil
 }
 
-// Network returns the planned WDM network for the instance, cached under
-// the same signature scheme. The returned network is shared across
-// callers and must not be mutated.
-func (p *Plans) Network(in instance.Instance, opts Options) (*wdm.Network, bool, error) {
-	return p.NetworkCtx(context.Background(), in, opts)
-}
-
-// NetworkCtx is Network under a context (see CoverCtx for the
-// cancellation semantics).
+// NetworkCtx returns the planned WDM network for the instance, cached
+// under the same signature scheme, with CoverCtx's cancellation
+// semantics. The returned network is shared across callers and must not
+// be mutated.
 func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Options) (*wdm.Network, bool, error) {
 	if in.Demand == nil {
 		return nil, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func TestCoverCachedAndVerified(t *testing.T) {
 		instance.Hub(10, 2),
 		instance.Neighbors(9),
 	} {
-		first, hit, err := p.Cover(in, Options{})
+		first, hit, err := p.CoverCtx(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
@@ -69,7 +70,7 @@ func TestCoverCachedAndVerified(t *testing.T) {
 		if err := cover.Verify(first.Covering, in.Demand); err != nil {
 			t.Fatalf("%s: cached covering invalid: %v", in.Name, err)
 		}
-		second, hit, err := p.Cover(in, Options{})
+		second, hit, err := p.CoverCtx(context.Background(), in, Options{})
 		if err != nil || !hit {
 			t.Fatalf("%s: second request = (hit=%v, err=%v), want cache hit", in.Name, hit, err)
 		}
@@ -84,7 +85,7 @@ func TestCoverCachedAndVerified(t *testing.T) {
 func TestCoverCloneIsolation(t *testing.T) {
 	p := New(16)
 	in := instance.AllToAll(9)
-	first, _, err := p.Cover(in, Options{})
+	first, _, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCoverCloneIsolation(t *testing.T) {
 	first.Covering.Add(first.Covering.Cycles[0]) // caller-side mutation
 	first.Covering.Canonicalize()
 
-	second, hit, err := p.Cover(in, Options{})
+	second, hit, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil || !hit {
 		t.Fatalf("second Cover = (hit=%v, err=%v)", hit, err)
 	}
@@ -104,14 +105,14 @@ func TestCoverCloneIsolation(t *testing.T) {
 func TestNetworkCached(t *testing.T) {
 	p := New(16)
 	in := instance.AllToAll(11)
-	nw, hit, err := p.Network(in, Options{})
+	nw, hit, err := p.NetworkCtx(context.Background(), in, Options{})
 	if err != nil || hit {
 		t.Fatalf("first Network = (hit=%v, err=%v)", hit, err)
 	}
 	if nw.Wavelengths() != 2*len(nw.Subnets) {
 		t.Fatal("planned network inconsistent")
 	}
-	again, hit, err := p.Network(in, Options{})
+	again, hit, err := p.NetworkCtx(context.Background(), in, Options{})
 	if err != nil || !hit {
 		t.Fatalf("second Network = (hit=%v, err=%v), want hit", hit, err)
 	}
@@ -127,7 +128,7 @@ func TestNetworkCached(t *testing.T) {
 func TestCoverRejectsBadInstances(t *testing.T) {
 	bad := instance.Instance{Name: "too small", Demand: graph.Complete(2)}
 	p := New(4)
-	if _, _, err := p.Cover(bad, Options{}); err == nil {
+	if _, _, err := p.CoverCtx(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("Cover accepted a 2-vertex instance")
 	}
 	// Errors are not cached: the store stays empty.
@@ -139,11 +140,11 @@ func TestCoverRejectsBadInstances(t *testing.T) {
 func TestEliminateRedundantOption(t *testing.T) {
 	p := New(8)
 	in := instance.Hub(12, 0)
-	plain, _, err := p.Cover(in, Options{})
+	plain, _, err := p.CoverCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := p.Cover(in, Options{EliminateRedundant: true})
+	opt, _, err := p.CoverCtx(context.Background(), in, Options{EliminateRedundant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestConcurrentCoverStampede(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, _, err := p.Cover(in, Options{})
+			res, _, err := p.CoverCtx(context.Background(), in, Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -206,11 +207,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				in := ins[(w+i)%len(ins)]
 				if w%2 == 0 {
-					if _, _, err := p.Cover(in, Options{}); err != nil {
+					if _, _, err := p.CoverCtx(context.Background(), in, Options{}); err != nil {
 						t.Error(err)
 					}
 				} else {
-					if _, _, err := p.Network(in, Options{}); err != nil {
+					if _, _, err := p.NetworkCtx(context.Background(), in, Options{}); err != nil {
 						t.Error(err)
 					}
 				}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -16,18 +17,18 @@ import (
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := New(32)
 	for _, n := range []int{7, 8, 12} {
-		if _, _, err := src.CoverAllToAll(n, Options{}); err != nil {
+		if _, _, err := src.CoverAllToAllCtx(context.Background(), n, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := src.Cover(instance.Lambda(7, 2), Options{}); err != nil {
+	if _, _, err := src.CoverCtx(context.Background(), instance.Lambda(7, 2), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Hash-class and non-default-option entries must not round-trip.
-	if _, _, err := src.Cover(instance.Hub(9, 0), Options{}); err != nil {
+	if _, _, err := src.CoverCtx(context.Background(), instance.Hub(9, 0), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := src.CoverAllToAll(9, Options{EliminateRedundant: true}); err != nil {
+	if _, _, err := src.CoverAllToAllCtx(context.Background(), 9, Options{EliminateRedundant: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,11 +50,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Warm hits, identical results, no recomputation.
 	for _, n := range []int{7, 8, 12} {
-		res, hit, err := dst.CoverAllToAll(n, Options{})
+		res, hit, err := dst.CoverAllToAllCtx(context.Background(), n, Options{})
 		if err != nil || !hit {
 			t.Fatalf("n=%d after load: hit=%v err=%v", n, hit, err)
 		}
-		fresh, _, _ := src.CoverAllToAll(n, Options{})
+		fresh, _, _ := src.CoverAllToAllCtx(context.Background(), n, Options{})
 		if res.Covering.Size() != fresh.Covering.Size() || res.Optimal != fresh.Optimal {
 			t.Fatalf("n=%d: snapshot entry drifted", n)
 		}
@@ -70,7 +71,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // results: broken coverings and false optimality claims are dropped.
 func TestSnapshotRejectsTamperedEntries(t *testing.T) {
 	src := New(8)
-	if _, _, err := src.CoverAllToAll(9, Options{}); err != nil {
+	if _, _, err := src.CoverAllToAllCtx(context.Background(), 9, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -170,10 +171,10 @@ func TestSnapshotHostileEntryCostsNothing(t *testing.T) {
 // may claim optimality only for K_n at exactly ρ(n) cycles.
 func FuzzLoadSnapshot(f *testing.F) {
 	src := New(8)
-	if _, _, err := src.CoverAllToAll(7, Options{}); err != nil {
+	if _, _, err := src.CoverAllToAllCtx(context.Background(), 7, Options{}); err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := src.Cover(instance.Lambda(5, 2), Options{}); err != nil {
+	if _, _, err := src.CoverCtx(context.Background(), instance.Lambda(5, 2), Options{}); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer

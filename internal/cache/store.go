@@ -9,7 +9,7 @@ import (
 )
 
 // Store is a bounded memoization table: one LRU map joined with a
-// single-flight group, under one mutex. Do serves repeated keys from
+// single-flight group, under one mutex. DoCtx serves repeated keys from
 // memory and collapses concurrent misses for one key onto a single
 // computation. The store holds at most its capacity and evicts the
 // globally least recently used entry. Errors are never cached — a
@@ -78,23 +78,23 @@ func NewStore(capacity int) *Store {
 	}
 }
 
-// Do returns the cached value for key, computing it with compute on a
+// DoCtx returns the cached value for key, computing it with compute on a
 // miss. hit reports whether the value was served without running compute
 // in this call (an LRU hit, or a join onto another caller's in-flight
 // computation). Successful results are inserted at the front of the LRU.
-func (s *Store) Do(key string, compute func() (any, error)) (val any, hit bool, err error) {
-	return s.DoCtx(context.Background(), key, func(context.Context) (any, error) { return compute() })
-}
-
-// DoCtx is Do under a context, with detachable waiting: a caller whose
-// ctx fires while the value is being computed returns ctx's error
-// immediately — without poisoning or evicting anything — while the
-// computation keeps running for the remaining waiters and still lands in
-// the cache. The computation's own context (handed to compute) is
-// cancelled only when the LAST waiter departs: at that point nobody
-// wants the result, so the work is abandoned and the next request for
-// the key starts fresh. Errors — including a cancelled computation's —
-// are never cached.
+//
+// Waiting is detachable: a caller whose ctx fires while the value is
+// being computed returns ctx's error immediately — without poisoning or
+// evicting anything — while the computation keeps running for the
+// remaining waiters and still lands in the cache. The computation's own
+// context (handed to compute) is cancelled only when the LAST waiter
+// departs: at that point nobody wants the result, so the work is
+// abandoned and the next request for the key starts fresh. Errors —
+// including a cancelled computation's — are never cached.
+//
+// A caller whose ctx has already fired may still take a cached value,
+// but on a miss it returns ctx's error at once: it never starts or joins
+// a computation, and it moves no counter.
 func (s *Store) DoCtx(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit bool, err error) {
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
@@ -103,6 +103,10 @@ func (s *Store) DoCtx(ctx context.Context, key string, compute func(context.Cont
 		v := el.Value.(*entry).val
 		s.mu.Unlock()
 		return v, true, nil
+	}
+	if err := ctx.Err(); err != nil {
+		s.mu.Unlock()
+		return nil, false, err
 	}
 	if c, ok := s.inflight[key]; ok {
 		c.waiters++

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,18 +12,18 @@ import (
 
 func TestStoreHitMissAndRecency(t *testing.T) {
 	s := NewStore(2)
-	compute := func(v int) func() (any, error) {
-		return func() (any, error) { return v, nil }
+	compute := func(v int) func(context.Context) (any, error) {
+		return func(context.Context) (any, error) { return v, nil }
 	}
-	if v, hit, _ := s.Do("a", compute(1)); hit || v.(int) != 1 {
+	if v, hit, _ := s.DoCtx(context.Background(), "a", compute(1)); hit || v.(int) != 1 {
 		t.Fatalf("first Do(a) = (%v, hit=%v), want (1, miss)", v, hit)
 	}
-	if v, hit, _ := s.Do("a", compute(99)); !hit || v.(int) != 1 {
+	if v, hit, _ := s.DoCtx(context.Background(), "a", compute(99)); !hit || v.(int) != 1 {
 		t.Fatalf("second Do(a) = (%v, hit=%v), want cached (1, hit)", v, hit)
 	}
-	s.Do("b", compute(2))
-	s.Do("a", compute(0)) // refresh a's recency
-	s.Do("c", compute(3)) // evicts b, the least recently used
+	s.DoCtx(context.Background(), "b", compute(2))
+	s.DoCtx(context.Background(), "a", compute(0)) // refresh a's recency
+	s.DoCtx(context.Background(), "c", compute(3)) // evicts b, the least recently used
 	if _, ok := s.Get("b"); ok {
 		t.Fatal("b survived eviction; LRU order not respected")
 	}
@@ -39,17 +40,17 @@ func TestStoreErrorsAreNotCached(t *testing.T) {
 	s := NewStore(4)
 	boom := errors.New("boom")
 	calls := 0
-	f := func() (any, error) {
+	f := func(context.Context) (any, error) {
 		calls++
 		if calls == 1 {
 			return nil, boom
 		}
 		return "ok", nil
 	}
-	if _, _, err := s.Do("k", f); !errors.Is(err, boom) {
+	if _, _, err := s.DoCtx(context.Background(), "k", f); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, hit, err := s.Do("k", f)
+	v, hit, err := s.DoCtx(context.Background(), "k", f)
 	if err != nil || hit || v.(string) != "ok" {
 		t.Fatalf("retry = (%v, hit=%v, err=%v), want fresh ok", v, hit, err)
 	}
@@ -73,7 +74,7 @@ func TestStoreSingleFlightStampede(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := s.Do("stampede", func() (any, error) {
+			v, _, err := s.DoCtx(context.Background(), "stampede", func(context.Context) (any, error) {
 				computes.Add(1)
 				<-gate
 				return 42, nil
@@ -121,7 +122,7 @@ func TestStoreCapacityFloor(t *testing.T) {
 	s := NewStore(0) // clamped to 1
 	for i := 0; i < 3; i++ {
 		k := fmt.Sprintf("k%d", i)
-		s.Do(k, func() (any, error) { return i, nil })
+		s.DoCtx(context.Background(), k, func(context.Context) (any, error) { return i, nil })
 	}
 	if n := s.Len(); n != 1 {
 		t.Fatalf("len = %d, want 1", n)
@@ -203,7 +204,7 @@ func TestStoreConcurrentMixedTraffic(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := fmt.Sprintf("key-%d", (g+r)%keys)
-				v, _, err := s.Do(k, func() (any, error) {
+				v, _, err := s.DoCtx(context.Background(), k, func(context.Context) (any, error) {
 					computes.Add(1)
 					return k, nil
 				})
@@ -244,7 +245,7 @@ func TestStoreDefaultSingleFlightStampede(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := s.Do("hot", func() (any, error) {
+			v, _, err := s.DoCtx(context.Background(), "hot", func(context.Context) (any, error) {
 				computes.Add(1)
 				<-gate
 				return 7, nil

@@ -52,18 +52,13 @@ type Result struct {
 	Optimal bool
 }
 
-// AllToAll constructs a DRC-covering of K_n over C_n. For odd n the result
-// is the Theorem 1 covering (optimal, matching the paper's composition).
-// For even n it is optimal whenever the exact search threshold allows
-// (n ≤ exactEvenLimit), and otherwise the layered construction whose size
-// is reported against ρ(n) by the experiment harness.
-func AllToAll(n int) (Result, error) {
-	return AllToAllCtx(context.Background(), n)
-}
-
-// AllToAllCtx is AllToAll under a context. Odd n is a fast closed form
-// and ignores ctx; even n threads it into the embedded repair and exact
-// searches, returning ctx's error when it fires mid-build.
+// AllToAllCtx constructs a DRC-covering of K_n over C_n. For odd n the
+// result is the Theorem 1 covering (optimal, matching the paper's
+// composition), a fast closed form that ignores ctx. For even n it is
+// optimal whenever the exact search threshold allows (n ≤ exactEvenLimit),
+// and otherwise the layered construction whose size is reported against
+// ρ(n) by the experiment harness; ctx reaches the embedded repair and
+// exact searches, and its error is returned when it fires mid-build.
 func AllToAllCtx(ctx context.Context, n int) (Result, error) {
 	if n < ring.MinVertices {
 		return Result{}, fmt.Errorf("construct: n = %d below minimum %d", n, ring.MinVertices)

@@ -9,7 +9,7 @@ import (
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
-// exactEvenLimit is the largest even n for which Even() runs the exact
+// exactEvenLimit is the largest even n for which EvenCtx runs the exact
 // branch-and-bound solver as a fallback. Chosen so construction stays
 // sub-second; cmd/cyclecover exposes deeper searches explicitly.
 const exactEvenLimit = 12
@@ -17,7 +17,7 @@ const exactEvenLimit = 12
 // searchEvenLimit is the largest even n for which the min-conflicts repair
 // searches run automatically. Beyond it they plateau within their
 // iteration budgets (the endgame hits the parity obstructions discussed in
-// minconflicts.go) and Even falls straight through to the layered
+// minconflicts.go) and EvenCtx falls straight through to the layered
 // construction; raising this limit trades construction time for
 // optimality on mid-size rings.
 const searchEvenLimit = 20
@@ -40,8 +40,9 @@ type evenEntry struct {
 	optimal bool
 }
 
-// Even builds a DRC-covering of K_n over C_n for even n ≥ 4. The boolean
-// reports provable optimality (size = ρ(n), re-verified internally).
+// EvenCtx builds a DRC-covering of K_n over C_n for even n ≥ 4. The
+// boolean reports provable optimality (size = ρ(n), re-verified
+// internally).
 //
 // For n ≤ searchEvenLimit a min-conflicts repair search runs at budget
 // ρ(n) (full-instance for n ≤ 16, boundary-restricted beyond; see
@@ -63,16 +64,12 @@ type evenEntry struct {
 // already-covered slots each, and closing it requires the interleaved
 // structure of the paper's (omitted) proof. EXPERIMENTS.md reports
 // achieved-vs-ρ for every n so the residual gap is visible.
-func Even(n int) (*cover.Covering, bool) {
-	cv, opt, _ := EvenCtx(context.Background(), n) // Background: err impossible
-	return cv, opt
-}
-
-// EvenCtx is Even under a context: the embedded repair and exact searches
-// poll ctx and abort promptly when it fires, in which case EvenCtx
-// returns ctx's error and caches nothing (an interrupted build may have
-// fallen through to the layered heuristic on an n the searches would have
-// certified optimal — memoizing that would poison every later call).
+//
+// The embedded repair and exact searches poll ctx and abort promptly
+// when it fires, in which case EvenCtx returns ctx's error and caches
+// nothing (an interrupted build may have fallen through to the layered
+// heuristic on an n the searches would have certified optimal —
+// memoizing that would poison every later call).
 //
 // The memo table is guarded by one mutex held across the build, so
 // concurrent first calls for any even n serialize; cancellation of the
@@ -81,7 +78,7 @@ func Even(n int) (*cover.Covering, bool) {
 // single-flight above this.
 func EvenCtx(ctx context.Context, n int) (*cover.Covering, bool, error) {
 	if n < 4 || n%2 == 1 {
-		panic(fmt.Sprintf("construct: Even requires even n >= 4, got %d", n))
+		panic(fmt.Sprintf("construct: EvenCtx requires even n >= 4, got %d", n))
 	}
 	evenCache.Lock()
 	defer evenCache.Unlock()
@@ -138,7 +135,7 @@ func evenMCAttempts(ctx context.Context, n int) (*cover.Covering, bool) {
 	return nil, false
 }
 
-// layeredEven is the constructive heuristic described on Even.
+// layeredEven is the constructive heuristic described on EvenCtx.
 func layeredEven(n int) *cover.Covering {
 	r := ring.MustNew(n)
 	p := n / 2

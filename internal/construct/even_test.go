@@ -1,18 +1,29 @@
 package construct
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
 )
 
+// mustEven runs EvenCtx without a deadline, failing t on error.
+func mustEven(t testing.TB, n int) (*cover.Covering, bool) {
+	t.Helper()
+	cv, opt, err := EvenCtx(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cv, opt
+}
+
 // TestEvenSmallIsOptimal is the Theorem 2 check on the search range: for
 // even n ≤ searchEvenLimit the constructor returns a valid covering of
 // exactly ρ(n) = ⌈(p²+1)/2⌉ cycles.
 func TestEvenSmallIsOptimal(t *testing.T) {
 	for n := 4; n <= searchEvenLimit; n += 2 {
-		cv, optimal := Even(n)
+		cv, optimal := mustEven(t, n)
 		if !optimal {
 			t.Errorf("n=%d: want optimal construction in exact range", n)
 		}
@@ -59,7 +70,7 @@ func TestEvenGapNeverExceedsHalfP(t *testing.T) {
 }
 
 func TestEvenN4MatchesPaperExample(t *testing.T) {
-	cv, optimal := Even(4)
+	cv, optimal := mustEven(t, 4)
 	if !optimal || cv.Size() != 3 {
 		t.Fatalf("Even(4): size %d optimal=%v, want 3, true", cv.Size(), optimal)
 	}
@@ -69,14 +80,14 @@ func TestEvenN4MatchesPaperExample(t *testing.T) {
 }
 
 func TestEvenCachedAndIsolated(t *testing.T) {
-	a, _ := Even(10)
-	b, _ := Even(10)
+	a, _ := mustEven(t, 10)
+	b, _ := mustEven(t, 10)
 	if a.Size() != b.Size() {
 		t.Fatal("cache must be deterministic")
 	}
 	// Mutating one result must not corrupt the cache.
 	a.Cycles = a.Cycles[:1]
-	c, _ := Even(10)
+	c, _ := mustEven(t, 10)
 	if c.Size() != b.Size() {
 		t.Fatal("cache entry was mutated through a returned covering")
 	}
@@ -88,12 +99,12 @@ func TestEvenPanicsOnOdd(t *testing.T) {
 			t.Fatal("Even(7): want panic")
 		}
 	}()
-	Even(7)
+	mustEven(t, 7)
 }
 
 func TestAllToAllDispatch(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 6, 9, 10} {
-		res, err := AllToAll(n)
+		res, err := AllToAllCtx(context.Background(), n)
 		if err != nil {
 			t.Fatalf("AllToAll(%d): %v", n, err)
 		}
@@ -107,7 +118,7 @@ func TestAllToAllDispatch(t *testing.T) {
 			t.Errorf("AllToAll(%d): want optimal in exact range", n)
 		}
 	}
-	if _, err := AllToAll(2); err == nil {
+	if _, err := AllToAllCtx(context.Background(), 2); err == nil {
 		t.Error("AllToAll(2): want error")
 	}
 }
@@ -118,7 +129,7 @@ func TestAllToAllDispatch(t *testing.T) {
 // not unique — we assert sizes and validity, and merely report the mix.
 func TestEvenCompositionVsPaper(t *testing.T) {
 	for n := 6; n <= exactEvenLimit; n += 2 {
-		cv, _ := Even(n)
+		cv, _ := mustEven(t, n)
 		comp, ok := cover.TheoremComposition(n)
 		if !ok {
 			continue

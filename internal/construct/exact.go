@@ -76,7 +76,7 @@ type ExactOptions struct {
 	DisableMemo bool
 }
 
-// ExactScratch is caller-owned reusable state for Exact/ExactCtx. The
+// ExactScratch is caller-owned reusable state for ExactCtx. The
 // zero value is ready to use; see ExactOptions.Scratch for the ownership
 // contract.
 type ExactScratch struct {
@@ -104,7 +104,7 @@ type ExactOutcome struct {
 	Nodes int64
 }
 
-// Exact searches for a DRC-covering of K_n over C_n with at most
+// ExactCtx searches for a DRC-covering of K_n over C_n with at most
 // opts.Budget cycles, by branch and bound:
 //
 //   - branch on the uncovered pair with the largest short-arc distance
@@ -129,14 +129,11 @@ type ExactOutcome struct {
 // finding a solution cancels every subtree with a higher root index (a
 // lower-index subtree may still yield the canonical, serial-order
 // solution, so it runs to completion).
-func Exact(n int, opts ExactOptions) ExactOutcome {
-	return ExactCtx(context.Background(), n, opts)
-}
-
-// ExactCtx is Exact under a context: cancellation (or a deadline) is
-// honoured at every branch boundary, so the search stops within one node
-// expansion of ctx firing. An interrupted search reports Complete=false —
-// a nil Covering after cancellation is never an infeasibility proof.
+//
+// Cancellation (or a deadline) is honoured at every branch boundary, so
+// the search stops within one node expansion of ctx firing. An
+// interrupted search reports Complete=false — a nil Covering after
+// cancellation is never an infeasibility proof.
 func ExactCtx(ctx context.Context, n int, opts ExactOptions) ExactOutcome {
 	r := ring.MustNew(n)
 	if opts.NodeLimit == 0 {
@@ -166,12 +163,13 @@ func stateFor(opts ExactOptions) *exactState {
 	return &exactState{}
 }
 
-// ExactOptimal runs Exact at Budget = ρ(n) with the paper's cycle lengths
-// (MaxLen 4) and default parallelism. Per Theorems 1–2 a covering always
-// exists there; ok reports whether the solver found it within the node
-// limit.
-func ExactOptimal(n int, nodeLimit int64) (*cover.Covering, bool) {
-	out := Exact(n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: nodeLimit})
+// ExactOptimal runs ExactCtx at Budget = ρ(n) with the paper's cycle
+// lengths (MaxLen 4) and default parallelism. Per Theorems 1–2 a covering
+// always exists there; ok reports whether the solver found it within the
+// node limit before ctx fired, so ok=false also covers cancellation —
+// check ctx.Err() to tell the two apart.
+func ExactOptimal(ctx context.Context, n int, nodeLimit int64) (*cover.Covering, bool) {
+	out := ExactCtx(ctx, n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: nodeLimit})
 	return out.Covering, out.Covering != nil
 }
 

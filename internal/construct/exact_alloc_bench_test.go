@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -21,13 +22,13 @@ func BenchmarkExactInnerBranch(b *testing.B) {
 		Parallelism: 1,
 		Scratch:     NewExactScratch(),
 	}
-	if out := Exact(n, opts); out.Covering != nil || !out.Complete { // warm the scratch
+	if out := ExactCtx(context.Background(), n, opts); out.Covering != nil || !out.Complete { // warm the scratch
 		b.Fatalf("expected completed infeasibility proof, got %+v", out)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := Exact(n, opts); out.Covering != nil || !out.Complete {
+		if out := ExactCtx(context.Background(), n, opts); out.Covering != nil || !out.Complete {
 			b.Fatal("search result changed")
 		}
 	}

@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -22,12 +23,12 @@ func TestExactInnerBranchZeroAllocs(t *testing.T) {
 		Parallelism: 1,
 		Scratch:     NewExactScratch(),
 	}
-	warm := Exact(n, opts)
+	warm := ExactCtx(context.Background(), n, opts)
 	if warm.Covering != nil || !warm.Complete {
 		t.Fatalf("ρ(8)−1 must be a completed infeasibility proof, got %+v", warm)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		out := Exact(n, opts)
+		out := ExactCtx(context.Background(), n, opts)
 		if out.Covering != nil || !out.Complete {
 			t.Error("search result changed between runs")
 		}
@@ -44,8 +45,8 @@ func TestExactScratchMatchesFresh(t *testing.T) {
 	sc := NewExactScratch()
 	for _, n := range []int{6, 8, 10} {
 		for _, budget := range []int{cover.Rho(n) - 1, cover.Rho(n)} {
-			fresh := Exact(n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1})
-			reused := Exact(n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1, Scratch: sc})
+			fresh := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1})
+			reused := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1, Scratch: sc})
 			if fresh.Complete != reused.Complete || fresh.Nodes != reused.Nodes {
 				t.Fatalf("n=%d budget=%d: scratch changed search shape: fresh %+v, reused %+v", n, budget, fresh, reused)
 			}

@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,8 +37,8 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 		serialOpts, parOpts := opts, opts
 		serialOpts.Parallelism = 1
 		parOpts.Parallelism = 4
-		serial := Exact(n, serialOpts)
-		par := Exact(n, parOpts)
+		serial := ExactCtx(context.Background(), n, serialOpts)
+		par := ExactCtx(context.Background(), n, parOpts)
 		if serial.Complete != par.Complete {
 			t.Fatalf("n=%d: complete serial=%v parallel=%v", n, serial.Complete, par.Complete)
 		}
@@ -62,7 +63,7 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 // must aggregate honestly across all subtrees and still prove the bound.
 func TestExactParallelInfeasibilityProof(t *testing.T) {
 	for _, n := range []int{4, 5, 6, 7, 8} {
-		out := Exact(n, ExactOptions{
+		out := ExactCtx(context.Background(), n, ExactOptions{
 			Budget: cover.Rho(n) - 1, MaxLen: 0, NodeLimit: 30_000_000, Parallelism: 4,
 		})
 		if !out.Complete {
@@ -78,7 +79,7 @@ func TestExactParallelInfeasibilityProof(t *testing.T) {
 // TestExactParallelNodeLimitInterrupts: a starved shared budget must
 // yield an honest incomplete outcome, never a bogus completeness claim.
 func TestExactParallelNodeLimitInterrupts(t *testing.T) {
-	out := Exact(12, ExactOptions{Budget: cover.Rho(12), MaxLen: 4, NodeLimit: 10, Parallelism: 4})
+	out := ExactCtx(context.Background(), 12, ExactOptions{Budget: cover.Rho(12), MaxLen: 4, NodeLimit: 10, Parallelism: 4})
 	if out.Complete {
 		t.Error("10-node parallel search of n=12 cannot be complete")
 	}
@@ -96,7 +97,7 @@ func TestExactParallelConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			out := Exact(n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 4_000_000, Parallelism: 3})
+			out := ExactCtx(context.Background(), n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 4_000_000, Parallelism: 3})
 			if out.Covering == nil {
 				t.Errorf("n=%d: parallel search found no covering at ρ", n)
 				return
@@ -111,7 +112,7 @@ func TestExactParallelConcurrentCallers(t *testing.T) {
 
 // TestExactParallelismOne routes through the serial path explicitly.
 func TestExactParallelismOne(t *testing.T) {
-	out := Exact(7, ExactOptions{Budget: cover.Rho(7), MaxLen: 4, Parallelism: 1})
+	out := ExactCtx(context.Background(), 7, ExactOptions{Budget: cover.Rho(7), MaxLen: 4, Parallelism: 1})
 	if out.Covering == nil || !out.Complete {
 		t.Fatal("serial path broken")
 	}

@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,8 +46,8 @@ func TestExactPruningEquivalence(t *testing.T) {
 					pruned := base
 					plain := base
 					plain.DisableSymmetry, plain.DisableMemo = true, true
-					got := Exact(n, pruned)
-					want := Exact(n, plain)
+					got := ExactCtx(context.Background(), n, pruned)
+					want := ExactCtx(context.Background(), n, plain)
 					if !got.Complete || !want.Complete {
 						t.Fatalf("searches did not complete: pruned=%+v plain=%+v", got, want)
 					}
@@ -85,8 +86,8 @@ func TestExactMemoEquivalence(t *testing.T) {
 					on := ExactOptions{Budget: budget, MaxLen: 4, Parallelism: 1, DisableSymmetry: disableSym}
 					off := on
 					off.DisableMemo = true
-					got := Exact(n, on)
-					want := Exact(n, off)
+					got := ExactCtx(context.Background(), n, on)
+					want := ExactCtx(context.Background(), n, off)
 					if got.Complete != want.Complete {
 						t.Fatalf("sym=%v: Complete %v with memo, %v without", !disableSym, got.Complete, want.Complete)
 					}
@@ -115,7 +116,7 @@ func TestExactTruncationNeverClaimsComplete(t *testing.T) {
 		truth := map[int]bool{rho - 1: false, rho: true} // budget → feasible (Theorems 1–2)
 		for budget, feasible := range truth {
 			for limit := int64(1); limit <= 4096; limit *= 4 {
-				out := Exact(n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit, Parallelism: 1})
+				out := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit, Parallelism: 1})
 				if out.Covering != nil && !feasible {
 					t.Fatalf("n=%d budget=%d: covering found below ρ", n, budget)
 				}
@@ -137,7 +138,7 @@ func TestExactTruncationNeverClaimsComplete(t *testing.T) {
 // disabled rather than flip out-of-range key bits. Regression: the
 // unguarded key maintenance panicked with "index out of range [4]".
 func TestExactBeyondKeyCapacity(t *testing.T) {
-	out := Exact(24, ExactOptions{Budget: 6, MaxLen: 4, NodeLimit: 5_000, Parallelism: 1})
+	out := ExactCtx(context.Background(), 24, ExactOptions{Budget: 6, MaxLen: 4, NodeLimit: 5_000, Parallelism: 1})
 	if out.Covering != nil {
 		t.Fatalf("budget 6 cannot cover K_24: got a covering")
 	}

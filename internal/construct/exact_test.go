@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -14,7 +15,7 @@ import (
 // TestEvenSmallIsOptimal.)
 func TestExactFindsRhoCoverings(t *testing.T) {
 	for n := 4; n <= 9; n++ {
-		cv, ok := ExactOptimal(n, 4_000_000)
+		cv, ok := ExactOptimal(context.Background(), n, 4_000_000)
 		if !ok {
 			t.Fatalf("n=%d: no covering found at budget ρ=%d", n, cover.Rho(n))
 		}
@@ -30,7 +31,7 @@ func TestExactFindsRhoCoverings(t *testing.T) {
 // (p = 4 even, arc-length bound p²/2 = 8 < ρ = 9).
 func TestExactProvesLowerBounds(t *testing.T) {
 	for _, n := range []int{4, 5, 6, 7, 8} {
-		out := Exact(n, ExactOptions{Budget: cover.Rho(n) - 1, MaxLen: 0, NodeLimit: 30_000_000})
+		out := ExactCtx(context.Background(), n, ExactOptions{Budget: cover.Rho(n) - 1, MaxLen: 0, NodeLimit: 30_000_000})
 		if !out.Complete {
 			t.Fatalf("n=%d: search hit node limit after %d nodes", n, out.Nodes)
 		}
@@ -42,7 +43,7 @@ func TestExactProvesLowerBounds(t *testing.T) {
 }
 
 func TestExactRespectsMaxLen(t *testing.T) {
-	out := Exact(7, ExactOptions{Budget: cover.Rho(7), MaxLen: 3, NodeLimit: 2_000_000})
+	out := ExactCtx(context.Background(), 7, ExactOptions{Budget: cover.Rho(7), MaxLen: 3, NodeLimit: 2_000_000})
 	if out.Covering != nil {
 		for _, c := range out.Covering.Cycles {
 			if c.Len() > 3 {
@@ -53,7 +54,7 @@ func TestExactRespectsMaxLen(t *testing.T) {
 }
 
 func TestExactNodeLimitInterrupts(t *testing.T) {
-	out := Exact(12, ExactOptions{Budget: cover.Rho(12), MaxLen: 4, NodeLimit: 10})
+	out := ExactCtx(context.Background(), 12, ExactOptions{Budget: cover.Rho(12), MaxLen: 4, NodeLimit: 10})
 	if out.Complete {
 		t.Error("10-node search of n=12 cannot be complete")
 	}
@@ -63,14 +64,14 @@ func TestExactNodeLimitInterrupts(t *testing.T) {
 }
 
 func TestExactZeroBudget(t *testing.T) {
-	out := Exact(5, ExactOptions{Budget: 0, MaxLen: 4})
+	out := ExactCtx(context.Background(), 5, ExactOptions{Budget: 0, MaxLen: 4})
 	if out.Covering != nil || !out.Complete {
 		t.Error("budget 0: want complete failure")
 	}
 }
 
 func TestExactSolutionIsDRCVerified(t *testing.T) {
-	cv, ok := ExactOptimal(6, 2_000_000)
+	cv, ok := ExactOptimal(context.Background(), 6, 2_000_000)
 	if !ok {
 		t.Fatal("n=6 exact failed")
 	}

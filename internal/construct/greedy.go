@@ -21,7 +21,7 @@ type greedyScratch struct {
 
 var greedyScratches = scratch.NewPool(func() *greedyScratch { return &greedyScratch{} })
 
-// Greedy constructs a valid DRC-covering of an arbitrary logical
+// GreedyCtx constructs a valid DRC-covering of an arbitrary logical
 // multigraph over r, as a baseline and as the constructor for demand
 // patterns the closed-form machinery does not address (random instances,
 // sub-all-to-all demand). Strategy: repeatedly take the unserved request
@@ -31,13 +31,7 @@ var greedyScratches = scratch.NewPool(func() *greedyScratch { return &greedyScra
 //
 // The result is always valid (every request served at least its
 // multiplicity); nothing is claimed about optimality. EliminateRedundant
-// is applied before returning.
-func Greedy(r ring.Ring, demand *graph.Graph) *cover.Covering {
-	cv, _ := GreedyCtx(context.Background(), r, demand) // Background: err impossible
-	return cv
-}
-
-// GreedyCtx is Greedy under a context: cancellation is polled once per
+// is applied before returning. Cancellation is polled once per
 // constructed cycle, so the builder stops within one cycle-growing step
 // of ctx firing and returns ctx's error (never a partial covering).
 //

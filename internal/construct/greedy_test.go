@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,21 @@ import (
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
+// mustGreedy runs GreedyCtx without a deadline, failing t on error.
+func mustGreedy(t testing.TB, r ring.Ring, demand *graph.Graph) *cover.Covering {
+	t.Helper()
+	cv, err := GreedyCtx(context.Background(), r, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cv
+}
+
 func TestGreedyCoversAllToAll(t *testing.T) {
 	for _, n := range []int{4, 5, 8, 11, 16, 21} {
 		r := ring.MustNew(n)
 		demand := graph.Complete(n)
-		cv := Greedy(r, demand)
+		cv := mustGreedy(t, r, demand)
 		if err := cover.Verify(cv, demand); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -27,7 +38,7 @@ func TestGreedyCoversAllToAll(t *testing.T) {
 func TestGreedyNeverWorseThanTrivial(t *testing.T) {
 	// One cycle per pair is always achievable; greedy must beat it.
 	for _, n := range []int{7, 10, 15} {
-		cv := Greedy(ring.MustNew(n), graph.Complete(n))
+		cv := mustGreedy(t, ring.MustNew(n), graph.Complete(n))
 		if cv.Size() >= cover.EdgeCount(n) {
 			t.Errorf("n=%d: greedy %d not better than per-edge %d", n, cv.Size(), cover.EdgeCount(n))
 		}
@@ -50,7 +61,7 @@ func TestGreedyRandomInstancesProperty(t *testing.T) {
 		if demand.M() == 0 {
 			continue
 		}
-		cv := Greedy(r, demand)
+		cv := mustGreedy(t, r, demand)
 		if err := cover.Verify(cv, demand); err != nil {
 			t.Fatalf("trial %d n=%d: %v", trial, n, err)
 		}
@@ -63,14 +74,14 @@ func TestGreedyRandomInstancesProperty(t *testing.T) {
 func TestGreedyMultigraphDemand(t *testing.T) {
 	r := ring.MustNew(7)
 	demand := graph.LambdaComplete(7, 2)
-	cv := Greedy(r, demand)
+	cv := mustGreedy(t, r, demand)
 	if err := cover.Verify(cv, demand); err != nil {
 		t.Fatalf("2K7: %v", err)
 	}
 }
 
 func TestGreedyEmptyDemand(t *testing.T) {
-	cv := Greedy(ring.MustNew(6), graph.New(6))
+	cv := mustGreedy(t, ring.MustNew(6), graph.New(6))
 	if cv.Size() != 0 {
 		t.Errorf("empty demand: %d cycles, want 0", cv.Size())
 	}
@@ -80,7 +91,7 @@ func TestGreedySingleRequest(t *testing.T) {
 	r := ring.MustNew(9)
 	demand := graph.New(9)
 	demand.AddEdge(2, 6)
-	cv := Greedy(r, demand)
+	cv := mustGreedy(t, r, demand)
 	if err := cover.Verify(cv, demand); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestGreedySmallerDemandThanRing(t *testing.T) {
 	demand := graph.New(5)
 	demand.AddEdge(0, 4)
 	demand.AddEdge(1, 3)
-	cv := Greedy(r, demand)
+	cv := mustGreedy(t, r, demand)
 	if err := cover.Verify(cv, demand); err != nil {
 		t.Fatalf("covering invalid: %v", err)
 	}
@@ -143,7 +154,7 @@ func TestEliminateRedundantNoopOnOptimal(t *testing.T) {
 }
 
 func TestLambda(t *testing.T) {
-	res, err := Lambda(7, 3)
+	res, err := LambdaCtx(context.Background(), 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestLambda(t *testing.T) {
 	if res.Covering.Size() != 3*cover.Rho(7) {
 		t.Errorf("size %d, want 3ρ(7) = %d", res.Covering.Size(), 3*cover.Rho(7))
 	}
-	if _, err := Lambda(7, 0); err == nil {
+	if _, err := LambdaCtx(context.Background(), 7, 0); err == nil {
 		t.Error("lambda 0: want error")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
-// This file implements the fixed-budget repair search used by Even to hit
+// This file implements the fixed-budget repair search used by EvenCtx to hit
 // ρ(n) exactly. Three formulations share the engine:
 //
 //   - full: the whole all-to-all instance is the universe (used for small

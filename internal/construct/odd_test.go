@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -102,7 +103,7 @@ func TestOddDeterministic(t *testing.T) {
 func TestOddMatchesExactSolver(t *testing.T) {
 	for _, n := range []int{5, 7, 9} {
 		cv := Odd(n)
-		exact, ok := ExactOptimal(n, 4_000_000)
+		exact, ok := ExactOptimal(context.Background(), n, 4_000_000)
 		if !ok {
 			t.Fatalf("n=%d: exact solver failed to find ρ-sized covering", n)
 		}

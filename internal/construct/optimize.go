@@ -71,18 +71,12 @@ func EliminateRedundant(cv *cover.Covering, demand *graph.Graph) int {
 	return removed
 }
 
-// Lambda builds a DRC-covering of λK_n (every pair demanded λ times, the
-// paper's first listed extension) by stacking λ copies of the all-to-all
-// covering: coverage multiplicity scales with λ, so validity is immediate,
-// and the size is λ·|AllToAll(n)| — within λ·(achieved−ρ(n)) + (λ−1)·slack
-// of the generalised arc-length bound reported by
-// cover.InstanceLowerBound.
-func Lambda(n, lambda int) (Result, error) {
-	return LambdaCtx(context.Background(), n, lambda)
-}
-
-// LambdaCtx is Lambda under a context, threading it into the underlying
-// all-to-all construction.
+// LambdaCtx builds a DRC-covering of λK_n (every pair demanded λ times,
+// the paper's first listed extension) by stacking λ copies of the
+// all-to-all covering, which it builds under ctx: coverage multiplicity
+// scales with λ, so validity is immediate, and the size is
+// λ·|AllToAllCtx(n)| — within λ·(achieved−ρ(n)) + (λ−1)·slack of the
+// generalised arc-length bound reported by cover.InstanceLowerBound.
 func LambdaCtx(ctx context.Context, n, lambda int) (Result, error) {
 	if lambda < 1 {
 		return Result{}, errLambda(lambda)

@@ -47,16 +47,16 @@ func fixedPipeline(t *testing.T, in instance.Instance) Result {
 		var res Result
 		var err error
 		if lam == 1 {
-			res, err = AllToAll(in.N())
+			res, err = AllToAllCtx(context.Background(), in.N())
 		} else {
-			res, err = Lambda(in.N(), lam)
+			res, err = LambdaCtx(context.Background(), in.N(), lam)
 		}
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
 		return res
 	}
-	return Result{Covering: Greedy(ring.MustNew(in.N()), in.Demand), Method: MethodGreedy}
+	return Result{Covering: mustGreedy(t, ring.MustNew(in.N()), in.Demand), Method: MethodGreedy}
 }
 
 // TestUniformLambda pins the λ-class test: λK_n answers (λ, true), and
@@ -338,7 +338,7 @@ func TestPortfolioBoundPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := Greedy(ring.MustNew(9), in.Demand)
+	greedy := mustGreedy(t, ring.MustNew(9), in.Demand)
 	if out.Covering.Size() > greedy.Size() {
 		t.Fatalf("portfolio %d cycles, worse than its own greedy member's %d", out.Covering.Size(), greedy.Size())
 	}

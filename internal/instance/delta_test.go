@@ -136,3 +136,46 @@ func TestDeltaApplyTo(t *testing.T) {
 		t.Fatalf("child shape wrong: n=%d M=%d", child.N(), child.Demand.M())
 	}
 }
+
+// FuzzParseDelta drives the delta decoder with arbitrary specs. A spec
+// that parses must round-trip through String, and applying it to a small
+// K_n must either fail or change exactly the named pair, to the
+// multiplicity the kind promises, never panic.
+func FuzzParseDelta(f *testing.F) {
+	for _, spec := range []string{
+		"add:0:4", "remove:3:1", "fail:2:7", "set:5:6:0", "set:5:6:3", "set:0:1:1048576",
+		"add:+1:02", "add:-1:2", "add:1:1", "fail:0:99", "set:1:2:-1", "tweak:1:2", "add:1:2:3", "",
+	} {
+		f.Add(spec, uint8(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, size uint8) {
+		d, err := ParseDelta(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseDelta(d.String())
+		if err != nil || again != d {
+			t.Fatalf("ParseDelta(%q) = %+v, but its String %q parses to (%+v, %v)", spec, d, d.String(), again, err)
+		}
+		n := 3 + int(size%6)
+		parent := AllToAll(n)
+		child, err := d.ApplyTo(parent)
+		if err != nil {
+			return
+		}
+		if parent.Requests() != n*(n-1)/2 {
+			t.Fatalf("%s mutated its parent", d)
+		}
+		if child.N() != n {
+			t.Fatalf("%s on K_%d: child has %d vertices", d, n, child.N())
+		}
+		got := child.Demand.Mult(d.U, d.V)
+		want := map[DeltaKind]int{DeltaAdd: 2, DeltaRemove: 0, DeltaFail: 0, DeltaSet: d.M}[d.Kind]
+		if got != want {
+			t.Fatalf("%s on K_%d: pair multiplicity %d, want %d", d, n, got, want)
+		}
+		if child.Requests()-got != parent.Requests()-1 {
+			t.Fatalf("%s on K_%d changed a pair it does not name", d, n)
+		}
+	})
+}

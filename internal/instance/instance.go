@@ -36,6 +36,21 @@ func (in Instance) N() int { return in.Demand.N() }
 // 0 for a zero-value Instance.
 func (in Instance) Requests() int { return in.Demand.M() }
 
+// IsAllToAll reports whether the demand is K_n with multiplicity one —
+// the class ρ(n) speaks about. It is keyed on the demand itself, not on
+// a spec string, so lambda:1 and alltoall answer alike. A
+// general-topology instance whose host happens to be complete is not
+// all-to-all: its objective is the shortest cycle cover, and ρ(n) says
+// nothing about it.
+func (in Instance) IsAllToAll() bool {
+	if in.IsGeneral() {
+		return false
+	}
+	n := in.N()
+	pairs := n * (n - 1) / 2
+	return in.Demand.DistinctEdges() == pairs && in.Demand.M() == pairs
+}
+
 // AllToAll is the total exchange instance: every pair communicates, the
 // logical graph is K_n.
 func AllToAll(n int) Instance {

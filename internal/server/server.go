@@ -104,21 +104,6 @@ func formN(r *http.Request) (int, error) {
 	return n, nil
 }
 
-// isAllToAll reports whether the demand is K_n with multiplicity one —
-// the class ρ(n) speaks about. Keyed on the demand itself, not on the
-// spec string, so demand=lambda:1 and demand=alltoall answer alike (they
-// share a cache entry too). A general-topology instance whose host
-// happens to be complete is NOT all-to-all: its objective is
-// shortest cycle cover, and ρ(n) says nothing about it.
-func isAllToAll(in instance.Instance) bool {
-	if in.IsGeneral() {
-		return false
-	}
-	n := in.N()
-	pairs := n * (n - 1) / 2
-	return in.Demand.DistinctEdges() == pairs && in.Demand.M() == pairs
-}
-
 // Config sizes a Server. Zero values select sensible defaults.
 type Config struct {
 	// CacheSize bounds each store of the covering cache (0 →
@@ -465,7 +450,7 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 	if in.IsGeneral() {
 		resp.Length = res.Covering.TotalLength()
 		resp.SCCLowerBound = cover.SCCLowerBound(in.Host)
-	} else if isAllToAll(in) {
+	} else if in.IsAllToAll() {
 		resp.Rho = cover.Rho(in.N())
 	}
 	resp.Cycles = slices.Grow(resp.Cycles, len(res.Covering.Cycles))
@@ -794,7 +779,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			resp.Optimal = resp.Length == resp.SCCLowerBound
 			return resp, nil
 		}
-		if isAllToAll(in) {
+		if in.IsAllToAll() {
 			resp.Rho = cover.Rho(req.N)
 		}
 		cv, err := cover.FromVertexSets(rg, req.Cycles)

@@ -1,6 +1,7 @@
 package survive
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -11,7 +12,7 @@ import (
 
 func simulator(t *testing.T, n int) *Simulator {
 	t.Helper()
-	res, err := construct.AllToAll(n)
+	res, err := construct.AllToAllCtx(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func simulator(t *testing.T, n int) *Simulator {
 func TestEverySingleFailureRestored(t *testing.T) {
 	for _, n := range []int{4, 5, 6, 7, 9, 11, 14} {
 		sim := simulator(t, n)
-		sweep, err := sim.Sweep(SweepOptions{})
+		sweep, err := sim.SweepCtx(context.Background(), SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestEveryLinkFailureAffectsEverySubnetwork(t *testing.T) {
 
 func TestDoubleFailures(t *testing.T) {
 	sim := simulator(t, 8)
-	sweep, err := sim.Sweep(SweepOptions{K: 2})
+	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFailValidation(t *testing.T) {
 
 func TestSweepMetrics(t *testing.T) {
 	sim := simulator(t, 9)
-	sweep, err := sim.Sweep(SweepOptions{K: 1})
+	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,15 @@ func TestPartialDemandSurvivability(t *testing.T) {
 	for v := 1; v < 10; v++ {
 		demand.AddEdge(0, v)
 	}
-	cv := construct.Greedy(r, demand)
+	cv, err := construct.GreedyCtx(context.Background(), r, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nw, err := wdm.Plan(cv, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := NewSimulator(nw).Sweep(SweepOptions{})
+	sweep, err := NewSimulator(nw).SweepCtx(context.Background(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

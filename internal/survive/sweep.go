@@ -161,11 +161,6 @@ type sweepScratch struct {
 
 var sweepScratches = scratch.NewPool(func() *sweepScratch { return &sweepScratch{} })
 
-// Sweep runs SweepCtx without a context.
-func (s *Simulator) Sweep(opts SweepOptions) (SweepResult, error) {
-	return s.SweepCtx(context.Background(), opts)
-}
-
 // SweepCtx evaluates every planned failure scenario of multiplicity
 // opts.K against the network and aggregates the outcome.
 //

@@ -1,6 +1,7 @@
 package survive
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -14,7 +15,7 @@ import (
 // arithmetic over the resolved routes and allocates nothing — for k = 1
 // and for multi-failure link sets alike.
 func TestEvaluateZeroAllocs(t *testing.T) {
-	res, err := construct.AllToAll(11)
+	res, err := construct.AllToAllCtx(context.Background(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestEvaluateZeroAllocs(t *testing.T) {
 // TestDemandRoutesReuse pins the per-sweep fixed cost: resolving the
 // demand routes into a warm scratch allocates nothing.
 func TestDemandRoutesReuse(t *testing.T) {
-	res, err := construct.AllToAll(9)
+	res, err := construct.AllToAllCtx(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package survive
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // benchSimulator plans the all-to-all network once per size.
 func benchSimulator(b *testing.B, n int) *Simulator {
 	b.Helper()
-	res, err := construct.AllToAll(n)
+	res, err := construct.AllToAllCtx(context.Background(), n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Sweep(bc.opts)
+				res, err := sim.SweepCtx(context.Background(), bc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +88,7 @@ func BenchmarkSweepScaling(b *testing.B) {
 		sim := benchSimulator(b, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Sweep(SweepOptions{K: 2}); err != nil {
+				if _, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,19 +25,22 @@ func network(t *testing.T, n int, spec string) *wdm.Network {
 	r := ring.MustNew(n)
 	var cv *construct.Result
 	if lam, ok := construct.UniformLambda(in.Demand); ok && lam == 1 {
-		res, err := construct.AllToAll(n)
+		res, err := construct.AllToAllCtx(context.Background(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cv = &res
 	} else if ok {
-		res, err := construct.Lambda(n, lam)
+		res, err := construct.LambdaCtx(context.Background(), n, lam)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cv = &res
 	} else {
-		g := construct.Greedy(r, in.Demand)
+		g, err := construct.GreedyCtx(context.Background(), r, in.Demand)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cv = &construct.Result{Covering: g}
 	}
 	nw, err := wdm.Plan(cv.Covering, in.Demand)
@@ -82,11 +85,11 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 					serial, parallel := opts, opts
 					serial.Workers = 1
 					parallel.Workers = 4
-					want, err := sim.Sweep(serial)
+					want, err := sim.SweepCtx(context.Background(), serial)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sim.Sweep(parallel)
+					got, err := sim.SweepCtx(context.Background(), parallel)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -104,7 +107,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // path against the reference Fail reports, link by link.
 func TestSweepSingleMatchesFail(t *testing.T) {
 	sim := NewSimulator(network(t, 11, "alltoall"))
-	sweep, err := sim.Sweep(SweepOptions{K: 1, Workers: 3})
+	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{K: 1, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +176,21 @@ func TestSamplerDeterminism(t *testing.T) {
 // sampled, reports Complete = false, and reproduces per seed.
 func TestSweepSampledVsExhaustive(t *testing.T) {
 	sim := NewSimulator(network(t, 9, "alltoall")) // C(9,3) = 84
-	full, err := sim.Sweep(SweepOptions{K: 3, Sample: 84})
+	full, err := sim.SweepCtx(context.Background(), SweepOptions{K: 3, Sample: 84})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Sampled || !full.Complete || full.Planned != 84 {
 		t.Fatalf("fitting space must enumerate: %+v", full)
 	}
-	s1, err := sim.Sweep(SweepOptions{K: 3, Sample: 20, Seed: 5})
+	s1, err := sim.SweepCtx(context.Background(), SweepOptions{K: 3, Sample: 20, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s1.Sampled || s1.Complete || s1.Planned != 20 || s1.Scenarios != 84 {
 		t.Fatalf("oversized space must sample: %+v", s1)
 	}
-	s2, err := sim.Sweep(SweepOptions{K: 3, Sample: 20, Seed: 5, Workers: 4})
+	s2, err := sim.SweepCtx(context.Background(), SweepOptions{K: 3, Sample: 20, Seed: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +204,14 @@ func TestSweepSampledVsExhaustive(t *testing.T) {
 // reproducible and honestly reports Complete = false.
 func TestSweepBudgetTruncates(t *testing.T) {
 	sim := NewSimulator(network(t, 10, "alltoall"))
-	a, err := sim.Sweep(SweepOptions{K: 2, MaxScenarios: 7})
+	a, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2, MaxScenarios: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Planned != 7 || a.Evaluated != 7 || a.Complete || a.Scenarios != 45 {
 		t.Fatalf("budget must truncate to 7 of 45: %+v", a)
 	}
-	b, err := sim.Sweep(SweepOptions{K: 2, MaxScenarios: 7, Workers: 3})
+	b, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2, MaxScenarios: 7, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +225,12 @@ func TestSweepBudgetTruncates(t *testing.T) {
 func TestSweepValidatesK(t *testing.T) {
 	sim := NewSimulator(network(t, 6, "alltoall"))
 	for _, k := range []int{-1, 7} {
-		if _, err := sim.Sweep(SweepOptions{K: k}); err == nil {
+		if _, err := sim.SweepCtx(context.Background(), SweepOptions{K: k}); err == nil {
 			t.Errorf("k=%d: want error", k)
 		}
 	}
 	// k = n (all links down) is legal: everything is lost.
-	all, err := sim.Sweep(SweepOptions{K: 6})
+	all, err := sim.SweepCtx(context.Background(), SweepOptions{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +315,7 @@ func TestSweepRejectsUnroutedDemand(t *testing.T) {
 	nw := network(t, 6, "alltoall")
 	broken := *nw
 	broken.Assignment = map[graph.Edge]int{} // drop every route
-	if _, err := NewSimulator(&broken).Sweep(SweepOptions{K: 1}); err == nil {
+	if _, err := NewSimulator(&broken).SweepCtx(context.Background(), SweepOptions{K: 1}); err == nil {
 		t.Fatal("sweeping an unrouted demand: want error")
 	}
 }
@@ -321,7 +324,7 @@ func TestSweepRejectsUnroutedDemand(t *testing.T) {
 // with rate 1, never a division by zero.
 func TestSweepEmptyDemand(t *testing.T) {
 	sim := NewSimulator(network(t, 6, "random:0:1"))
-	res, err := sim.Sweep(SweepOptions{K: 2})
+	res, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package topo
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -259,13 +260,14 @@ type RingPlan struct {
 }
 
 // PlanIntraRing covers the all-to-all instance of every ring with the
-// optimal (or best known) single-ring construction. Because distinct
-// rings share no fibre, the per-ring DRC coverings compose into a valid
-// design for the whole tree; the returned plans carry the global ids.
-func (tr *TreeOfRings) PlanIntraRing() ([]RingPlan, error) {
+// optimal (or best known) single-ring construction, under ctx. Because
+// distinct rings share no fibre, the per-ring DRC coverings compose into
+// a valid design for the whole tree; the returned plans carry the global
+// ids.
+func (tr *TreeOfRings) PlanIntraRing(ctx context.Context) ([]RingPlan, error) {
 	var plans []RingPlan
 	for i, sp := range tr.Specs {
-		res, err := construct.AllToAll(sp.Size)
+		res, err := construct.AllToAllCtx(ctx, sp.Size)
 		if err != nil {
 			return nil, fmt.Errorf("topo: ring %d: %w", i, err)
 		}

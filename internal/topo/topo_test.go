@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -168,7 +169,7 @@ func TestPlanIntraRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, err := tr.PlanIntraRing()
+	plans, err := tr.PlanIntraRing(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

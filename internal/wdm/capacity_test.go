@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -53,7 +54,7 @@ func TestCapacityNeverOverfilled(t *testing.T) {
 // TestCapacityPartialDemand: with partial demand most channels idle but
 // the invariant (≤1 request per link per channel) still holds.
 func TestCapacityPartialDemand(t *testing.T) {
-	res, err := construct.AllToAll(9)
+	res, err := construct.AllToAllCtx(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"testing"
@@ -78,19 +79,23 @@ func defaultCovering(t *testing.T, n int, demand *graph.Graph) *cover.Covering {
 	lam, ok := construct.UniformLambda(demand)
 	switch {
 	case ok && lam == 1:
-		res, err := construct.AllToAll(n)
+		res, err := construct.AllToAllCtx(context.Background(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Covering
 	case ok:
-		res, err := construct.Lambda(n, lam)
+		res, err := construct.LambdaCtx(context.Background(), n, lam)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Covering
 	}
-	return construct.Greedy(ring.MustNew(n), demand)
+	cv, err := construct.GreedyCtx(context.Background(), ring.MustNew(n), demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cv
 }
 
 // checkAgainstReference plans cv over demand and requires every fact and

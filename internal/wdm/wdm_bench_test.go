@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ var benchSizes = []int{21, 51, 101}
 // paper's ρ(n) covering of K_n, verification included.
 func BenchmarkWDMPlan(b *testing.B) {
 	for _, n := range benchSizes {
-		res, err := construct.AllToAll(n)
+		res, err := construct.AllToAllCtx(context.Background(), n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +40,7 @@ var factsSink float64
 // from an already planned network, as every cache hit does.
 func BenchmarkNetworkFacts(b *testing.B) {
 	for _, n := range benchSizes {
-		res, err := construct.AllToAll(n)
+		res, err := construct.AllToAllCtx(context.Background(), n)
 		if err != nil {
 			b.Fatal(err)
 		}

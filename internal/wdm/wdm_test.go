@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -12,7 +13,7 @@ import (
 
 func planned(t *testing.T, n int) *Network {
 	t.Helper()
-	res, err := construct.AllToAll(n)
+	res, err := construct.AllToAllCtx(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSubnetworkRoutesTileRing(t *testing.T) {
 }
 
 func TestADMCountEqualsTotalVertices(t *testing.T) {
-	res, _ := construct.AllToAll(7)
+	res, _ := construct.AllToAllCtx(context.Background(), 7)
 	nw, err := Plan(res.Covering, graph.Complete(7))
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,10 @@ func TestPlanPartialDemand(t *testing.T) {
 	for v := 1; v < 8; v++ {
 		demand.AddEdge(0, v)
 	}
-	cv := construct.Greedy(r, demand)
+	cv, err := construct.GreedyCtx(context.Background(), r, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nw, err := Plan(cv, demand)
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,11 @@ import (
 // served from an LRU-bounded cache of verified results, and concurrent
 // first requests for one signature collapse onto a single computation.
 //
-// Every planning method has a -Ctx variant taking a context.Context:
-// cancellation or a deadline detaches the caller immediately, the
-// underlying construction continues for any other waiters, and is itself
-// aborted — mid-search, within one branch expansion — when the last
-// waiter departs. A cancelled construction never poisons the cache. The
-// context-free methods are equivalent to passing context.Background().
+// Every planning method takes a context.Context first: cancellation or a
+// deadline detaches the caller immediately, the underlying construction
+// continues for any other waiters, and is itself aborted — mid-search,
+// within one branch expansion — when the last waiter departs. A
+// cancelled construction never poisons the cache.
 //
 // A Planner is safe for concurrent use. Coverings it returns are private
 // clones — callers may mutate them freely — while returned *Network
@@ -71,14 +70,10 @@ func NewPlanner(opts ...PlannerOption) *Planner {
 	}
 }
 
-// CoverAllToAll is the cached CoverAllToAll: identical results, but the
-// construction runs once per ring size for the planner's lifetime.
-func (p *Planner) CoverAllToAll(n int) (cv *Covering, optimal bool, err error) {
-	return p.CoverAllToAllCtx(context.Background(), n)
-}
-
-// CoverAllToAllCtx is CoverAllToAll under a context.
-func (p *Planner) CoverAllToAllCtx(ctx context.Context, n int) (cv *Covering, optimal bool, err error) {
+// CoverAllToAll is the cached, cancellable CoverAllToAll: identical
+// results, but the construction runs once per ring size for the
+// planner's lifetime.
+func (p *Planner) CoverAllToAll(ctx context.Context, n int) (cv *Covering, optimal bool, err error) {
 	res, _, err := p.plans.CoverAllToAllCtx(ctx, n, p.opts)
 	if err != nil {
 		return nil, false, err
@@ -88,16 +83,10 @@ func (p *Planner) CoverAllToAllCtx(ctx context.Context, n int) (cv *Covering, op
 
 // CoverInstance is the cached CoverInstance. Beyond caching it also
 // upgrades uniform λK_n demands to the λ-composition constructor rather
-// than the generic greedy path.
-func (p *Planner) CoverInstance(in Instance) (*Covering, error) {
-	return p.CoverInstanceCtx(context.Background(), in)
-}
-
-// CoverInstanceCtx is CoverInstance under a context: a fired ctx aborts
-// an in-flight construction (for this caller immediately; for the search
-// itself when no other caller still wants it) without poisoning the
-// cache.
-func (p *Planner) CoverInstanceCtx(ctx context.Context, in Instance) (*Covering, error) {
+// than the generic greedy path. A fired ctx aborts an in-flight
+// construction (for this caller immediately; for the search itself when
+// no other caller still wants it) without poisoning the cache.
+func (p *Planner) CoverInstance(ctx context.Context, in Instance) (*Covering, error) {
 	res, _, err := p.plans.CoverCtx(ctx, in, p.opts)
 	if err != nil {
 		return nil, err
@@ -108,12 +97,7 @@ func (p *Planner) CoverInstanceCtx(ctx context.Context, in Instance) (*Covering,
 // PlanWDM returns the cached WDM design for the instance, constructing
 // the covering (also cached) when needed. The returned network is shared:
 // treat it as read-only.
-func (p *Planner) PlanWDM(in Instance) (*Network, error) {
-	return p.PlanWDMCtx(context.Background(), in)
-}
-
-// PlanWDMCtx is PlanWDM under a context.
-func (p *Planner) PlanWDMCtx(ctx context.Context, in Instance) (*Network, error) {
+func (p *Planner) PlanWDM(ctx context.Context, in Instance) (*Network, error) {
 	nw, _, err := p.plans.NetworkCtx(ctx, in, p.opts)
 	return nw, err
 }
@@ -168,15 +152,10 @@ type PlannedDelta struct {
 //
 // An unresolvable parent signature fails with an error wrapping
 // cache.ErrUnknownParent (plan the parent first); a delta invalid
-// against the parent's demand wraps cache.ErrBadDelta.
-func (p *Planner) PlanDelta(parentSig string, d Delta) (*PlannedDelta, error) {
-	return p.PlanDeltaCtx(context.Background(), parentSig, d)
-}
-
-// PlanDeltaCtx is PlanDelta under a context, with the cancellation
-// semantics of CoverInstanceCtx for both the repair and any fallback
-// construction.
-func (p *Planner) PlanDeltaCtx(ctx context.Context, parentSig string, d Delta) (*PlannedDelta, error) {
+// against the parent's demand wraps cache.ErrBadDelta. ctx has the
+// cancellation semantics of CoverInstance for both the repair and any
+// fallback construction.
+func (p *Planner) PlanDelta(ctx context.Context, parentSig string, d Delta) (*PlannedDelta, error) {
 	dp, err := p.plans.ResolveDelta(parentSig, d)
 	if err != nil {
 		return nil, err
@@ -219,18 +198,14 @@ type PlanManyResult struct {
 // batch size. workers ≤ 0 selects GOMAXPROCS. A zero-value instance in
 // the batch yields an error in its slot, never a panic, and does not
 // affect the other slots.
-func (p *Planner) PlanMany(ins []Instance, workers int) []PlanManyResult {
-	return p.PlanManyCtx(context.Background(), ins, workers)
-}
-
-// PlanManyCtx is PlanMany under a context. When ctx fires mid-batch,
-// slots that have not started are skipped and report ctx's error
-// (context.Canceled for a disconnect, context.DeadlineExceeded for a
-// deadline), in-flight slots detach from their constructions (each
-// construction is aborted once no caller wants it), and completed slots
-// keep their results — the returned slice always has one entry per
-// input, in input order.
-func (p *Planner) PlanManyCtx(ctx context.Context, ins []Instance, workers int) []PlanManyResult {
+//
+// When ctx fires mid-batch, slots that have not started are skipped and
+// report ctx's error (context.Canceled for a disconnect,
+// context.DeadlineExceeded for a deadline), in-flight slots detach from
+// their constructions (each construction is aborted once no caller wants
+// it), and completed slots keep their results — the returned slice
+// always has one entry per input, in input order.
+func (p *Planner) PlanMany(ctx context.Context, ins []Instance, workers int) []PlanManyResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -285,15 +260,11 @@ type Simulation struct {
 // construction. See SweepOptions for the sweep contract (exhaustive
 // k ≤ 2, deterministic seeded sampling for k ≥ 3, parallel evaluation
 // with a worker-count-independent report).
-func (p *Planner) Simulate(in Instance, opts SweepOptions) (*Simulation, error) {
-	return p.SimulateCtx(context.Background(), in, opts)
-}
-
-// SimulateCtx is Simulate under a context. Cancellation or a deadline
-// aborts the planning stage exactly like PlanWDMCtx, and the sweep stage
-// within one scenario evaluation; an interrupted call returns the
-// context's error, never a partial report.
-func (p *Planner) SimulateCtx(ctx context.Context, in Instance, opts SweepOptions) (*Simulation, error) {
+//
+// Cancellation or a deadline aborts the planning stage exactly like
+// PlanWDM, and the sweep stage within one scenario evaluation; an
+// interrupted call returns the context's error, never a partial report.
+func (p *Planner) Simulate(ctx context.Context, in Instance, opts SweepOptions) (*Simulation, error) {
 	nw, _, err := p.plans.NetworkCtx(ctx, in, p.opts)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ func TestPlanManyCtxCancelledSkipsSlots(t *testing.T) {
 	for i := range ins {
 		ins[i] = AllToAll(5 + i)
 	}
-	out := p.PlanManyCtx(ctx, ins, 4)
+	out := p.PlanMany(ctx, ins, 4)
 	if len(out) != len(ins) {
 		t.Fatalf("%d results for %d inputs", len(out), len(ins))
 	}
@@ -38,7 +38,7 @@ func TestPlanManyCtxCancelledSkipsSlots(t *testing.T) {
 func TestPlanManyCtxMidBatchCancel(t *testing.T) {
 	p := NewPlanner()
 	// Warm a couple of cheap signatures so early slots can complete.
-	if _, err := p.CoverInstance(AllToAll(7)); err != nil {
+	if _, err := p.CoverInstance(context.Background(), AllToAll(7)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -55,7 +55,7 @@ func TestPlanManyCtxMidBatchCancel(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	out := p.PlanManyCtx(ctx, ins, 2)
+	out := p.PlanMany(ctx, ins, 2)
 	if len(out) != len(ins) {
 		t.Fatalf("%d results for %d inputs", len(out), len(ins))
 	}
@@ -75,29 +75,12 @@ func TestPlanManyCtxMidBatchCancel(t *testing.T) {
 	}
 }
 
-// TestPlanManyCtxBackgroundMatchesPlanMany: the ctx variant with a live
-// context is the same API — identical results to PlanMany.
-func TestPlanManyCtxBackgroundMatchesPlanMany(t *testing.T) {
-	p := NewPlanner()
-	ins := []Instance{AllToAll(6), Hub(9, 2), Neighbors(8)}
-	a := p.PlanMany(ins, 2)
-	b := p.PlanManyCtx(context.Background(), ins, 2)
-	for i := range ins {
-		if (a[i].Err == nil) != (b[i].Err == nil) {
-			t.Fatalf("slot %d: err mismatch (%v vs %v)", i, a[i].Err, b[i].Err)
-		}
-		if a[i].Err == nil && a[i].Covering.Size() != b[i].Covering.Size() {
-			t.Fatalf("slot %d: size mismatch", i)
-		}
-	}
-}
-
 // TestPlannerWithStrategy: a planner pinned to one strategy serves it
 // for every call, and an unknown strategy surfaces as an error from the
 // first plan, not a panic.
 func TestPlannerWithStrategy(t *testing.T) {
 	p := NewPlanner(WithStrategy("portfolio"))
-	cv, err := p.CoverInstanceCtx(context.Background(), AllToAll(10))
+	cv, err := p.CoverInstance(context.Background(), AllToAll(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +89,7 @@ func TestPlannerWithStrategy(t *testing.T) {
 	}
 	// Identical to the default pipeline (the portfolio determinism rule).
 	dflt := NewPlanner()
-	base, err := dflt.CoverInstance(AllToAll(10))
+	base, err := dflt.CoverInstance(context.Background(), AllToAll(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +98,7 @@ func TestPlannerWithStrategy(t *testing.T) {
 	}
 
 	bad := NewPlanner(WithStrategy("annealing"))
-	if _, err := bad.CoverInstance(AllToAll(8)); err == nil {
+	if _, err := bad.CoverInstance(context.Background(), AllToAll(8)); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -126,10 +109,10 @@ func TestPlannerCtxCancelDoesNotPoison(t *testing.T) {
 	p := NewPlanner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.CoverInstanceCtx(ctx, AllToAll(11)); !errors.Is(err, context.Canceled) {
+	if _, err := p.CoverInstance(ctx, AllToAll(11)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	cv, err := p.CoverInstance(AllToAll(11))
+	cv, err := p.CoverInstance(context.Background(), AllToAll(11))
 	if err != nil {
 		t.Fatalf("cache poisoned: %v", err)
 	}
@@ -137,7 +120,7 @@ func TestPlannerCtxCancelDoesNotPoison(t *testing.T) {
 		t.Fatalf("recovered plan has %d cycles, want %d", cv.Size(), Rho(11))
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.PlanWDMCtx(context.Background(), AllToAll(11)); err != nil {
+		if _, err := p.PlanWDM(context.Background(), AllToAll(11)); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}

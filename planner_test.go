@@ -1,6 +1,7 @@
 package cyclecover
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestPlannerMatchesUncachedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // cold, then warm
-			cached, cachedOpt, err := p.CoverAllToAll(n)
+			cached, cachedOpt, err := p.CoverAllToAll(context.Background(), n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,11 +38,11 @@ func TestPlannerMatchesUncachedPath(t *testing.T) {
 func TestPlannerPlanWDM(t *testing.T) {
 	p := NewPlanner(WithCacheSize(8))
 	in := AllToAll(9)
-	nw, err := p.PlanWDM(in)
+	nw, err := p.PlanWDM(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := p.PlanWDM(in)
+	again, err := p.PlanWDM(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +63,13 @@ func TestPlannerPlanWDM(t *testing.T) {
 // not affect later calls.
 func TestPlannerReturnsPrivateClones(t *testing.T) {
 	p := NewPlanner()
-	cv, _, err := p.CoverAllToAll(9)
+	cv, _, err := p.CoverAllToAll(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := cv.Size()
 	cv.Add(cv.Cycles[0]) // corrupt the caller's copy
-	cv2, _, err := p.CoverAllToAll(9)
+	cv2, _, err := p.CoverAllToAll(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestPlannerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			n := 9 + (w%3)*2
 			for i := 0; i < 5; i++ {
-				if _, _, err := p.CoverAllToAll(n); err != nil {
+				if _, _, err := p.CoverAllToAll(context.Background(), n); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := p.PlanWDM(AllToAll(n)); err != nil {
+				if _, err := p.PlanWDM(context.Background(), AllToAll(n)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -122,13 +123,13 @@ func BenchmarkCoverAllToAllUncached(b *testing.B) {
 // magnitude (a clone versus a full construction).
 func BenchmarkPlannerCoverAllToAllWarm(b *testing.B) {
 	p := NewPlanner()
-	if _, _, err := p.CoverAllToAll(101); err != nil {
+	if _, _, err := p.CoverAllToAll(context.Background(), 101); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv, _, err := p.CoverAllToAll(101)
+		cv, _, err := p.CoverAllToAll(context.Background(), 101)
 		if err != nil || cv.Size() == 0 {
 			b.Fatal("cached cover failed")
 		}
@@ -139,13 +140,13 @@ func BenchmarkPlannerCoverAllToAllWarm(b *testing.B) {
 func BenchmarkPlannerPlanWDMWarm(b *testing.B) {
 	p := NewPlanner()
 	in := AllToAll(51)
-	if _, err := p.PlanWDM(in); err != nil {
+	if _, err := p.PlanWDM(context.Background(), in); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PlanWDM(in); err != nil {
+		if _, err := p.PlanWDM(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +171,7 @@ func TestPlanManyMixedBatch(t *testing.T) {
 		{}, // zero value: error slot, not a panic
 		AllToAll(9),
 	}
-	results := p.PlanMany(ins, 4)
+	results := p.PlanMany(context.Background(), ins, 4)
 	if len(results) != len(ins) {
 		t.Fatalf("got %d results for %d instances", len(results), len(ins))
 	}
@@ -202,10 +203,10 @@ func TestPlanManyMixedBatch(t *testing.T) {
 // clamped to batch size / forced serial.
 func TestPlanManyEmptyAndSerial(t *testing.T) {
 	p := NewPlanner()
-	if got := p.PlanMany(nil, 8); len(got) != 0 {
+	if got := p.PlanMany(context.Background(), nil, 8); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	results := p.PlanMany([]Instance{AllToAll(5)}, 1)
+	results := p.PlanMany(context.Background(), []Instance{AllToAll(5)}, 1)
 	if len(results) != 1 || results[0].Err != nil || results[0].Covering.Size() != 3 {
 		t.Fatalf("serial PlanMany broken: %+v", results)
 	}
@@ -222,7 +223,7 @@ func TestPlanManyConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, res := range p.PlanMany(ins, 0) {
+			for _, res := range p.PlanMany(context.Background(), ins, 0) {
 				if res.Err != nil {
 					t.Error(res.Err)
 				}
@@ -242,11 +243,11 @@ func BenchmarkPlanManyWarm(b *testing.B) {
 		AllToAll(9), AllToAll(11), AllToAll(13), Hub(12, 0), Neighbors(10),
 		AllToAll(9), AllToAll(11), AllToAll(13),
 	}
-	p.PlanMany(ins, 0) // warm
+	p.PlanMany(context.Background(), ins, 0) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range p.PlanMany(ins, 0) {
+		for _, res := range p.PlanMany(context.Background(), ins, 0) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

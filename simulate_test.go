@@ -20,7 +20,7 @@ func TestPlannerSimulatePlanOnce(t *testing.T) {
 	}
 	var nw *Network
 	for _, opts := range sweeps {
-		sim, err := p.Simulate(in, opts)
+		sim, err := p.Simulate(context.Background(), in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestPlannerSimulatePlanOnce(t *testing.T) {
 		} else if sim.Network != nw {
 			t.Fatal("simulations of one signature must share the cached network")
 		}
-		want, err := NewSimulator(nw).Sweep(opts)
+		want, err := NewSimulator(nw).SweepCtx(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestPlannerSimulatePlanOnce(t *testing.T) {
 func TestPlannerSimulateHardening(t *testing.T) {
 	p := NewPlanner()
 	var zero Instance
-	if _, err := p.Simulate(zero, SweepOptions{}); err == nil {
+	if _, err := p.Simulate(context.Background(), zero, SweepOptions{}); err == nil {
 		t.Error("Simulate(zero): want error")
 	}
 	if st := p.CacheStats(); st.Coverings.Entries != 0 {
@@ -59,10 +59,10 @@ func TestPlannerSimulateHardening(t *testing.T) {
 	}
 	// A bad sweep parameter fails after planning: the (valid) plan stays
 	// cached, so a corrected retry sweeps without re-constructing.
-	if _, err := p.Simulate(AllToAll(6), SweepOptions{K: 99}); err == nil {
+	if _, err := p.Simulate(context.Background(), AllToAll(6), SweepOptions{K: 99}); err == nil {
 		t.Error("k beyond the link count: want error")
 	}
-	if _, err := p.Simulate(AllToAll(6), SweepOptions{K: 2}); err != nil {
+	if _, err := p.Simulate(context.Background(), AllToAll(6), SweepOptions{K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.CacheStats(); st.Networks.Hits != 1 {
@@ -76,12 +76,12 @@ func TestPlannerSimulateCtx(t *testing.T) {
 	p := NewPlanner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.SimulateCtx(ctx, AllToAll(9), SweepOptions{K: 2}); err == nil {
+	if _, err := p.Simulate(ctx, AllToAll(9), SweepOptions{K: 2}); err == nil {
 		t.Fatal("cancelled simulate: want error")
 	}
 	// The cancelled attempt must not have cached anything unverified; a
 	// fresh call succeeds.
-	if _, err := p.Simulate(AllToAll(9), SweepOptions{K: 2}); err != nil {
+	if _, err := p.Simulate(context.Background(), AllToAll(9), SweepOptions{K: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
