@@ -197,27 +197,6 @@ func BenchmarkVerifierAblation(b *testing.B) {
 	})
 }
 
-// A3: sweep parallelisation — serial vs worker-pool table generation.
-func BenchmarkParallelSweep(b *testing.B) {
-	ns := []int{3, 9, 15, 21, 27, 33, 41, 51, 61, 71}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.ParallelTableT1Ctx(context.Background(), ns, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.ParallelTableT1Ctx(context.Background(), ns, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // Micro-benchmarks for the core paths.
 
 func BenchmarkOddConstruction(b *testing.B) {
@@ -301,32 +280,6 @@ func BenchmarkStoreWarmHitThroughput(b *testing.B) {
 	})
 }
 
-// S2: exact-search certification at the largest search-certified even n,
-// serial vs the first-level fan-out. The parallel run is deterministic
-// (same covering as serial, pinned by TestExactParallelMatchesSerial)
-// and scales with cores. Parallelism is forced to 4 rather than left at
-// the GOMAXPROCS default so the fan-out machinery is exercised even on a
-// single-core runner (where the default would degrade to serial).
-func BenchmarkExactCertification(b *testing.B) {
-	const n = 12
-	for _, tc := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
-					Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 8_000_000, Parallelism: tc.par,
-				})
-				if out.Covering == nil {
-					b.Fatal("no covering at ρ(12)")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExact is the pinned exact-search hot-path benchmark (see
 // BENCH_5.json): the full branch-and-bound certification of K_12 at
 // ρ(12), serial, fixed node limit. Its inner branch is the hottest loop
@@ -339,7 +292,7 @@ func BenchmarkExact(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
-			Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 8_000_000, Parallelism: 1,
+			Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 8_000_000,
 		})
 		if out.Covering == nil {
 			b.Fatal("no covering at ρ(12)")
@@ -361,7 +314,7 @@ func BenchmarkExactCert(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
-			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit, Parallelism: 1,
+			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit,
 		})
 		if out.Covering != nil || !out.Complete {
 			b.Fatalf("ρ(12)−1 must be a completed infeasibility proof, got %+v", out)
@@ -381,7 +334,7 @@ func BenchmarkExactCertRho13(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		out := construct.ExactCtx(context.Background(), n, construct.ExactOptions{
-			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit, Parallelism: 1,
+			Budget: cover.Rho(n) - 1, MaxLen: 4, NodeLimit: construct.DefaultNodeLimit,
 		})
 		if out.Covering != nil || !out.Complete {
 			b.Fatalf("ρ(13)−1 must be a completed infeasibility proof, got %+v", out)

@@ -26,11 +26,9 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
 	outPath := flag.String("out", "", "also write results to this file")
-	workers := flag.Int("workers", 0, "parallel workers for the sweeps (0 = GOMAXPROCS)")
 	cold := flag.Bool("cold", false, "skip the warm-start snapshot (honest cold timings)")
 	saveCache := flag.String("save-cache", "", "after the sweep, write the covering cache snapshot here")
 	flag.Parse()
-	sweepWorkers = *workers
 	// Regenerating the snapshot from a warm cache would only write the old
 	// snapshot back, so -save-cache forces a cold sweep.
 	bench.SkipWarmStart = *cold || *saveCache != ""
@@ -92,14 +90,14 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	}
 
 	section(w, "T1 — Theorem 1: rho(n) for odd n (count, composition, optimality)")
-	t1, err := bench.ParallelTableT1Ctx(ctx, oddNs, sweepWorkers)
+	t1, err := bench.TableT1(ctx, oddNs)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, bench.RenderT1(t1))
 
 	section(w, "T2 — Theorem 2: rho(n) for even n (achieved vs theorem)")
-	t2, err := bench.ParallelTableT2Ctx(ctx, evenNs, sweepWorkers)
+	t2, err := bench.TableT2(ctx, evenNs)
 	if err != nil {
 		return err
 	}
@@ -132,7 +130,7 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintln(w, bench.RenderF1(bench.SeriesF1(f1Ns)))
 
 	section(w, "F2 — survivability: single- and double-failure drills")
-	f2, err := bench.ParallelTableF2Ctx(ctx, f2Ns, doubleLimit, sweepWorkers)
+	f2, err := bench.TableF2(ctx, f2Ns, doubleLimit)
 	if err != nil {
 		return err
 	}
@@ -167,10 +165,6 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	fmt.Fprintln(w, bench.RenderA1(a1))
 	return nil
 }
-
-// sweepWorkers is the worker count for the parallel sweeps, set from
-// -workers.
-var sweepWorkers int
 
 func section(w io.Writer, title string) {
 	fmt.Fprintf(w, "== %s ==\n\n", title)

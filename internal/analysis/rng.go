@@ -8,7 +8,7 @@ import (
 
 // RNGDiscipline enforces that every random draw and every wall-clock
 // read in the module is explicit about its provenance: the paper
-// pipeline's determinism pins (parallel-vs-serial exact search,
+// pipeline's determinism pins (scratch-vs-fresh exact search,
 // portfolio-vs-pipeline, sampled failure sweeps) are only meaningful if
 // all randomness is derived from a caller-supplied seed and no result
 // depends on the clock.

@@ -106,23 +106,25 @@ type T1Row struct {
 	Valid, Optimal       bool
 }
 
-// TableT1 builds the Theorem 1 table for the given odd sizes. Like
-// every table that constructs or sweeps, it returns ctx's error, and no
-// rows, once ctx has fired.
+// TableT1 builds the Theorem 1 table for the given odd sizes, one row
+// per size, computed concurrently (parallelMap). Like every table that
+// constructs or sweeps, it returns ctx's error, and no rows, once ctx
+// has fired.
 func TableT1(ctx context.Context, ns []int) ([]T1Row, error) {
-	var rows []T1Row
 	for _, n := range ns {
 		if n%2 == 0 {
 			return nil, fmt.Errorf("bench: T1 wants odd n, got %d", n)
 		}
+	}
+	return parallelMap(ctx, ns, func(n int) (T1Row, error) {
 		res, err := allToAll(ctx, n) // odd n: the Theorem 1 construction, cached
 		if err != nil {
-			return nil, err
+			return T1Row{}, err
 		}
 		cv := res.Covering
 		err = cover.Verify(cv, graph.Complete(n))
 		comp, _ := cover.TheoremComposition(n)
-		rows = append(rows, T1Row{
+		return T1Row{
 			N: n, P: (n - 1) / 2,
 			Rho:         cover.Rho(n),
 			Constructed: cv.Size(),
@@ -132,9 +134,8 @@ func TableT1(ctx context.Context, ns []int) ([]T1Row, error) {
 			Slack:      cv.DuplicateSlots(),
 			Valid:      err == nil,
 			Optimal:    cv.Size() == cover.Rho(n),
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // RenderT1 formats the Theorem 1 table.
@@ -166,16 +167,18 @@ type T2Row struct {
 	Method   string // "search" or "layered"
 }
 
-// TableT2 builds the Theorem 2 table for the given even sizes.
+// TableT2 builds the Theorem 2 table for the given even sizes, one row
+// per size, computed concurrently (parallelMap).
 func TableT2(ctx context.Context, ns []int) ([]T2Row, error) {
-	var rows []T2Row
 	for _, n := range ns {
 		if n%2 == 1 {
 			return nil, fmt.Errorf("bench: T2 wants even n, got %d", n)
 		}
+	}
+	return parallelMap(ctx, ns, func(n int) (T2Row, error) {
 		res, err := allToAll(ctx, n) // even n: search within range, layered beyond
 		if err != nil {
-			return nil, err
+			return T2Row{}, err
 		}
 		cv, optimal := res.Covering, res.Optimal
 		err = cover.Verify(cv, graph.Complete(n))
@@ -183,7 +186,7 @@ func TableT2(ctx context.Context, ns []int) ([]T2Row, error) {
 		if optimal {
 			method = "search"
 		}
-		rows = append(rows, T2Row{
+		return T2Row{
 			N: n, P: n / 2,
 			Rho:      cover.Rho(n),
 			Achieved: cv.Size(),
@@ -192,9 +195,8 @@ func TableT2(ctx context.Context, ns []int) ([]T2Row, error) {
 			Valid:   err == nil,
 			Optimal: optimal,
 			Method:  method,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // RenderT2 formats the Theorem 2 table.
@@ -440,21 +442,20 @@ type F2Row struct {
 	DoubleWorst    float64
 }
 
-// TableF2 runs the failure sweeps on the survivability engine (serial:
-// the sweep sizes here are small and the table rows already fan out via
-// ParallelTableF2Ctx). Double-failure sweeps are quadratic in n and run
-// only for n ≤ doubleLimit.
+// TableF2 runs the failure sweeps on the survivability engine, one row
+// per size, computed concurrently (parallelMap); each row's sweeps run
+// serially, since the rows already fan out. Double-failure sweeps are
+// quadratic in n and run only for n ≤ doubleLimit.
 func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
-	var rows []F2Row
-	for _, n := range ns {
+	return parallelMap(ctx, ns, func(n int) (F2Row, error) {
 		nw, err := allToAllNetwork(ctx, n)
 		if err != nil {
-			return nil, err
+			return F2Row{}, err
 		}
 		sim := survive.NewSimulator(nw)
 		sweep, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 1, Workers: 1})
 		if err != nil {
-			return nil, err
+			return F2Row{}, err
 		}
 		row := F2Row{
 			N:              n,
@@ -472,16 +473,15 @@ func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 		if n <= doubleLimit {
 			double, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 2, Workers: 1})
 			if err != nil {
-				return nil, err
+				return F2Row{}, err
 			}
 			row.DoubleMean, row.DoubleWorst = double.MeanRestoration, double.WorstRestoration
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return F2Row{}, err
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // RenderF2 formats the survivability table.

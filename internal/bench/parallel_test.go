@@ -3,61 +3,39 @@ package bench
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
-func TestParallelT1MatchesSerial(t *testing.T) {
-	ns := []int{3, 5, 7, 9, 11, 13, 15, 17, 19, 21}
-	serial, err := TableT1(context.Background(), ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ParallelTableT1Ctx(context.Background(), ns, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestParallelT2MatchesSerial(t *testing.T) {
-	ns := []int{4, 6, 8, 10, 12}
-	serial, err := TableT2(context.Background(), ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ParallelTableT2Ctx(context.Background(), ns, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-}
-
+// TestParallelF2 checks that TableF2's concurrent rows are the rows
+// each ring size gives when swept alone, in input order, and that every
+// single failure restores.
 func TestParallelF2(t *testing.T) {
-	rows, err := ParallelTableF2Ctx(context.Background(), []int{5, 8, 11}, 8, 0) // 0 → GOMAXPROCS
+	ns := []int{5, 8, 11}
+	rows, err := TableF2(context.Background(), ns, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if !r.AllRestored {
-			t.Errorf("n=%d: survivability violated", r.N)
+	if len(rows) != len(ns) {
+		t.Fatalf("%d rows for %d ring sizes", len(rows), len(ns))
+	}
+	for i, n := range ns {
+		alone, err := TableF2(context.Background(), []int{n}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i] != alone[0] {
+			t.Errorf("row %d: %+v, swept alone %+v", i, rows[i], alone[0])
+		}
+		if !rows[i].AllRestored {
+			t.Errorf("n=%d: survivability violated", n)
 		}
 	}
 }
 
 func TestParallelMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := parallelMap(context.Background(), []int{1, 2, 3, 4}, 2, func(n int) (int, error) {
+	_, err := parallelMap(context.Background(), []int{1, 2, 3, 4}, func(n int) (int, error) {
 		if n == 3 {
 			return 0, boom
 		}
@@ -70,7 +48,7 @@ func TestParallelMapErrorPropagation(t *testing.T) {
 
 func TestParallelMapOrderPreserved(t *testing.T) {
 	ns := []int{9, 3, 7, 5, 11, 13}
-	out, err := parallelMap(context.Background(), ns, 3, func(n int) (int, error) { return n * 10, nil })
+	out, err := parallelMap(context.Background(), ns, func(n int) (int, error) { return n * 10, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +59,19 @@ func TestParallelMapOrderPreserved(t *testing.T) {
 	}
 }
 
+// TestParallelMapDegenerateWorkerCounts covers inputs shorter than
+// GOMAXPROCS, where the worker count drops to len(ns): no workers for
+// an empty sweep, one for a single row.
 func TestParallelMapDegenerateWorkerCounts(t *testing.T) {
-	for _, w := range []int{-1, 0, 1, 100} {
-		out, err := parallelMap(context.Background(), []int{2, 4}, w, func(n int) (int, error) { return n, nil })
-		if err != nil || len(out) != 2 || out[0] != 2 || out[1] != 4 {
-			t.Fatalf("workers=%d: out=%v err=%v", w, out, err)
+	for _, ns := range [][]int{{}, {2}, {2, 4}} {
+		out, err := parallelMap(context.Background(), ns, func(n int) (int, error) { return n, nil })
+		if err != nil || len(out) != len(ns) {
+			t.Fatalf("ns=%v: out=%v err=%v", ns, out, err)
+		}
+		for i, n := range ns {
+			if out[i] != n {
+				t.Fatalf("ns=%v: out=%v", ns, out)
+			}
 		}
 	}
 }
@@ -93,20 +79,15 @@ func TestParallelMapDegenerateWorkerCounts(t *testing.T) {
 func TestParallelMapCancelledSkipsRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ran := 0
-	_, err := parallelMap(ctx, []int{1, 2, 3}, 2, func(n int) (int, error) {
-		ran++
+	var ran atomic.Int32
+	_, err := parallelMap(ctx, []int{1, 2, 3}, func(n int) (int, error) {
+		ran.Add(1)
 		return n, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	if ran != 0 {
-		t.Fatalf("%d rows ran under a cancelled context", ran)
-	}
-	// Serial path (workers 1) honours the same contract.
-	_, err = parallelMap(ctx, []int{1, 2, 3}, 1, func(n int) (int, error) { return n, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("serial err = %v, want Canceled", err)
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d rows ran under a cancelled context", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,5 +249,40 @@ func TestCoverCtxStrategySignatures(t *testing.T) {
 	// Errors (unknown strategy) are not cached.
 	if _, _, err := p.CoverCtx(context.Background(), in, Options{Strategy: "bogus"}); err == nil {
 		t.Fatal("unknown strategy accepted on retry")
+	}
+}
+
+// cancellingStrategy cancels its caller's context and then returns a
+// valid covering: a build whose last waiter leaves just as the strategy
+// finishes.
+type cancellingStrategy struct {
+	name   string
+	cancel context.CancelFunc
+}
+
+func (s cancellingStrategy) Name() string { return s.name }
+
+func (s cancellingStrategy) Solve(_ context.Context, in instance.Instance, _ construct.Options) (construct.Outcome, error) {
+	s.cancel()
+	return construct.Outcome{Covering: construct.Odd(in.N()), Method: construct.MethodOdd, Optimal: true, Strategy: s.name}, nil
+}
+
+// cancellingSeq keeps registered strategy names unique across -count runs.
+var cancellingSeq atomic.Int64
+
+// TestBuildCoverCancelledSkipsVerify: a build whose ctx fired while its
+// strategy ran stops when the strategy returns. The covering is neither
+// verified nor cached, and the build reports the context's error.
+func TestBuildCoverCancelledSkipsVerify(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := cancellingStrategy{name: fmt.Sprintf("test-cancelling-%d", cancellingSeq.Add(1)), cancel: cancel}
+	if err := construct.RegisterStrategy(st); err != nil {
+		t.Fatal(err)
+	}
+	res, err := buildCover(ctx, instance.AllToAll(9), Options{Strategy: st.name})
+	if !errors.Is(err, context.Canceled) || res.Covering != nil {
+		t.Fatalf("buildCover after ctx fired: covering %v, err = %v; want no covering and context.Canceled",
+			res.Covering != nil, err)
 	}
 }

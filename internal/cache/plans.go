@@ -217,6 +217,12 @@ func buildCover(ctx context.Context, in instance.Instance, opts Options) (CoverR
 	if err != nil {
 		return CoverResult{}, err
 	}
+	// The store cancels ctx only when the last waiter has left, so nobody
+	// wants this covering: skip the verification (on a large ring the
+	// costliest step) and leave nothing to cache.
+	if err := ctx.Err(); err != nil {
+		return CoverResult{}, err
+	}
 	if in.IsGeneral() {
 		// Redundancy elimination is a ring-tally optimiser: a general
 		// cover's slack is already minimised by the scc objective itself.

@@ -5,12 +5,12 @@
 // graphs, and a redundancy-elimination optimiser.
 //
 // Odd n is fully closed-form (Theorem 1's count and composition are
-// reproduced exactly, for every n). Even n combines an exact search for
-// small rings with a layered constructive heuristic for large ones; the
-// heuristic is within (p/2−1) cycles of ρ(n) = ⌈(p²+1)/2⌉ and every
-// produced covering is verified valid. EXPERIMENTS.md reports achieved
-// versus ρ for each n, so the reproduction gap (only on large even rings)
-// is explicit.
+// reproduced exactly, for every n). Even n combines a min-conflicts
+// search at budget ρ(n) for small rings with a layered constructive
+// heuristic for large ones; the heuristic is within (p/2−1) cycles of
+// ρ(n) = ⌈(p²+1)/2⌉ and every produced covering is verified valid.
+// EXPERIMENTS.md reports achieved versus ρ for each n, so the
+// reproduction gap (only on large even rings) is explicit.
 package construct
 
 import (
@@ -54,17 +54,24 @@ type Result struct {
 
 // AllToAllCtx constructs a DRC-covering of K_n over C_n. For odd n the
 // result is the Theorem 1 covering (optimal, matching the paper's
-// composition), a fast closed form that ignores ctx. For even n it is
-// optimal whenever the exact search threshold allows (n ≤ exactEvenLimit),
-// and otherwise the layered construction whose size is reported against
-// ρ(n) by the experiment harness; ctx reaches the embedded repair and
-// exact searches, and its error is returned when it fires mid-build.
+// composition); the closed form does not poll ctx, so ctx is checked
+// before and after it. For even n it is optimal for n ≤ searchEvenLimit,
+// where the min-conflicts search converges, and otherwise the layered
+// construction whose size is reported against ρ(n) by the experiment
+// harness; ctx reaches the embedded repair searches. Either way ctx's
+// error is returned, and no covering, when it fires mid-build.
 func AllToAllCtx(ctx context.Context, n int) (Result, error) {
 	if n < ring.MinVertices {
 		return Result{}, fmt.Errorf("construct: n = %d below minimum %d", n, ring.MinVertices)
 	}
 	if n%2 == 1 {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		cv := Odd(n)
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		return Result{Covering: cv, Method: MethodOdd, Optimal: true}, nil
 	}
 	cv, opt, err := EvenCtx(ctx, n)

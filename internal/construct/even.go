@@ -9,11 +9,6 @@ import (
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
-// exactEvenLimit is the largest even n for which EvenCtx runs the exact
-// branch-and-bound solver as a fallback. Chosen so construction stays
-// sub-second; cmd/cyclecover exposes deeper searches explicitly.
-const exactEvenLimit = 12
-
 // searchEvenLimit is the largest even n for which the min-conflicts repair
 // searches run automatically. Beyond it they plateau within their
 // iteration budgets (the endgame hits the parity obstructions discussed in
@@ -21,14 +16,6 @@ const exactEvenLimit = 12
 // construction; raising this limit trades construction time for
 // optimality on mid-size rings.
 const searchEvenLimit = 20
-
-// evenExactNodes bounds the embedded exact search. With the symmetry-
-// reduced engine the hardest case below exactEvenLimit is n=10 at
-// ~4.6M nodes serial (newly constructible — the unpruned engine burned
-// 40M nodes on it without finding anything); n=12 needs under a
-// thousand. The budget leaves parallel searches headroom for the nodes
-// their extra subtrees burn before the canonical winner cancels them.
-const evenExactNodes = 6_000_000
 
 var evenCache = struct {
 	sync.Mutex
@@ -65,11 +52,11 @@ type evenEntry struct {
 // structure of the paper's (omitted) proof. EXPERIMENTS.md reports
 // achieved-vs-ρ for every n so the residual gap is visible.
 //
-// The embedded repair and exact searches poll ctx and abort promptly
-// when it fires, in which case EvenCtx returns ctx's error and caches
-// nothing (an interrupted build may have fallen through to the layered
-// heuristic on an n the searches would have certified optimal —
-// memoizing that would poison every later call).
+// The embedded repair searches poll ctx and abort promptly when it
+// fires, in which case EvenCtx returns ctx's error and caches nothing
+// (an interrupted build may have fallen through to the layered heuristic
+// on an n the searches would have certified optimal — memoizing that
+// would poison every later call).
 //
 // The memo table is guarded by one mutex held across the build, so
 // concurrent first calls for any even n serialize; cancellation of the
@@ -96,12 +83,6 @@ func EvenCtx(ctx context.Context, n int) (*cover.Covering, bool, error) {
 func buildEven(ctx context.Context, n int) (*cover.Covering, bool) {
 	if cv, ok := evenMCAttempts(ctx, n); ok {
 		return cv, true
-	}
-	if n <= exactEvenLimit {
-		out := ExactCtx(ctx, n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: evenExactNodes})
-		if out.Covering != nil {
-			return out.Covering, true
-		}
 	}
 	return layeredEven(n), false
 }

@@ -2,14 +2,10 @@ package construct
 
 import (
 	"context"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
-	"github.com/cyclecover/cyclecover/internal/fanout"
 	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
@@ -25,21 +21,8 @@ type ExactOptions struct {
 	// length). The paper's constructions need only 3 and 4.
 	MaxLen int
 	// NodeLimit caps search nodes for determinism (no wall clocks); 0
-	// applies DefaultNodeLimit. In a parallel search the limit is shared:
-	// all workers draw from one budget.
+	// applies DefaultNodeLimit.
 	NodeLimit int64
-	// Parallelism bounds the worker pool that fans the first branch level
-	// out: each root candidate's subtree is searched independently, with
-	// cancellation of higher-index subtrees once a solution is found.
-	// 0 defers to the context's fan-out stamp (fanout.Limit) when one is
-	// present — inside a server pool job that is the job's fair share of
-	// the cores, so nested parallelism does not multiply — and GOMAXPROCS
-	// otherwise; 1 forces the serial search. The result is deterministic
-	// for every worker count whenever the search completes within
-	// NodeLimit: the surviving solution is the one the serial search would
-	// have found (lowest root-candidate index, identical DFS inside the
-	// subtree).
-	Parallelism int
 	// Bound, when non-nil, is a shared, live upper bound on useful
 	// covering size: the search only pursues coverings strictly smaller
 	// than the bound's current value, re-reading it as it descends.
@@ -53,11 +36,9 @@ type ExactOptions struct {
 	// precomputed distance tables and the residual transposition table —
 	// so a warm repeated search allocates nothing beyond its solution. A
 	// Scratch is owned by one search at a time: it is not safe for
-	// concurrent use, and a parallel search uses it only for the root
-	// enumeration (each worker keeps its own). The search result is
-	// bit-identical with or without a Scratch (the memo table is
-	// epoch-stamped: every search starts from an empty table, so reuse
-	// never changes node counts).
+	// concurrent use. The search result is bit-identical with or without
+	// a Scratch (the memo table is epoch-stamped: every search starts
+	// from an empty table, so reuse never changes node counts).
 	Scratch *ExactScratch
 	// DisableSymmetry turns off orbit pruning: candidates are enumerated
 	// exhaustively instead of up to the automorphisms of the residual
@@ -99,8 +80,7 @@ type ExactOutcome struct {
 	// Covering a proof of infeasibility at this Budget (for the given
 	// MaxLen; with MaxLen 0 it is unconditional).
 	Complete bool
-	// Nodes is the number of candidate applications explored (summed over
-	// all workers when the search ran in parallel).
+	// Nodes is the number of candidate applications explored.
 	Nodes int64
 }
 
@@ -123,12 +103,10 @@ type ExactOutcome struct {
 // enumeration writes into per-depth arenas that are reused across the
 // whole search (and across searches, via ExactOptions.Scratch).
 //
-// With Parallelism ≠ 1 the first branch level fans out over a bounded
-// worker pool: each root candidate's subtree runs the same serial DFS on
-// its own state, a shared atomic counter enforces the node budget, and
-// finding a solution cancels every subtree with a higher root index (a
-// lower-index subtree may still yield the canonical, serial-order
-// solution, so it runs to completion).
+// The search is one serial depth-first pass: unless a Bound or ctx cuts
+// it, its covering, Complete verdict and node count depend only on n and
+// opts, never on load. Concurrent calls are safe as long as they do not
+// share a Scratch.
 //
 // Cancellation (or a deadline) is honoured at every branch boundary, so
 // the search stops within one node expansion of ctx firing. An
@@ -139,35 +117,21 @@ func ExactCtx(ctx context.Context, n int, opts ExactOptions) ExactOutcome {
 	if opts.NodeLimit == 0 {
 		opts.NodeLimit = DefaultNodeLimit
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		if workers = fanout.Limit(ctx); workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if workers == 1 {
-		s := stateFor(opts)
-		s.reset(r, n, opts)
-		s.done = ctx.Done()
-		complete := s.search(0)
-		return s.outcome(complete, s.nodes)
-	}
-	return exactParallel(ctx, r, n, opts, workers)
-}
-
-// stateFor returns the search state backing opts.Scratch, or a fresh one.
-func stateFor(opts ExactOptions) *exactState {
+	s := &exactState{}
 	if opts.Scratch != nil {
-		return &opts.Scratch.st
+		s = &opts.Scratch.st
 	}
-	return &exactState{}
+	s.reset(r, n, opts)
+	s.done = ctx.Done()
+	complete := s.search(0)
+	return s.outcome(complete)
 }
 
 // ExactOptimal runs ExactCtx at Budget = ρ(n) with the paper's cycle
-// lengths (MaxLen 4) and default parallelism. Per Theorems 1–2 a covering
-// always exists there; ok reports whether the solver found it within the
-// node limit before ctx fired, so ok=false also covers cancellation —
-// check ctx.Err() to tell the two apart.
+// lengths (MaxLen 4). Per Theorems 1–2 a covering always exists there;
+// ok reports whether the solver found it within the node limit before
+// ctx fired, so ok=false also covers cancellation — check ctx.Err() to
+// tell the two apart.
 func ExactOptimal(ctx context.Context, n int, nodeLimit int64) (*cover.Covering, bool) {
 	out := ExactCtx(ctx, n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: nodeLimit})
 	return out.Covering, out.Covering != nil
@@ -292,12 +256,6 @@ type exactState struct {
 	// new cuts inside it (see search), so memoized infeasibility is
 	// always a genuine proof.
 	boundCuts int64
-
-	// Parallel-search hooks; nil/zero in the serial search.
-	shared    *atomic.Int64 // node budget shared across workers
-	bestIdx   *atomic.Int64 // lowest root index that found a solution
-	myIdx     int64         // this worker's root-candidate index
-	cancelled bool          // aborted because a lower index solved first
 }
 
 // reset initializes the fully-uncovered search state for K_n, reusing
@@ -366,15 +324,13 @@ func (s *exactState) reset(r ring.Ring, n int, opts ExactOptions) {
 	s.nodes = 0
 	s.done = nil
 	s.boundCuts = 0
-	s.shared, s.bestIdx, s.myIdx = nil, nil, 0
-	s.cancelled = false
 }
 
 // memoBitsFor sizes the transposition table by ring size: small rings
 // finish in few nodes and do not repay a large table, while the
 // certification-scale searches want headroom before replacement kicks
-// in. The size depends only on n, so scratch-vs-fresh and
-// serial-vs-parallel searches stay node-for-node identical.
+// in. The size depends only on n, so scratch-vs-fresh searches stay
+// node-for-node identical.
 func memoBitsFor(n int) int {
 	if n < 10 {
 		return 10
@@ -478,8 +434,8 @@ func (s *exactState) dsAt(depth int) *depthScratch {
 }
 
 // outcome packages the state's solution (if any) as an ExactOutcome.
-func (s *exactState) outcome(complete bool, nodes int64) ExactOutcome {
-	out := ExactOutcome{Complete: complete && s.boundCuts == 0, Nodes: nodes}
+func (s *exactState) outcome(complete bool) ExactOutcome {
+	out := ExactOutcome{Complete: complete && s.boundCuts == 0, Nodes: s.nodes}
 	if s.solution != nil {
 		out.Covering = buildCovering(s.r, s.solution)
 	}
@@ -558,11 +514,9 @@ func (s *exactState) prunedAt(budget, depth int) bool {
 }
 
 // countNode charges one node against the budget; false means the budget
-// is exhausted (or the context fired) and the search must stop. In a
-// parallel search the charge goes against the shared counter, so the
-// limit bounds total work across all workers. The context poll here is
-// what makes cancellation take effect within one node expansion: every
-// branch application passes through countNode.
+// is exhausted (or the context fired) and the search must stop. The
+// context poll here is what makes cancellation take effect within one
+// node expansion: every branch application passes through countNode.
 //
 //cyclecover:noalloc
 func (s *exactState) countNode() bool {
@@ -570,13 +524,6 @@ func (s *exactState) countNode() bool {
 	case <-s.done: // nil when no context: never fires, default taken
 		return false
 	default:
-	}
-	if s.shared != nil {
-		if s.shared.Add(1) > s.opts.NodeLimit {
-			return false
-		}
-		s.nodes++
-		return true
 	}
 	if s.nodes >= s.opts.NodeLimit {
 		return false
@@ -586,8 +533,8 @@ func (s *exactState) countNode() bool {
 }
 
 // search returns true if the subtree was explored completely (or a
-// solution was found); false only when the node limit (or a parallel
-// cancellation, recorded in s.cancelled) interrupted it.
+// solution was found); false only when the node limit or the context
+// interrupted it.
 //
 //cyclecover:noalloc
 func (s *exactState) search(depth int) bool {
@@ -602,12 +549,6 @@ func (s *exactState) search(depth int) bool {
 	}
 	if s.pruned(depth) {
 		return true // pruned: subtree fully (vacuously) explored
-	}
-	if s.bestIdx != nil && s.bestIdx.Load() < s.myIdx {
-		// A lower root index already holds the canonical solution; this
-		// subtree's result can no longer be preferred.
-		s.cancelled = true
-		return false
 	}
 	left := s.opts.Budget - depth
 	if s.memoHit(left) {
@@ -662,140 +603,6 @@ func (s *exactState) search(depth int) bool {
 		s.memoStore(left)
 	}
 	return true
-}
-
-// subOutcome is one root-candidate subtree's result in a parallel search.
-type subOutcome struct {
-	solution  [][]int
-	complete  bool
-	cancelled bool
-	skipped   bool // never started: a lower index had already solved
-	nodes     int64
-}
-
-// exactParallel fans the first branch level out over a bounded worker
-// pool. Aggregation mirrors the serial candidate loop: the surviving
-// solution is the one from the lowest root index, and completeness holds
-// only if every subtree that the serial search would have visited ran to
-// completion. Each worker owns one reusable search state across all the
-// subtrees it drains, so steady-state work allocates nothing per branch.
-func exactParallel(ctx context.Context, r ring.Ring, n int, opts ExactOptions, workers int) ExactOutcome {
-	root := stateFor(opts)
-	root.reset(r, n, opts)
-	if root.uncovered == 0 {
-		root.solution = [][]int{}
-		return root.outcome(true, 0)
-	}
-	if root.pruned(0) {
-		return ExactOutcome{Complete: root.boundCuts == 0}
-	}
-	u, v := root.pickBranchPair()
-	root.enumerate(0, u, v)
-	rootDS := &root.depths[0]
-	cands := make([][]int, len(rootDS.cands))
-	for i, c := range rootDS.cands {
-		cands[i] = append([]int(nil), rootDS.verts[c.off:c.off+c.k]...)
-	}
-	if len(cands) == 0 {
-		return ExactOutcome{Complete: true}
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-
-	var (
-		shared  atomic.Int64 // node budget, drawn by every worker
-		bestIdx atomic.Int64 // lowest root index with a solution
-		next    atomic.Int64 // work queue cursor
-	)
-	bestIdx.Store(math.MaxInt64)
-	results := make([]subOutcome, len(cands))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := &exactState{} // reused across this worker's subtrees
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(cands)) {
-					return
-				}
-				if bestIdx.Load() < i {
-					results[i] = subOutcome{skipped: true}
-					continue
-				}
-				st.reset(r, n, opts)
-				st.done = ctx.Done()
-				st.shared = &shared
-				st.bestIdx = &bestIdx
-				st.myIdx = i
-				if !st.countNode() {
-					results[i] = subOutcome{nodes: st.nodes}
-					continue
-				}
-				st.applyRoot(cands[i])
-				done := st.search(1)
-				st.undo(0)
-				results[i] = subOutcome{
-					solution:  st.solution,
-					complete:  done && st.boundCuts == 0,
-					cancelled: st.cancelled,
-					nodes:     st.nodes,
-				}
-				if st.solution != nil {
-					// CAS-min: later workers with higher indexes cancel.
-					for {
-						cur := bestIdx.Load()
-						if i >= cur || bestIdx.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var nodes int64
-	for _, res := range results {
-		nodes += res.nodes
-	}
-	// Scan root candidates in serial order. The first subtree holding a
-	// solution supplies the result; a budget-interrupted subtree before it
-	// means the prefix the serial search relies on was not exhausted, so
-	// the outcome cannot claim completeness.
-	complete := true
-	for i, res := range results {
-		if res.solution != nil {
-			st := &exactState{r: r, solution: results[i].solution}
-			return st.outcome(true, nodes)
-		}
-		if res.skipped || res.cancelled || !res.complete {
-			complete = false
-		}
-	}
-	return ExactOutcome{Complete: complete, Nodes: nodes}
-}
-
-// applyRoot installs a materialized root candidate (from the shared root
-// enumeration) as this state's depth-0 choice: the vertex set is copied
-// into the depth-0 arena so solution materialization and undo see it like
-// any locally enumerated candidate.
-func (s *exactState) applyRoot(verts []int) {
-	ds := s.dsAt(0)
-	ds.cands = ds.cands[:0]
-	ds.verts = append(ds.verts[:0], verts...)
-	ds.pairs = ds.pairs[:0]
-	k := len(verts)
-	for i := 0; i < k; i++ {
-		ds.pairs = append(ds.pairs, s.pairIdx(verts[i], verts[(i+1)%k]))
-	}
-	c := candidate{off: 0, k: k}
-	ds.cands = append(ds.cands, c)
-	s.apply(0, c)
-	s.chosen = append(s.chosen, c)
 }
 
 // pickBranchPair selects the uncovered pair with maximum short-arc

@@ -16,11 +16,10 @@ import (
 func BenchmarkExactInnerBranch(b *testing.B) {
 	const n = 8
 	opts := ExactOptions{
-		Budget:      cover.Rho(n) - 1,
-		MaxLen:      4,
-		NodeLimit:   4_000_000,
-		Parallelism: 1,
-		Scratch:     NewExactScratch(),
+		Budget:    cover.Rho(n) - 1,
+		MaxLen:    4,
+		NodeLimit: 4_000_000,
+		Scratch:   NewExactScratch(),
 	}
 	if out := ExactCtx(context.Background(), n, opts); out.Covering != nil || !out.Complete { // warm the scratch
 		b.Fatalf("expected completed infeasibility proof, got %+v", out)

@@ -17,11 +17,10 @@ import (
 func TestExactInnerBranchZeroAllocs(t *testing.T) {
 	const n = 8
 	opts := ExactOptions{
-		Budget:      cover.Rho(n) - 1,
-		MaxLen:      4,
-		NodeLimit:   4_000_000,
-		Parallelism: 1,
-		Scratch:     NewExactScratch(),
+		Budget:    cover.Rho(n) - 1,
+		MaxLen:    4,
+		NodeLimit: 4_000_000,
+		Scratch:   NewExactScratch(),
 	}
 	warm := ExactCtx(context.Background(), n, opts)
 	if warm.Covering != nil || !warm.Complete {
@@ -45,8 +44,8 @@ func TestExactScratchMatchesFresh(t *testing.T) {
 	sc := NewExactScratch()
 	for _, n := range []int{6, 8, 10} {
 		for _, budget := range []int{cover.Rho(n) - 1, cover.Rho(n)} {
-			fresh := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1})
-			reused := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Parallelism: 1, Scratch: sc})
+			fresh := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000})
+			reused := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Scratch: sc})
 			if fresh.Complete != reused.Complete || fresh.Nodes != reused.Nodes {
 				t.Fatalf("n=%d budget=%d: scratch changed search shape: fresh %+v, reused %+v", n, budget, fresh, reused)
 			}

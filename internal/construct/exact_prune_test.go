@@ -42,7 +42,7 @@ func TestExactPruningEquivalence(t *testing.T) {
 		for _, maxLen := range maxLens {
 			for _, budget := range budgets {
 				t.Run(fmt.Sprintf("n=%d/maxlen=%d/budget=%d", n, maxLen, budget), func(t *testing.T) {
-					base := ExactOptions{Budget: budget, MaxLen: maxLen, Parallelism: 1}
+					base := ExactOptions{Budget: budget, MaxLen: maxLen}
 					pruned := base
 					plain := base
 					plain.DisableSymmetry, plain.DisableMemo = true, true
@@ -83,7 +83,7 @@ func TestExactMemoEquivalence(t *testing.T) {
 		for _, budget := range budgets {
 			t.Run(fmt.Sprintf("n=%d/budget=%d", n, budget), func(t *testing.T) {
 				for _, disableSym := range []bool{false, true} {
-					on := ExactOptions{Budget: budget, MaxLen: 4, Parallelism: 1, DisableSymmetry: disableSym}
+					on := ExactOptions{Budget: budget, MaxLen: 4, DisableSymmetry: disableSym}
 					off := on
 					off.DisableMemo = true
 					got := ExactCtx(context.Background(), n, on)
@@ -116,7 +116,7 @@ func TestExactTruncationNeverClaimsComplete(t *testing.T) {
 		truth := map[int]bool{rho - 1: false, rho: true} // budget → feasible (Theorems 1–2)
 		for budget, feasible := range truth {
 			for limit := int64(1); limit <= 4096; limit *= 4 {
-				out := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit, Parallelism: 1})
+				out := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit})
 				if out.Covering != nil && !feasible {
 					t.Fatalf("n=%d budget=%d: covering found below ρ", n, budget)
 				}
@@ -138,7 +138,7 @@ func TestExactTruncationNeverClaimsComplete(t *testing.T) {
 // disabled rather than flip out-of-range key bits. Regression: the
 // unguarded key maintenance panicked with "index out of range [4]".
 func TestExactBeyondKeyCapacity(t *testing.T) {
-	out := ExactCtx(context.Background(), 24, ExactOptions{Budget: 6, MaxLen: 4, NodeLimit: 5_000, Parallelism: 1})
+	out := ExactCtx(context.Background(), 24, ExactOptions{Budget: 6, MaxLen: 4, NodeLimit: 5_000})
 	if out.Covering != nil {
 		t.Fatalf("budget 6 cannot cover K_24: got a covering")
 	}

@@ -2,6 +2,7 @@ package construct
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -61,6 +62,28 @@ func TestExactNodeLimitInterrupts(t *testing.T) {
 	if out.Covering != nil {
 		t.Error("no solution reachable in 10 nodes")
 	}
+}
+
+// TestExactConcurrentCallers runs several searches at once, each on its
+// own state; with -race this is the check that concurrent callers share
+// nothing mutable.
+func TestExactConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			out := ExactCtx(context.Background(), n, ExactOptions{Budget: cover.Rho(n), MaxLen: 4, NodeLimit: 4_000_000})
+			if out.Covering == nil {
+				t.Errorf("n=%d: search found no covering at ρ", n)
+				return
+			}
+			if err := cover.VerifyOptimal(out.Covering); err != nil {
+				t.Errorf("n=%d: %v", n, err)
+			}
+		}(6 + i)
+	}
+	wg.Wait()
 }
 
 func TestExactZeroBudget(t *testing.T) {

@@ -2,6 +2,7 @@ package construct
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
@@ -113,5 +114,20 @@ func TestOddMatchesExactSolver(t *testing.T) {
 		if err := cover.VerifyOptimal(exact); err != nil {
 			t.Errorf("n=%d: exact solution invalid: %v", n, err)
 		}
+	}
+}
+
+// TestAllToAllCtxCancelledOdd: the odd closed form does not poll ctx, so
+// AllToAllCtx checks it around the build. A caller whose ctx has fired
+// gets the context's error, never a covering; at n = 1023 the build
+// would otherwise cost tens of milliseconds, and the cache would go on
+// to verify it.
+func TestAllToAllCtxCancelledOdd(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := AllToAllCtx(ctx, 1023)
+	if !errors.Is(err, context.Canceled) || res.Covering != nil {
+		t.Fatalf("AllToAllCtx(cancelled, 1023): covering %v, err = %v; want no covering and context.Canceled",
+			res.Covering != nil, err)
 	}
 }

@@ -64,7 +64,7 @@ func CoverCost(in instance.Instance, cv *cover.Covering) int {
 // member). It stops after the first Optimal outcome: a later member can
 // at best tie it, and ties go to the earlier one. The portfolio
 // determinism pin asserts the race returns bit-identically this winner
-// for every general family and worker count.
+// for every general family.
 func GeneralSCCCtx(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
 	if !in.IsGeneral() {
 		return Outcome{}, fmt.Errorf("%w: GeneralSCCCtx needs a general-topology instance, got %q", ErrNotApplicable, in.Name)
@@ -403,10 +403,10 @@ func fullMask(m int) uint64 {
 // when the search ran to completion with no cut below the incumbent
 // caused by the portfolio's shared bound.
 //
-// The search is serial and deterministic; Options.Parallelism is
-// ignored. Proven hosts finish in milliseconds, but a host that spends
-// the whole DefaultSCCNodeLimit takes 0.1–0.25 s (random cubic hosts
-// with n = 26…30 on a 2-vCPU Intel Xeon, EXPERIMENTS.md §C).
+// The search is serial and deterministic. Proven hosts finish in
+// milliseconds, but a host that spends the whole DefaultSCCNodeLimit
+// takes 0.1–0.25 s (random cubic hosts with n = 26…30 on a 2-vCPU Intel
+// Xeon, EXPERIMENTS.md §C).
 type SCCExact struct{}
 
 // Name implements Strategy.

@@ -142,9 +142,8 @@ func TestSCCCrossFamilyGuards(t *testing.T) {
 // TestPortfolioMatchesGeneralPipeline extends the portfolio equivalence
 // pin to the general-topology families: for every spec the racing
 // portfolio must return bit-identically the serial pinned winner
-// (GeneralSCCCtx), across worker counts and with the ring members in
-// the race. Auto, the default strategy, must return that winner
-// outright.
+// (GeneralSCCCtx), with the ring members in the race. Auto, the default
+// strategy, must return that winner outright.
 func TestPortfolioMatchesGeneralPipeline(t *testing.T) {
 	pf := NewPortfolio()
 	for _, tc := range sccFamilies {
@@ -168,20 +167,18 @@ func TestPortfolioMatchesGeneralPipeline(t *testing.T) {
 			if !equalMultisets(cycleMultiset(auto.Covering), cycleMultiset(want.Covering)) {
 				t.Fatal("auto: cycle multiset differs from the pipeline")
 			}
-			for _, par := range []int{1, 2, 8} {
-				got, err := pf.Solve(context.Background(), in, Options{Parallelism: par})
-				if err != nil {
-					t.Fatalf("portfolio (par=%d): %v", par, err)
-				}
-				if got.Strategy != want.Strategy {
-					t.Fatalf("par=%d: winner %s, pipeline winner %s", par, got.Strategy, want.Strategy)
-				}
-				if CoverCost(in, got.Covering) != CoverCost(in, want.Covering) {
-					t.Fatalf("par=%d: cost %d, pipeline cost %d", par, CoverCost(in, got.Covering), CoverCost(in, want.Covering))
-				}
-				if !equalMultisets(cycleMultiset(got.Covering), cycleMultiset(want.Covering)) {
-					t.Fatalf("par=%d: cycle multiset differs from serial pipeline", par)
-				}
+			got, err := pf.Solve(context.Background(), in, Options{})
+			if err != nil {
+				t.Fatalf("portfolio: %v", err)
+			}
+			if got.Strategy != want.Strategy {
+				t.Fatalf("portfolio winner %s, pipeline winner %s", got.Strategy, want.Strategy)
+			}
+			if CoverCost(in, got.Covering) != CoverCost(in, want.Covering) {
+				t.Fatalf("portfolio cost %d, pipeline cost %d", CoverCost(in, got.Covering), CoverCost(in, want.Covering))
+			}
+			if !equalMultisets(cycleMultiset(got.Covering), cycleMultiset(want.Covering)) {
+				t.Fatal("portfolio: cycle multiset differs from serial pipeline")
 			}
 		})
 	}

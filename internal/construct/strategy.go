@@ -34,9 +34,6 @@ type Options struct {
 	// NodeLimit caps exact-search node expansions for exact-backed
 	// strategies (0 = DefaultNodeLimit).
 	NodeLimit int64
-	// Parallelism is passed to exact-backed strategies (0 = GOMAXPROCS,
-	// 1 = serial).
-	Parallelism int
 	// Bound, when non-nil, carries the best covering cost achieved by
 	// competing strategies that outrank this one — cycle count for ring
 	// instances, total cover length for general-topology ones (see
@@ -211,11 +208,10 @@ func (ExactSearch) Solve(ctx context.Context, in instance.Instance, opts Options
 		return Outcome{}, fmt.Errorf("construct: n = %d below minimum %d", n, ring.MinVertices)
 	}
 	out := ExactCtx(ctx, n, ExactOptions{
-		Budget:      cover.Rho(n),
-		MaxLen:      4,
-		NodeLimit:   opts.NodeLimit,
-		Parallelism: opts.Parallelism,
-		Bound:       opts.Bound,
+		Budget:    cover.Rho(n),
+		MaxLen:    4,
+		NodeLimit: opts.NodeLimit,
+		Bound:     opts.Bound,
 	})
 	if out.Covering == nil {
 		if err := ctx.Err(); err != nil {

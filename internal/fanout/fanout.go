@@ -1,17 +1,17 @@
 // Package fanout threads a per-job parallelism hint through contexts, so
 // nested parallel stages do not multiply. The problem it solves: the
-// server's worker pool runs up to GOMAXPROCS jobs at once, and the exact
-// search and failure sweeps each default their own worker count to
-// GOMAXPROCS *per job* — a busy pool therefore oversubscribes the
-// machine by a factor of the pool size. The pool stamps each job's
-// context with its fair share of the cores (Share) before running it;
-// the parallel primitives read the stamp (Limit) when their explicit
-// worker option is unset, and fall back to GOMAXPROCS only when no stamp
-// is present (library callers outside any pool keep the old default).
+// server's worker pool runs up to GOMAXPROCS jobs at once, and a failure
+// sweep defaults its own worker count to GOMAXPROCS *per job* — a busy
+// pool would therefore oversubscribe the machine by a factor of the pool
+// size. The pool stamps each job's context with its fair share of the
+// cores (Share) before running it; the sweep reads the stamp (Limit) when
+// its explicit worker option is unset, and falls back to GOMAXPROCS only
+// when no stamp is present (library callers outside any pool keep the
+// old default).
 //
-// The hint never changes *what* is computed — the exact search and the
-// sweep are both deterministic across worker counts — only how many
-// goroutines compute it, so stamping is always safe.
+// The hint never changes *what* is computed — the sweep is deterministic
+// across worker counts — only how many goroutines compute it, so
+// stamping is always safe.
 package fanout
 
 import "context"

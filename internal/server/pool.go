@@ -62,8 +62,8 @@ type Pool struct {
 	panicsTotal uint64
 	// running counts jobs currently executing on a worker. It drives the
 	// per-job fan-out stamp: each job gets its fair share of the cores
-	// (fanout.Share), so nested parallel stages — the exact search, the
-	// failure sweeps — stop multiplying by GOMAXPROCS under a busy pool.
+	// (fanout.Share), so nested parallel stages — the failure sweeps —
+	// stop multiplying by GOMAXPROCS under a busy pool.
 	running int
 }
 

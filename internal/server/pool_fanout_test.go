@@ -89,7 +89,8 @@ func (p fanoutProbe) Solve(ctx context.Context, in instance.Instance, opts const
 
 // TestPoolFanOutShareReachesCachedConstruction: the pool's stamp must
 // survive the cache's single flight into the strategy it runs, or a
-// cached exact search fans out over GOMAXPROCS per job (DESIGN.md §8.3).
+// parallel stage inside a cached construction fans out over GOMAXPROCS
+// per job (DESIGN.md §8.3).
 func TestPoolFanOutShareReachesCachedConstruction(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
