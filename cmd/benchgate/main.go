@@ -1,17 +1,19 @@
 // Command benchgate enforces the hot-path performance budgets in CI. It
-// runs a pinned set of -benchmem benchmarks, parses their allocs/op
-// figures — and, for the search benchmarks, the custom nodes/op metric —
-// from `go test` output, and diffs the results against the pinned names:
-// a missing benchmark (renamed, deleted, or silently skipped) fails the
-// gate just as hard as a blown budget, so neither the allocation
-// contract nor the search-effort contract can rot by omission.
+// runs a pinned set of -benchmem benchmarks, parses their allocs/op and
+// B/op figures — and, for the search benchmarks, the custom nodes/op
+// metric — from `go test` output, and diffs the results against the
+// pinned names: a missing benchmark (renamed, deleted, or silently
+// skipped) fails the gate just as hard as a blown budget, so neither the
+// allocation contract nor the search-effort contract can rot by
+// omission.
 //
 // Budgets are per-metric: MaxAllocs < 0 leaves allocations ungated (the
-// exact-search end-to-end benchmarks allocate their solutions), and
-// MaxNodes 0 leaves search effort ungated (most benchmarks report no
-// nodes/op metric at all). Node counts are deterministic — the exact
-// search is pinned to be bit-identical run to run — so a nodes/op
-// ceiling is a hard regression tripwire, not a flaky timing threshold.
+// exact-search end-to-end benchmarks allocate their solutions), MaxBytes
+// 0 leaves bytes ungated, and MaxNodes 0 leaves search effort ungated
+// (most benchmarks report no nodes/op metric at all). Node counts are
+// deterministic — the exact search is pinned to be bit-identical run to
+// run — so a nodes/op ceiling is a hard regression tripwire, not a flaky
+// timing threshold.
 //
 // Usage:
 //
@@ -35,13 +37,15 @@ import (
 // gate pins one benchmark to its budgets. Benchtime uses the fixed-
 // iteration "Nx" form so the run cost stays bounded in CI. MaxAllocs is
 // the inclusive allocs/op budget, or negative to leave allocations
-// ungated; MaxNodes is the inclusive nodes/op budget, or 0 to leave
-// search effort ungated.
+// ungated; MaxBytes is the inclusive B/op budget and MaxNodes the
+// inclusive nodes/op budget, each 0 to leave that metric ungated. A
+// budget holds for every sub-benchmark line of the benchmark.
 type gate struct {
 	Bench     string // exact benchmark function name
 	Package   string // package pattern passed to go test
 	Benchtime string // -benchtime value, e.g. "500x"
 	MaxAllocs int64  // inclusive allocs/op budget; < 0 = ungated
+	MaxBytes  int64  // inclusive B/op budget; 0 = ungated
 	MaxNodes  int64  // inclusive nodes/op budget; 0 = ungated
 }
 
@@ -51,15 +55,19 @@ type gate struct {
 // allocate per enumeration step or per search node (allocation ceiling
 // from EXPERIMENTS.md §C, measured +10% headroom), scc-colour must not
 // allocate per colouring step (ceiling from EXPERIMENTS.md §K, measured
-// +10% headroom, over its largest host), and the
-// symmetry-reduced exact engine must keep its search-effort wins (node
-// ceilings from EXPERIMENTS.md §I, measured +10% headroom).
+// +10% headroom, over its largest host), admitting a general host must
+// stay linear in its size (B/op ceiling from EXPERIMENTS.md §N, measured
+// +10% headroom at n = 1024, where a Θ(n²) structure would cost
+// megabytes), and the symmetry-reduced exact engine must keep its
+// search-effort wins (node ceilings from EXPERIMENTS.md §I, measured
+// +10% headroom).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkSCCCoverCubic", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: -1},
-	{Bench: "BenchmarkSCCExactNodeLimited", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: 9_578},
-	{Bench: "BenchmarkSCCColour", Package: "./internal/construct", Benchtime: "20x", MaxAllocs: 53},
+	{Bench: "BenchmarkSCCExactNodeLimited", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: 8_864},
+	{Bench: "BenchmarkSCCColour", Package: "./internal/construct", Benchtime: "20x", MaxAllocs: 52},
+	{Bench: "BenchmarkParseGeneral", Package: "./internal/instance", Benchtime: "20x", MaxAllocs: -1, MaxBytes: 233_129},
 	{Bench: "BenchmarkExactInnerBranch", Package: "./internal/construct", Benchtime: "5x", MaxAllocs: 0},
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},
@@ -69,11 +77,13 @@ var gates = []gate{
 
 // result is one parsed benchmark line; each metric is flagged by
 // presence, since plain benchmarks report no nodes/op and runs without
-// -benchmem report no allocs/op.
+// -benchmem report no allocs/op or B/op.
 type result struct {
 	Name      string // base name: sub-benchmark path and -P suffix stripped
 	Allocs    int64
 	HasAllocs bool
+	Bytes     int64
+	HasBytes  bool
 	Nodes     int64
 	HasNodes  bool
 }
@@ -86,6 +96,9 @@ func main() {
 			budgets := ""
 			if g.MaxAllocs >= 0 {
 				budgets += fmt.Sprintf("\tmax %d allocs/op", g.MaxAllocs)
+			}
+			if g.MaxBytes > 0 {
+				budgets += fmt.Sprintf("\tmax %d B/op", g.MaxBytes)
 			}
 			if g.MaxNodes > 0 {
 				budgets += fmt.Sprintf("\tmax %d nodes/op", g.MaxNodes)
@@ -143,6 +156,16 @@ func check(g gate, results []result) []string {
 					g.Bench, g.Package, r.Allocs, g.MaxAllocs))
 			}
 		}
+		if g.MaxBytes > 0 {
+			switch {
+			case !r.HasBytes:
+				problems = append(problems, fmt.Sprintf("%s (%s): no B/op figure in its result line",
+					g.Bench, g.Package))
+			case r.Bytes > g.MaxBytes:
+				problems = append(problems, fmt.Sprintf("%s (%s): %d B/op, budget %d",
+					g.Bench, g.Package, r.Bytes, g.MaxBytes))
+			}
+		}
 		if g.MaxNodes > 0 {
 			switch {
 			case !r.HasNodes:
@@ -161,8 +184,8 @@ func check(g gate, results []result) []string {
 	return problems
 }
 
-// parseResults extracts every benchmark line carrying an allocs/op or
-// nodes/op figure. The parse keys off field positions rather than column
+// parseResults extracts every benchmark line carrying an allocs/op, B/op
+// or nodes/op figure. The parse keys off field positions rather than column
 // offsets: each count is the field immediately before its unit, and the
 // benchmark name is field 0 with any sub-benchmark path and GOMAXPROCS
 // suffix stripped. nodes/op arrives via b.ReportMetric as a float
@@ -184,13 +207,17 @@ func parseResults(out []byte) []result {
 				if v, err := strconv.ParseInt(fields[i-1], 10, 64); err == nil {
 					r.Allocs, r.HasAllocs = v, true
 				}
+			case "B/op":
+				if v, err := strconv.ParseInt(fields[i-1], 10, 64); err == nil {
+					r.Bytes, r.HasBytes = v, true
+				}
 			case "nodes/op":
 				if v, err := strconv.ParseFloat(fields[i-1], 64); err == nil {
 					r.Nodes, r.HasNodes = int64(v+0.5), true
 				}
 			}
 		}
-		if r.HasAllocs || r.HasNodes {
+		if r.HasAllocs || r.HasBytes || r.HasNodes {
 			results = append(results, r)
 		}
 	}

@@ -24,10 +24,10 @@ ok  	github.com/cyclecover/cyclecover/internal/cover	1.234s
 func TestParseResults(t *testing.T) {
 	got := parseResults([]byte(sampleOutput))
 	want := []result{
-		{Name: "BenchmarkVerifyWarm", Allocs: 0, HasAllocs: true},
-		{Name: "BenchmarkVerifyWarm", Allocs: 2, HasAllocs: true},
-		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Nodes: 752244, HasNodes: true},
-		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Nodes: 40_000_000, HasNodes: true},
+		{Name: "BenchmarkVerifyWarm", Allocs: 0, HasAllocs: true, Bytes: 0, HasBytes: true},
+		{Name: "BenchmarkVerifyWarm", Allocs: 2, HasAllocs: true, Bytes: 16, HasBytes: true},
+		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Bytes: 145512, HasBytes: true, Nodes: 752244, HasNodes: true},
+		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Bytes: 1024, HasBytes: true, Nodes: 40_000_000, HasNodes: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %v", len(got), len(want), got)
@@ -47,11 +47,14 @@ func TestParseResultsSkipsMalformed(t *testing.T) {
 		"BenchmarkNodesOnly-8 1 2 ns/op 1500 nodes/op", // nodes metric without -benchmem
 		"BenchmarkTail-8 1 7 allocs/op",                // valid minimal shape
 		"BenchmarkBadNodes-8 1 2 ns/op wat nodes/op",   // non-numeric nodes, no allocs
+		"BenchmarkBadBytes-8 1 2 ns/op 1.5 B/op",       // B/op is an integer count
+		"BenchmarkBytesOnly-8 1 2 ns/op 4096 B/op",     // bytes without an allocs figure
 	}, "\n")
 	got := parseResults([]byte(malformed))
 	want := []result{
 		{Name: "BenchmarkNodesOnly", Nodes: 1500, HasNodes: true},
 		{Name: "BenchmarkTail", Allocs: 7, HasAllocs: true},
+		{Name: "BenchmarkBytesOnly", Bytes: 4096, HasBytes: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %v, want %v", got, want)
@@ -125,24 +128,60 @@ func TestCheckNodesBudget(t *testing.T) {
 	}
 }
 
+// TestCheckBytesBudget exercises the B/op contract: within budget
+// passes, over budget on any sub-benchmark line fails, a gated
+// benchmark that stopped reporting B/op fails, and MaxBytes 0 leaves
+// bytes ungated.
+func TestCheckBytesBudget(t *testing.T) {
+	g := gate{Bench: "BenchmarkParseGeneral", Package: "./internal/instance", MaxAllocs: -1, MaxBytes: 1000}
+
+	ok := []result{
+		{Name: "BenchmarkParseGeneral", Allocs: 31, HasAllocs: true, Bytes: 200, HasBytes: true},
+		{Name: "BenchmarkParseGeneral", Allocs: 32, HasAllocs: true, Bytes: 1000, HasBytes: true},
+	}
+	if problems := check(g, ok); len(problems) != 0 {
+		t.Fatalf("within-budget problems: %v", problems)
+	}
+
+	over := []result{
+		{Name: "BenchmarkParseGeneral", Bytes: 200, HasBytes: true},
+		{Name: "BenchmarkParseGeneral", Bytes: 2_546_238, HasBytes: true},
+	}
+	if problems := check(g, over); len(problems) != 1 || !strings.Contains(problems[0], "2546238 B/op, budget 1000") {
+		t.Fatalf("problems = %v, want one over-bytes-budget violation", problems)
+	}
+
+	silent := []result{{Name: "BenchmarkParseGeneral", Allocs: 31, HasAllocs: true}}
+	if problems := check(g, silent); len(problems) != 1 || !strings.Contains(problems[0], "no B/op figure") {
+		t.Fatalf("problems = %v, want one missing-metric violation", problems)
+	}
+
+	g.MaxBytes = 0
+	if problems := check(g, over); len(problems) != 0 {
+		t.Fatalf("ungated bytes flagged: %v", problems)
+	}
+}
+
 // TestGatesMatchPinnedContract guards the pinned set itself: the five
 // allocation-free hot paths (including the general-topology walk
 // verifier), the cubic scc pipeline smoke, the allocation ceilings of a
-// node-limited scc-exact run and of scc-colour, and the two
-// node-budgeted search benchmarks. Editing the set is a deliberate act that must touch this
-// test too.
+// node-limited scc-exact run and of scc-colour, the bytes ceiling of
+// general-host admission, and the two node-budgeted search benchmarks.
+// Editing the set is a deliberate act that must touch this test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
 		pkg    string
 		allocs int64
-		nodes  bool // whether a nodes/op ceiling must be pinned
+		bytes  int64 // the B/op ceiling; 0 = ungated
+		nodes  bool  // whether a nodes/op ceiling must be pinned
 	}
 	want := map[string]budget{
 		"BenchmarkVerifyWarm":          {pkg: "./internal/cover"},
 		"BenchmarkGeneralVerify":       {pkg: "./internal/cover"},
 		"BenchmarkSCCCoverCubic":       {pkg: "./internal/construct", allocs: -1},
-		"BenchmarkSCCExactNodeLimited": {pkg: "./internal/construct", allocs: 9_578},
-		"BenchmarkSCCColour":           {pkg: "./internal/construct", allocs: 53},
+		"BenchmarkSCCExactNodeLimited": {pkg: "./internal/construct", allocs: 8_864},
+		"BenchmarkSCCColour":           {pkg: "./internal/construct", allocs: 52},
+		"BenchmarkParseGeneral":        {pkg: "./internal/instance", allocs: -1, bytes: 233_129},
 		"BenchmarkExactInnerBranch":    {pkg: "./internal/construct"},
 		"BenchmarkSweepEvaluate":       {pkg: "./internal/survive"},
 		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
@@ -167,6 +206,9 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 			}
 		} else if g.MaxAllocs != w.allocs {
 			t.Errorf("%s allocs budget %d, want %d", g.Bench, g.MaxAllocs, w.allocs)
+		}
+		if g.MaxBytes != w.bytes {
+			t.Errorf("%s bytes budget %d, want %d", g.Bench, g.MaxBytes, w.bytes)
 		}
 		if w.nodes != (g.MaxNodes > 0) {
 			t.Errorf("%s nodes ceiling %d, want pinned=%v", g.Bench, g.MaxNodes, w.nodes)

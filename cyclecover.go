@@ -180,7 +180,7 @@ func CoverAllToAll(n int) (cv *Covering, optimal bool, err error) {
 // Cancellation or a deadline aborts the underlying construction search
 // promptly and returns ctx's error, never a partial covering.
 func CoverInstance(ctx context.Context, in Instance) (*Covering, error) {
-	if in.Demand == nil {
+	if in.IsZero() {
 		return nil, fmt.Errorf("cyclecover: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
 	out, err := construct.Auto{}.Solve(ctx, in, construct.Options{})
@@ -205,7 +205,7 @@ func Strategies() []string { return construct.Strategies() }
 // error; "portfolio" always succeeds on demands greedy can serve.
 // Cancellation semantics match CoverInstance.
 func CoverInstanceStrategy(ctx context.Context, in Instance, strategy string) (*Covering, error) {
-	if in.Demand == nil {
+	if in.IsZero() {
 		return nil, fmt.Errorf("cyclecover: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
 	st, ok := construct.LookupStrategy(strategy)

@@ -48,15 +48,15 @@ func (p *Plans) ResolveDelta(parentSig string, d instance.Delta) (DeltaPlan, err
 	if !ok {
 		return DeltaPlan{}, fmt.Errorf("%w: no cached plan under signature %q", ErrUnknownParent, parentSig)
 	}
+	if isGeneralSignature(parentSig) {
+		// A general-topology plan carries no dense demand to apply an edge
+		// delta to; rebuilding the child from one would silently turn it
+		// into a ring instance and lose the host.
+		return DeltaPlan{}, fmt.Errorf("%w: parent %q is a general-topology plan; delta replanning applies to ring instances only", ErrBadDelta, parentSig)
+	}
 	parent := v.(CoverResult)
 	if parent.Demand == nil {
 		return DeltaPlan{}, fmt.Errorf("%w: plan %q carries no demand provenance", ErrUnknownParent, parentSig)
-	}
-	if isGeneralSignature(parentSig) {
-		// A general-topology parent's host graph is not part of the demand
-		// provenance; applying an edge delta to the demand alone would
-		// silently rebuild the child as a ring instance and lose the host.
-		return DeltaPlan{}, fmt.Errorf("%w: parent %q is a general-topology plan; delta replanning applies to ring instances only", ErrBadDelta, parentSig)
 	}
 	childDemand, err := d.Apply(parent.Demand)
 	if err != nil {

@@ -53,8 +53,9 @@ type CoverResult struct {
 	Degraded bool
 	// Demand is the demand graph the covering was verified against —
 	// the provenance that lets a cached entry serve as the parent of an
-	// incremental delta replan (ResolveDelta). It is shared with the
-	// cache and must be treated as read-only.
+	// incremental delta replan (ResolveDelta); nil for a general host,
+	// which has no dense demand and cannot be a delta parent. It is
+	// shared with the cache and must be treated as read-only.
 	Demand *graph.Graph
 }
 
@@ -84,7 +85,7 @@ func (p *Plans) Stats() PlansStats {
 // delivered to surviving waiters is always a verified, completed
 // covering.
 func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options) (CoverResult, bool, error) {
-	if in.Demand == nil {
+	if in.IsZero() {
 		return CoverResult{}, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
 	sig := Signature(in, opts)
@@ -109,7 +110,7 @@ func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options
 // deadline cannot fit even the anytime pipeline. The returned covering
 // is the caller's private clone.
 func (p *Plans) Lookup(in instance.Instance, opts Options) (CoverResult, bool) {
-	if in.Demand == nil {
+	if in.IsZero() {
 		return CoverResult{}, false
 	}
 	v, ok := p.coverings.Get(Signature(in, opts))
@@ -174,7 +175,7 @@ func (p *Plans) NetworkAllToAllCtx(ctx context.Context, n int, opts Options) (*w
 // semantics. The returned network is shared across callers and must not
 // be mutated.
 func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Options) (*wdm.Network, bool, error) {
-	if in.Demand == nil {
+	if in.IsZero() {
 		return nil, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
 	if in.IsGeneral() {

@@ -14,10 +14,8 @@ package cache
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
-	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/instance"
 )
 
@@ -92,20 +90,30 @@ func withOptions(sig string, opts Options) string {
 	return sig
 }
 
-// demandHash is an FNV-1a fingerprint of the sorted edge multiset.
-// ForEachEdge iterates in ascending lexicographic order — the same order
-// Edges() has always produced — so the byte stream, and therefore every
-// signature, canonicalises identically to the map-era implementation
-// while walking the dense pair array without materialising an edge list.
-func demandHash(g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+// edgeMultiset is what demandHash reads: the dense ring demand and the
+// sparse general host both walk their distinct edges in ascending
+// (u, v) order with multiplicities.
+type edgeMultiset interface {
+	N() int
+	ForEachEdge(fn func(u, v, mult int) bool)
+}
+
+// demandHash is an FNV-1a fingerprint of the sorted edge multiset: n,
+// then (u, v, mult) for each distinct edge in ascending order, each as
+// 8 little-endian bytes. Signatures are cache keys and snapshot keys, so
+// this byte stream must not change. A host costs O(m), a dense demand
+// O(n²).
+func demandHash(g edgeMultiset) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	write := func(v int) {
-		u := uint64(v)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
+			h ^= uint64(v) >> (8 * i) & 0xff
+			h *= prime64
 		}
-		h.Write(buf[:])
 	}
 	write(g.N())
 	g.ForEachEdge(func(u, v, mult int) bool {
@@ -114,5 +122,5 @@ func demandHash(g *graph.Graph) uint64 {
 		write(mult)
 		return true
 	})
-	return h.Sum64()
+	return h
 }

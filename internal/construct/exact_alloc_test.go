@@ -44,8 +44,17 @@ func TestExactScratchMatchesFresh(t *testing.T) {
 	sc := NewExactScratch()
 	for _, n := range []int{6, 8, 10} {
 		for _, budget := range []int{cover.Rho(n) - 1, cover.Rho(n)} {
-			fresh := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000})
-			reused := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: 2_000_000, Scratch: sc})
+			// n = 10 at ρ(10) = 13 searches to the node limit without a
+			// covering: 8.5 s per search at 2 000 000 nodes on 2 vCPUs,
+			// several times that under the race detector. There a tenth of
+			// the limit still ends node-limited, so both searches still
+			// compare a node-limited shape.
+			limit := int64(2_000_000)
+			if raceEnabled && n == 10 && budget == cover.Rho(n) {
+				limit = 200_000
+			}
+			fresh := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit})
+			reused := ExactCtx(context.Background(), n, ExactOptions{Budget: budget, MaxLen: 4, NodeLimit: limit, Scratch: sc})
 			if fresh.Complete != reused.Complete || fresh.Nodes != reused.Nodes {
 				t.Fatalf("n=%d budget=%d: scratch changed search shape: fresh %+v, reused %+v", n, budget, fresh, reused)
 			}

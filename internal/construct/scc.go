@@ -132,44 +132,24 @@ type sccCycle struct {
 	mask  uint64
 }
 
-// sccHost indexes a host of at most 64 distinct edges for the
-// enumerating strategies. Edge i, in the host's ascending (u, v) order,
-// is mask bit i; adj[v] lists v's distinct neighbours in ascending order
-// with the connecting edge's bit; inc[v] is the mask of v's edges.
+// sccHost adds to a host of at most 64 distinct edges the masks the
+// enumerating strategies search over: edge id i, in the host's ascending
+// (u, v) order, is mask bit i, and inc[v] is the mask of v's edges.
 type sccHost struct {
+	host *graph.Host
 	n, m int
-	adj  [][]sccArc
 	inc  []uint64
 }
 
-// sccArc is one adjacency entry: neighbour w over the edge whose mask
-// bit is edge.
-type sccArc struct {
-	w    int
-	edge uint64
-}
-
-func indexHost(host *graph.Graph) *sccHost {
+func indexHost(host *graph.Host) *sccHost {
 	n := host.N()
-	h := &sccHost{n: n, m: host.DistinctEdges(), adj: make([][]sccArc, n), inc: make([]uint64, n)}
-	// Degree counts parallel edges, so each vertex's slot is at least as
-	// long as its distinct neighbour list and the appends never spill.
-	arcs := make([]sccArc, 2*host.M())
-	off := 0
-	for v := range h.adj {
-		d := host.Degree(v)
-		h.adj[v] = arcs[off : off : off+d]
-		off += d
+	h := &sccHost{host: host, n: n, m: host.DistinctEdges(), inc: make([]uint64, n)}
+	for v := range h.inc {
+		_, ids := host.Adj(v)
+		for _, id := range ids {
+			h.inc[v] |= 1 << uint(id)
+		}
 	}
-	edge := uint64(1)
-	host.ForEachEdge(func(u, v, _ int) bool {
-		h.adj[u] = append(h.adj[u], sccArc{w: v, edge: edge})
-		h.adj[v] = append(h.adj[v], sccArc{w: u, edge: edge})
-		h.inc[u] |= edge
-		h.inc[v] |= edge
-		edge <<= 1
-		return true
-	})
 	return h
 }
 
@@ -220,21 +200,23 @@ func (e *sccEnum) dfs(v int, pathMask uint64) bool {
 		}
 	}
 	e.steps++
-	for _, a := range e.h.adj[v] {
-		if a.w == e.root && len(e.path) >= cover.MinCycleLen && e.path[1] < e.path[len(e.path)-1] {
+	nbrs, ids := e.h.host.Adj(v)
+	for i, w32 := range nbrs {
+		w, edge := int(w32), uint64(1)<<uint(ids[i])
+		if w == e.root && len(e.path) >= cover.MinCycleLen && e.path[1] < e.path[len(e.path)-1] {
 			// Closing edge; path[1] < last dedupes the two directions.
 			if len(e.out) >= MaxSCCCycles {
 				return false
 			}
-			e.out = append(e.out, sccCycle{verts: append([]int(nil), e.path...), mask: pathMask | a.edge})
+			e.out = append(e.out, sccCycle{verts: append([]int(nil), e.path...), mask: pathMask | edge})
 		}
-		if a.w <= e.root || e.onPath[a.w] || len(e.path) >= e.maxLen {
+		if w <= e.root || e.onPath[w] || len(e.path) >= e.maxLen {
 			continue // root stays the cycle's minimum vertex
 		}
-		e.path = append(e.path, a.w)
-		e.onPath[a.w] = true
-		ok := e.dfs(a.w, pathMask|a.edge)
-		e.onPath[a.w] = false
+		e.path = append(e.path, w)
+		e.onPath[w] = true
+		ok := e.dfs(w, pathMask|edge)
+		e.onPath[w] = false
 		e.path = e.path[:len(e.path)-1]
 		if !ok {
 			return false
@@ -246,21 +228,23 @@ func (e *sccEnum) dfs(v int, pathMask uint64) bool {
 // sccGreedyCover walks each uncovered host edge (ascending order) around
 // a shortest cycle through it: BFS from one endpoint to the other with
 // the edge itself barred. Bridgelessness guarantees the BFS connects.
-func sccGreedyCover(ctx context.Context, host *graph.Graph) (*cover.Covering, error) {
-	n := host.N()
+func sccGreedyCover(ctx context.Context, host *graph.Host) (*cover.Covering, error) {
+	n, m := host.N(), host.DistinctEdges()
 	cv := cover.NewGeneralCovering(n)
-	covered := graph.New(n)
-	prev := make([]int, n)
-	queue := make([]int, 0, n)
-	var err error
-	host.ForEachEdge(func(u, v, _ int) bool {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-			return false
+	covered := make([]bool, m) // by edge id
+	prev := make([]int32, n)   // BFS parent: -1 at the root, -2 unreached
+	via := make([]int32, n)    // id of the edge to the BFS parent
+	queue := make([]int32, 0, n)
+	walk := make([]int, 0, n)
+	for id := range covered {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if covered.Mult(u, v) > 0 {
-			return true
+		if covered[id] {
+			continue
 		}
+		e := host.Edge(id)
+		u, v := int32(e.U), int32(e.V)
 		// BFS u → v avoiding the direct edge.
 		for i := range prev {
 			prev[i] = -2
@@ -270,37 +254,33 @@ func sccGreedyCover(ctx context.Context, host *graph.Graph) (*cover.Covering, er
 		for len(queue) > 0 && prev[v] == -2 {
 			x := queue[0]
 			queue = queue[1:]
-			for _, w := range host.Neighbors(x) {
-				if x == u && w == v {
+			nbrs, ids := host.Adj(int(x))
+			for i, w := range nbrs {
+				if int(ids[i]) == id {
 					continue
 				}
 				if prev[w] == -2 {
-					prev[w] = x
+					prev[w], via[w] = x, ids[i]
 					queue = append(queue, w)
 				}
 			}
 		}
 		if prev[v] == -2 {
-			err = fmt.Errorf("construct: no cycle through edge {%d,%d} — host has a bridge", u, v)
-			return false
+			return nil, fmt.Errorf("construct: no cycle through edge %v — host has a bridge", e)
 		}
-		walk := make([]int, 0, n)
+		walk = walk[:0]
+		covered[id] = true
 		for x := v; x != -1; x = prev[x] {
-			walk = append(walk, x)
+			walk = append(walk, int(x))
+			if prev[x] != -1 {
+				covered[via[x]] = true
+			}
 		}
-		c, werr := cover.WalkCycle(walk)
-		if werr != nil {
-			err = werr
-			return false
+		c, err := cover.WalkCycle(walk)
+		if err != nil {
+			return nil, err
 		}
 		cv.Add(c)
-		for _, p := range c.Pairs() {
-			covered.AddEdge(p.U, p.V)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	return cv, nil
 }

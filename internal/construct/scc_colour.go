@@ -63,11 +63,10 @@ func (SCCColour) Solve(ctx context.Context, in instance.Instance, opts Options) 
 const sccColourStepsPerEdge = 16
 
 // edgeColouring is greedy 3-edge-colouring with Kempe-chain repair on a
-// simple cubic host. Edges are numbered in ForEachEdge order; at[v][c]
-// is the edge holding colour c at v, or -1 when c is free there.
+// simple cubic host. Edges are the host's edge ids; at[v][c] is the edge
+// holding colour c at v, or -1 when c is free there.
 type edgeColouring struct {
-	n      int
-	ends   [][2]int32
+	host   *graph.Host
 	at     [][3]int32
 	col    []int8 // edge → colour, or -1
 	stack  []int32
@@ -77,11 +76,10 @@ type edgeColouring struct {
 	budget int
 }
 
-func newEdgeColouring(host *graph.Graph) *edgeColouring {
+func newEdgeColouring(host *graph.Host) *edgeColouring {
 	n, m := host.N(), host.M()
 	c := &edgeColouring{
-		n:      n,
-		ends:   make([][2]int32, 0, m),
+		host:   host,
 		at:     make([][3]int32, n),
 		col:    make([]int8, m),
 		stack:  make([]int32, m),
@@ -89,10 +87,6 @@ func newEdgeColouring(host *graph.Graph) *edgeColouring {
 		rng:    rand.New(rand.NewPCG(0x5cc0c010, 0x3ed9e)),
 		budget: sccColourStepsPerEdge * m,
 	}
-	host.ForEachEdge(func(u, v, _ int) bool {
-		c.ends = append(c.ends, [2]int32{int32(u), int32(v)})
-		return true
-	})
 	for v := range c.at {
 		c.at[v] = [3]int32{-1, -1, -1}
 	}
@@ -105,20 +99,23 @@ func newEdgeColouring(host *graph.Graph) *edgeColouring {
 
 // other returns the endpoint of edge e that is not x.
 func (c *edgeColouring) other(e int32, x int) int {
-	return int(c.ends[e][0]+c.ends[e][1]) - x
+	ends := c.host.Edge(int(e))
+	return ends.U + ends.V - x
 }
 
 func (c *edgeColouring) paint(e int32, k int8) {
+	ends := c.host.Edge(int(e))
 	c.col[e] = k
-	c.at[c.ends[e][0]][k] = e
-	c.at[c.ends[e][1]][k] = e
+	c.at[ends.U][k] = e
+	c.at[ends.V][k] = e
 }
 
 func (c *edgeColouring) unpaint(e int32) {
+	ends := c.host.Edge(int(e))
 	k := c.col[e]
 	c.col[e] = -1
-	c.at[c.ends[e][0]][k] = -1
-	c.at[c.ends[e][1]][k] = -1
+	c.at[ends.U][k] = -1
+	c.at[ends.V][k] = -1
 }
 
 // colour pops uncoloured edges until none is left (true) or the step
@@ -143,7 +140,8 @@ func (c *edgeColouring) colour(ctx context.Context) (bool, error) {
 		c.steps++
 		e := c.stack[len(c.stack)-1]
 		c.stack = c.stack[:len(c.stack)-1]
-		u, v := int(c.ends[e][0]), int(c.ends[e][1])
+		ends := c.host.Edge(int(e))
+		u, v := ends.U, ends.V
 		a, b := int8(-1), int8(-1)
 		for k := int8(0); k < 3; k++ {
 			fu, fv := c.at[u][k] < 0, c.at[v][k] < 0
@@ -212,9 +210,10 @@ func (c *edgeColouring) swapChain(v int, a, b int8) {
 // cover returns the circuits of the 2-factor 0∪1, then of 0∪2, each
 // walked from its smallest vertex.
 func (c *edgeColouring) cover() (*cover.Covering, error) {
-	cv := cover.NewGeneralCovering(c.n)
-	seen := make([]bool, c.n)
-	walk := make([]int, 0, c.n)
+	n := c.host.N()
+	cv := cover.NewGeneralCovering(n)
+	seen := make([]bool, n)
+	walk := make([]int, 0, n)
 	for _, x := range [2]int8{1, 2} {
 		clear(seen)
 		for s := range seen {

@@ -17,7 +17,7 @@ import (
 // 3-edge-colouring, by plain backtracking over its edges in BFS order
 // from vertex 0 with one used-colour bitmask per vertex. Test-only; it
 // shares no code with scc-colour.
-func colourableOracle(host *graph.Graph) bool {
+func colourableOracle(host *graph.Host) bool {
 	n := host.N()
 	var edges []graph.Edge
 	queued, done := make([]bool, n), make([]bool, n)
@@ -26,7 +26,8 @@ func colourableOracle(host *graph.Graph) bool {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range host.Neighbors(v) {
+		for _, w32 := range host.Neighbors(v) {
+			w := int(w32)
 			if !done[w] {
 				edges = append(edges, graph.NewEdge(v, w))
 			}

@@ -139,10 +139,12 @@ func refLowerBound(e refEdges, n int, covered uint64) int {
 	return lb
 }
 
-// sccRefHost is one host of the reference pins.
+// sccRefHost is one host of the reference pins: the sparse host the
+// code under test indexes, and a dense copy of it for the references.
 type sccRefHost struct {
-	name string
-	host *graph.Graph
+	name  string
+	host  *graph.Host
+	dense *graph.Graph
 }
 
 // sccRefHosts is the reference pins' host set: every sccFamilies spec,
@@ -156,7 +158,12 @@ func sccRefHosts(t *testing.T) []sccRefHost {
 		if err != nil {
 			t.Fatalf("parse %s (n=%d): %v", spec, n, err)
 		}
-		hosts = append(hosts, sccRefHost{fmt.Sprintf("%s/n=%d", spec, n), in.Host})
+		dense := graph.New(in.N())
+		in.Host.ForEachEdge(func(u, v, mult int) bool {
+			dense.AddEdgeMulti(u, v, mult)
+			return true
+		})
+		hosts = append(hosts, sccRefHost{fmt.Sprintf("%s/n=%d", spec, n), in.Host, dense})
 	}
 	for _, tc := range sccFamilies {
 		add(tc.n, tc.spec)
@@ -180,9 +187,9 @@ func TestSCCEnumerateMatchesReference(t *testing.T) {
 	overflowed := false
 	for _, hc := range sccRefHosts(t) {
 		h := indexHost(hc.host)
-		edges := refIndexEdges(hc.host)
+		edges := refIndexEdges(hc.dense)
 		for _, maxLen := range []int{KCycleMaxLen, hc.host.N()} {
-			want, wantOK := refEnumerateCycles(hc.host, edges, maxLen)
+			want, wantOK := refEnumerateCycles(hc.dense, edges, maxLen)
 			got, err := enumerateCycles(context.Background(), h, maxLen)
 			if err != nil && err != errCycleCap {
 				t.Fatalf("%s maxLen=%d: unexpected error %v", hc.name, maxLen, err)
@@ -218,7 +225,7 @@ func TestSCCLowerBoundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, hc := range sccRefHosts(t) {
 		h := indexHost(hc.host)
-		edges := refIndexEdges(hc.host)
+		edges := refIndexEdges(hc.dense)
 		s := &sccSearch{inc: h.inc}
 		full := fullMask(h.m)
 		masks := []uint64{0, full}

@@ -112,7 +112,7 @@ func TestVerifyGeneralRejections(t *testing.T) {
 	// vertices sorted by ring order, which silently re-routes the walk.
 	// {0, 2, 4} sorted is a triangle over pentagon *chords* — VerifyGeneral
 	// must judge the stored order against the host, not assume adjacency.
-	c6 := graph.Cycle(6)
+	c6 := graph.NewHost(6, graph.Cycle(6).Edges())
 	rc := NewGeneralCovering(6)
 	rc.Add(MustWalkCycle(0, 1, 2, 3, 4, 5))
 	if err := VerifyGeneral(rc, c6); err != nil {
@@ -163,7 +163,7 @@ func TestSCCBounds(t *testing.T) {
 		t.Fatalf("SnarkSCCUpperBound(30) = %d, want %d", got, want)
 	}
 	// Non-cubic: on a plain cycle the edge count dominates the visit sum.
-	if got := SCCLowerBound(graph.Cycle(5)); got != 5 {
+	if got := SCCLowerBound(graph.NewHost(5, graph.Cycle(5).Edges())); got != 5 {
 		t.Fatalf("C_5 SCC lower bound = %d, want 5", got)
 	}
 }
@@ -211,13 +211,18 @@ func FuzzGeneralVerify(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, nRaw uint8, edgeBytes, cycleBytes []byte) {
 		n := 3 + int(nRaw)%18
-		host := graph.New(n)
+		// The ground truth reads a dense copy of the host, not the Host
+		// the verifier indexes.
+		dense := graph.New(n)
+		var edges []graph.Edge
 		for i := 0; i+1 < len(edgeBytes); i += 2 {
 			u, v := int(edgeBytes[i])%n, int(edgeBytes[i+1])%n
 			if u != v {
-				host.AddEdge(u, v)
+				dense.AddEdge(u, v)
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
+		host := graph.NewHost(n, edges)
 
 		cv := NewGeneralCovering(n)
 		for i := 0; i < len(cycleBytes); {
@@ -247,7 +252,7 @@ func FuzzGeneralVerify(f *testing.F) {
 			vs := c.Vertices()
 			for j := range vs {
 				u, v := vs[j], vs[(j+1)%len(vs)]
-				if u >= n || v >= n || !host.HasEdge(u, v) {
+				if u >= n || v >= n || !dense.HasEdge(u, v) {
 					valid = false
 					continue
 				}
@@ -255,7 +260,7 @@ func FuzzGeneralVerify(f *testing.F) {
 			}
 		}
 		if valid {
-			for _, e := range host.Edges() {
+			for _, e := range dense.Edges() {
 				if !covered[e] {
 					valid = false
 					break
@@ -297,7 +302,7 @@ func BenchmarkGeneralVerify(b *testing.B) {
 // greedyBenchCover builds a valid (not short) cover for a cubic host by
 // walking each uncovered edge around a shortest cycle through it, found
 // by BFS between its endpoints with the edge removed. Test-only.
-func greedyBenchCover(host *graph.Graph) (*Covering, error) {
+func greedyBenchCover(host *graph.Host) (*Covering, error) {
 	n := host.N()
 	cv := NewGeneralCovering(n)
 	cov := graph.New(n)
@@ -329,7 +334,7 @@ func greedyBenchCover(host *graph.Graph) (*Covering, error) {
 // bfsPathAvoiding returns a shortest u→v path not using edge {u,v}
 // directly, as a vertex sequence starting at u and ending at v (which
 // closes into a cycle through {u,v}); nil when none exists.
-func bfsPathAvoiding(g *graph.Graph, u, v int) []int {
+func bfsPathAvoiding(g *graph.Host, u, v int) []int {
 	prev := make([]int, g.N())
 	for i := range prev {
 		prev[i] = -2
@@ -339,7 +344,8 @@ func bfsPathAvoiding(g *graph.Graph, u, v int) []int {
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, w := range g.Neighbors(x) {
+		for _, w32 := range g.Neighbors(x) {
+			w := int(w32)
 			if x == u && w == v {
 				continue // must go the long way around
 			}

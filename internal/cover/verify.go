@@ -10,17 +10,18 @@ import (
 
 // Verifier checks coverings against demands with caller-owned scratch
 // state, so repeated verifications allocate nothing in steady state: the
-// link-occupancy stamps and the dense coverage tally are reused across
-// calls, growing only when a larger ring arrives. A Verifier is not safe
-// for concurrent use; the package-level Verify/VerifyDRC functions draw
-// from a shared pool and are.
+// stamps and the dense coverage tally are reused across calls, growing
+// only when a larger ring or host arrives. A Verifier is not safe for
+// concurrent use; the package-level Verify/VerifyDRC/VerifyGeneral
+// functions draw from a shared pool and are.
 type Verifier struct {
-	// stamp[l] == epoch marks ring link l as occupied by an arc of the
-	// cycle currently being checked. Bumping epoch resets all links in
-	// O(1); the array is cleared only when it grows.
+	// stamp[i] == epoch marks slot i: in VerifyDRC, ring link i as
+	// occupied by an arc of the cycle being checked; in VerifyGeneral,
+	// host edge i as covered. Bumping epoch resets every slot in O(1);
+	// the array is cleared only when it grows.
 	stamp []uint64
 	epoch uint64
-	// cov is the dense coverage tally of the covering under verification:
+	// cov is the dense coverage tally of the ring covering under Verify:
 	// one edge per covered pair-slot.
 	cov graph.Graph
 }
@@ -50,7 +51,7 @@ func VerifyDRC(r ring.Ring, c Cycle) error {
 //cyclecover:noalloc
 func (vf *Verifier) VerifyDRC(r ring.Ring, c Cycle) error {
 	n := r.N()
-	vf.ensureLinks(n)
+	vf.ensureStamps(n)
 	vf.epoch++
 	verts := c.Vertices()
 	k := len(verts)
@@ -85,11 +86,11 @@ func (vf *Verifier) VerifyDRC(r ring.Ring, c Cycle) error {
 	return nil
 }
 
-// ensureLinks grows the link stamp array to n links, resetting the epoch
+// ensureStamps grows the stamp array to n slots, resetting the epoch
 // clock only when fresh (zeroed) storage is minted.
 //
 //cyclecover:noalloc
-func (vf *Verifier) ensureLinks(n int) {
+func (vf *Verifier) ensureStamps(n int) {
 	if cap(vf.stamp) < n {
 		vf.stamp = make([]uint64, n)
 		vf.epoch = 0

@@ -167,3 +167,149 @@ func FuzzGraphOps(f *testing.F) {
 		}
 	})
 }
+
+// denseFindBridge is the iterative Tarjan low-link DFS that found
+// bridges on the dense Graph before general hosts became sparse. It is
+// kept as the reference FuzzHost holds Host.FindBridge to: the same
+// bridge must be named, because admission errors name it.
+func denseFindBridge(g *Graph) (Edge, bool) {
+	n := g.N()
+	if n == 0 {
+		return Edge{}, false
+	}
+	disc := make([]int, n) // discovery time, 0 = unvisited
+	low := make([]int, n)  // low-link
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = -1
+	}
+	time := 0
+
+	// Explicit stack: frame (vertex, index into its neighbor list), the
+	// neighbor list materialized per frame.
+	type frame struct {
+		v    int
+		nbrs []int
+		next int
+	}
+	var bridge Edge
+	found := false
+	for root := 0; root < n && !found; root++ {
+		if disc[root] != 0 {
+			continue
+		}
+		time++
+		disc[root] = time
+		low[root] = time
+		stack := []frame{{v: root, nbrs: g.Neighbors(root)}}
+		for len(stack) > 0 && !found {
+			f := &stack[len(stack)-1]
+			if f.next < len(f.nbrs) {
+				w := f.nbrs[f.next]
+				f.next++
+				if disc[w] == 0 {
+					parent[w] = f.v
+					time++
+					disc[w] = time
+					low[w] = time
+					stack = append(stack, frame{v: w, nbrs: g.Neighbors(w)})
+				} else if w != parent[f.v] || g.Mult(f.v, w) > 1 {
+					// Back edge — or the tree edge seen again through a
+					// parallel copy, which legitimately lowers low.
+					if disc[w] < low[f.v] {
+						low[f.v] = disc[w]
+					}
+				}
+				continue
+			}
+			stack = stack[:len(stack)-1]
+			if p := parent[f.v]; p != -1 {
+				if low[f.v] < low[p] {
+					low[p] = low[f.v]
+				}
+				if low[f.v] > disc[p] && g.Mult(p, f.v) == 1 {
+					bridge = NewEdge(p, f.v)
+					found = true
+				}
+			}
+		}
+	}
+	return bridge, found
+}
+
+// FuzzHost builds a sparse Host and a dense Graph from the same random
+// edge multiset and checks that every observable agrees: M,
+// DistinctEdges, Degree, Mult, the ascending ForEachEdge walk with its
+// multiplicities, each vertex's Neighbors, the edge ids behind the
+// adjacency lists, Connected, and the bridge FindBridge names.
+func FuzzHost(f *testing.F) {
+	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3})
+	f.Add(uint8(4), []byte{0, 1, 1, 0, 2, 3, 3, 2, 0, 2, 1, 3})
+	f.Add(uint8(10), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 5, 7, 7, 9, 9, 6, 6, 8, 8, 5})
+	f.Add(uint8(7), []byte{0, 1, 1, 2, 2, 0, 5, 6})
+	f.Add(uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, nRaw uint8, raw []byte) {
+		n := 1 + int(nRaw)%24
+		dense := New(n)
+		var es []Edge
+		for i := 0; i+1 < len(raw); i += 2 {
+			u, v := int(raw[i])%n, int(raw[i+1])%n
+			if u == v {
+				continue
+			}
+			es = append(es, Edge{U: u, V: v})
+			dense.AddEdge(u, v)
+		}
+		h := NewHost(n, es)
+		if h.N() != n || h.M() != dense.M() || h.DistinctEdges() != dense.DistinctEdges() {
+			t.Fatalf("N/M/DistinctEdges = %d/%d/%d, dense %d/%d/%d",
+				h.N(), h.M(), h.DistinctEdges(), n, dense.M(), dense.DistinctEdges())
+		}
+		var want, got []int
+		dense.ForEachEdge(func(u, v, mult int) bool {
+			want = append(want, u, v, mult)
+			return true
+		})
+		h.ForEachEdge(func(u, v, mult int) bool {
+			got = append(got, u, v, mult)
+			return true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ForEachEdge walk %v, dense %v", got, want)
+		}
+		for v := 0; v < n; v++ {
+			if h.Degree(v) != dense.Degree(v) {
+				t.Fatalf("Degree(%d) = %d, dense %d", v, h.Degree(v), dense.Degree(v))
+			}
+			for u := 0; u < n; u++ {
+				if h.Mult(u, v) != dense.Mult(u, v) {
+					t.Fatalf("Mult(%d,%d) = %d, dense %d", u, v, h.Mult(u, v), dense.Mult(u, v))
+				}
+			}
+			nbrs, ids := h.Adj(v)
+			dn := dense.Neighbors(v)
+			if len(nbrs) != len(dn) {
+				t.Fatalf("Neighbors(%d) = %v, dense %v", v, nbrs, dn)
+			}
+			for i, w := range nbrs {
+				if int(w) != dn[i] {
+					t.Fatalf("Neighbors(%d) = %v, dense %v", v, nbrs, dn)
+				}
+				if e := h.Edge(int(ids[i])); e != NewEdge(v, int(w)) {
+					t.Fatalf("arc %d→%d carries edge %d = %v", v, w, ids[i], e)
+				}
+				if id, ok := h.EdgeID(v, int(w)); !ok || id != int(ids[i]) {
+					t.Fatalf("EdgeID(%d,%d) = %d,%v, want %d", v, w, id, ok, ids[i])
+				}
+			}
+		}
+		if got, want := h.Connected(), dense.Connected(false); got != want {
+			t.Fatalf("Connected = %v, dense %v", got, want)
+		}
+		ge, gok := h.FindBridge()
+		we, wok := denseFindBridge(dense)
+		if ge != we || gok != wok {
+			t.Fatalf("FindBridge = %v,%v, dense Tarjan %v,%v", ge, gok, we, wok)
+		}
+	})
+}

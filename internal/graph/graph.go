@@ -1,13 +1,21 @@
 // Package graph provides the undirected graph substrate used to model
-// logical (virtual) demand graphs and to verify coverings.
+// logical (virtual) demand graphs, to carry the host graphs of the
+// general-topology instances, and to verify coverings.
 //
 // The paper models demands as an undirected logical graph I on the ring's
 // vertices (symmetric requests routed symmetrically); the all-to-all
 // instance is the complete graph K_n. A covering of I is checked by pure
 // edge bookkeeping, so the package centres on a compact undirected
-// multigraph with counted edges.
+// multigraph with counted edges, in two representations:
 //
-// # Representation
+//   - Graph, the dense demand: a mutable multigraph over the full pair
+//     triangle, built for K_n-like demands where most pairs are present.
+//   - Host (host.go), the sparse host: an immutable multigraph with
+//     numbered edges and per-vertex neighbour lists, built once when a
+//     general-topology instance is admitted. A host with m edges costs
+//     O(n + m) to build, check, hash and verify against.
+//
+// # Dense representation
 //
 // Graph stores multiplicities in a flat triangular []int32 indexed by the
 // rank of the vertex pair (u, v), u < v, in lexicographic order, plus a
@@ -16,9 +24,9 @@
 // (EqualCover, Covers, IsSubgraphOf) are linear scans, and CopyFrom
 // re-fills a caller-owned scratch graph without allocating once its
 // backing arrays have grown to size. Iteration (Edges, ForEachEdge,
-// Neighbors) is always in ascending lexicographic pair order, so every
-// derived artifact — error messages, JSON dumps, content hashes — is
-// deterministic by construction.
+// Neighbors) is always in ascending lexicographic pair order — the order
+// Host numbers its edges in — so every derived artifact (error messages,
+// JSON dumps, content hashes) is deterministic by construction.
 package graph
 
 import (

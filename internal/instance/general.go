@@ -15,6 +15,7 @@ package instance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,9 +33,9 @@ func (in Instance) IsGeneral() bool { return in.Host != nil }
 // General admits an arbitrary host graph as a shortest-cycle-cover
 // instance. The host must have at least MinGeneralN vertices, be
 // connected, and be bridgeless; parallel edges are allowed (a doubled
-// edge is never a bridge). The returned instance's Demand aliases the
-// host: every host edge is a demand edge.
-func General(name string, host *graph.Graph) (Instance, error) {
+// edge is never a bridge). Every host edge is a demand edge; the
+// returned instance has no dense Demand. The checks are O(n + m).
+func General(name string, host *graph.Host) (Instance, error) {
 	if host == nil {
 		return Instance{}, fmt.Errorf("instance: nil host graph")
 	}
@@ -44,13 +45,13 @@ func General(name string, host *graph.Graph) (Instance, error) {
 	if host.M() == 0 {
 		return Instance{}, fmt.Errorf("instance: general host has no edges")
 	}
-	if !host.Connected(false) {
+	if !host.Connected() {
 		return Instance{}, fmt.Errorf("instance: general host is disconnected — no cycle cover exists")
 	}
 	if e, found := host.FindBridge(); found {
 		return Instance{}, fmt.Errorf("instance: general host has bridge %v — a bridge lies on no cycle, so no cycle cover exists", e)
 	}
-	return Instance{Name: name, Demand: host, Host: host}, nil
+	return Instance{Name: name, Host: host}, nil
 }
 
 // Petersen returns the Petersen-graph instance, the canonical snark and
@@ -106,18 +107,19 @@ func RandomCubic(n int, seed int64) (Instance, error) {
 
 // ParseEdgeList builds a general instance on n vertices from a compact
 // edge list "u-v,u-v,...". Vertices must lie in [0, n); self-loops are
-// rejected (AddEdge would panic on them, and a loop is never part of a
+// rejected (NewHost would panic on them, and a loop is never part of a
 // simple cycle anyway). The parsed graph then passes the General
 // admission check: connected and bridgeless.
 func ParseEdgeList(n int, body string) (Instance, error) {
 	if n < MinGeneralN {
 		return Instance{}, fmt.Errorf("instance: edge list needs n >= %d, got %d", MinGeneralN, n)
 	}
-	g := graph.New(n)
 	if body == "" {
 		return Instance{}, fmt.Errorf("instance: empty edge list")
 	}
-	for _, tok := range strings.Split(body, ",") {
+	toks := strings.Split(body, ",")
+	edges := make([]graph.Edge, 0, len(toks))
+	for _, tok := range toks {
 		uv := strings.Split(tok, "-")
 		if len(uv) != 2 {
 			return Instance{}, fmt.Errorf("instance: bad edge %q: want <u>-<v>", tok)
@@ -133,9 +135,9 @@ func ParseEdgeList(n int, body string) (Instance, error) {
 		if u == v {
 			return Instance{}, fmt.Errorf("instance: self-loop %q — loops lie on no simple cycle", tok)
 		}
-		g.AddEdge(u, v)
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
-	return General(fmt.Sprintf("edges (%dv, %de)", n, g.M()), g)
+	return General(fmt.Sprintf("edges (%dv, %de)", n, len(edges)), graph.NewHost(n, edges))
 }
 
 // ParseAdjacency builds a general instance from an adjacency list
@@ -150,13 +152,14 @@ func ParseAdjacency(body string) (Instance, error) {
 	if n < MinGeneralN {
 		return Instance{}, fmt.Errorf("instance: adjacency list needs >= %d rows, got %d", MinGeneralN, n)
 	}
-	// Tally directed arcs into two pair-count graphs — low holds arcs
-	// listed by the lower endpoint, high those listed by the higher — so
-	// the symmetry check iterates in the graphs' deterministic edge order
-	// with no map in sight. An undirected adjacency list is symmetric iff
-	// the two tallies agree pairwise; the agreed count is the edge
-	// multiplicity.
-	low, high := graph.New(n), graph.New(n)
+	// Each listed arc becomes one key: its pair {lo, hi}, then which row
+	// listed it — bit 0 clear for the lower endpoint's row, set for the
+	// higher's. Sorted, the keys group by pair in ascending (lo, hi)
+	// order with the lower row's arcs first, so one scan finds the
+	// multiplicity each row claims. An undirected adjacency list is
+	// symmetric iff every pair's two claims agree; the agreed count is the
+	// edge multiplicity.
+	var arcs []uint64
 	for u, row := range rows {
 		row = strings.TrimSpace(row)
 		if row == "" {
@@ -173,34 +176,37 @@ func ParseAdjacency(body string) (Instance, error) {
 			if v == u {
 				return Instance{}, fmt.Errorf("instance: row %d: self-loop", u)
 			}
-			if u < v {
-				low.AddEdge(u, v)
-			} else {
-				high.AddEdge(u, v)
+			key := uint64(min(u, v))<<32 | uint64(max(u, v))<<1
+			if u > v {
+				key |= 1
 			}
+			arcs = append(arcs, key)
 		}
 	}
-	var asym error
-	low.ForEachEdge(func(u, v, mult int) bool {
-		if back := high.Mult(u, v); back != mult {
-			asym = fmt.Errorf("instance: asymmetric adjacency: row %d lists %d ×%d but row %d lists %d ×%d", u, v, mult, v, u, back)
-			return false
+	slices.Sort(arcs)
+	var edges []graph.Edge
+	var unlisted error // the first pair only its higher endpoint's row lists
+	for i := 0; i < len(arcs); {
+		pair := arcs[i] >> 1
+		var claim [2]int // arcs listed by the lower and the higher endpoint's row
+		for ; i < len(arcs) && arcs[i]>>1 == pair; i++ {
+			claim[arcs[i]&1]++
 		}
-		return true
-	})
-	if asym == nil && high.M() != low.M() {
-		high.ForEachEdge(func(u, v, mult int) bool {
-			if low.Mult(u, v) == 0 {
-				asym = fmt.Errorf("instance: asymmetric adjacency: row %d lists %d ×%d but row %d does not list %d", v, u, mult, u, v)
-				return false
-			}
-			return true
-		})
+		u, v := int(pair>>31), int(pair&(1<<31-1))
+		switch {
+		case claim[0] > 0 && claim[0] != claim[1]:
+			return Instance{}, fmt.Errorf("instance: asymmetric adjacency: row %d lists %d ×%d but row %d lists %d ×%d", u, v, claim[0], v, u, claim[1])
+		case claim[0] == 0 && unlisted == nil:
+			unlisted = fmt.Errorf("instance: asymmetric adjacency: row %d lists %d ×%d but row %d does not list %d", v, u, claim[1], u, v)
+		}
+		for range claim[0] {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
 	}
-	if asym != nil {
-		return Instance{}, asym
+	if unlisted != nil {
+		return Instance{}, unlisted
 	}
-	return General(fmt.Sprintf("adjacency (%dv, %de)", n, low.M()), low)
+	return General(fmt.Sprintf("adjacency (%dv, %de)", n, len(edges)), graph.NewHost(n, edges))
 }
 
 // ParseGeneral builds a general-topology instance from a compact demand
@@ -216,9 +222,10 @@ func ParseAdjacency(body string) (Instance, error) {
 //
 // Fixed-size families check the caller's n so a surprising instance
 // size is an error, not a silent override. They check it before the
-// host is built: building is Θ(size²), and specs are untrusted. ok
-// reports whether the spec named a general family at all; when false
-// the caller should fall through to the ring families.
+// host is built: building is O(size), but specs are untrusted and the
+// size is theirs to choose. ok reports whether the spec named a general
+// family at all; when false the caller should fall through to the ring
+// families.
 func ParseGeneral(n int, spec string) (Instance, bool, error) {
 	// fixed builds a fixed family's host of per·k vertices after checking
 	// that count against n. A k outside the family's range (inRange

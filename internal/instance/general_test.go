@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/cyclecover/cyclecover/internal/graph"
 )
 
 func TestGeneralAdmission(t *testing.T) {
@@ -66,8 +68,8 @@ func TestParseGeneralFamilies(t *testing.T) {
 		if in.N() != tc.n || in.Host.M() != tc.m {
 			t.Fatalf("%q: n=%d m=%d, want %d/%d", tc.spec, in.N(), in.Host.M(), tc.n, tc.m)
 		}
-		if in.Demand != in.Host {
-			t.Fatalf("%q: Demand must alias Host for general instances", tc.spec)
+		if in.Demand != nil || in.Requests() != tc.m {
+			t.Fatalf("%q: a general instance carries no dense demand and requests its %d host edges", tc.spec, tc.m)
 		}
 	}
 
@@ -142,9 +144,79 @@ func TestParseAdjacencySymmetry(t *testing.T) {
 	}
 }
 
+// coverableOracle reports whether a host admits a cycle cover at all —
+// connected and bridgeless — by brute force over its edge list: a BFS
+// from vertex 0 must reach every vertex, and must still reach every
+// vertex with any one edge of multiplicity 1 removed. Test-only, O(m·(n
+// + m)); it shares no code with the Host.Connected and Host.FindBridge
+// checks that admission runs.
+func coverableOracle(h *graph.Host) bool {
+	type edge struct{ u, v, mult int }
+	var es []edge
+	h.ForEachEdge(func(u, v, mult int) bool {
+		es = append(es, edge{u, v, mult})
+		return true
+	})
+	n := h.N()
+	spans := func(skip int) bool {
+		adj := make([][]int, n)
+		for i, e := range es {
+			if i != skip {
+				adj[e.u] = append(adj[e.u], e.v)
+				adj[e.v] = append(adj[e.v], e.u)
+			}
+		}
+		seen := make([]bool, n)
+		seen[0] = true
+		reached, queue := 1, []int{0}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range adj[v] {
+				if !seen[w] {
+					seen[w] = true
+					reached++
+					queue = append(queue, w)
+				}
+			}
+		}
+		return reached == n
+	}
+	if n == 0 || !spans(-1) {
+		return false
+	}
+	for i, e := range es {
+		if e.mult == 1 && !spans(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCoverableOracle pins the oracle itself on hosts whose answer is
+// known by hand, so a vacuous oracle cannot pass the fuzz targets.
+func TestCoverableOracle(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		edges []graph.Edge
+		want  bool
+	}{
+		{3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}, true},
+		{4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}}, false},              // pendant bridge
+		{4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}, {U: 3, V: 2}}, true}, // doubled, so no bridge
+		{4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}, false},                            // isolated vertex
+		{6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}}, false},
+	} {
+		if got := coverableOracle(graph.NewHost(tc.n, tc.edges)); got != tc.want {
+			t.Errorf("oracle(%v) = %v, want %v", tc.edges, got, tc.want)
+		}
+	}
+}
+
 // FuzzParseAdjacency feeds arbitrary strings through both text parse
 // formats: any outcome but a clean error or a valid general instance —
-// in particular any panic from AddEdge on unvalidated input — is a bug.
+// in particular any panic from NewHost on unvalidated input — is a bug.
+// An admitted host must pass coverableOracle.
 func FuzzParseAdjacency(f *testing.F) {
 	f.Add("1,2;0,2;0,1")
 	f.Add("1;0,2;1,0")
@@ -157,16 +229,39 @@ func FuzzParseAdjacency(f *testing.F) {
 			if !in.IsGeneral() || in.Host.N() < MinGeneralN {
 				t.Fatalf("ParseAdjacency(%q) returned malformed instance %+v", body, in)
 			}
-			if !in.Host.Connected(false) || !in.Host.Bridgeless() {
+			if !coverableOracle(in.Host) {
 				t.Fatalf("ParseAdjacency(%q) admitted an uncoverable host", body)
 			}
 		}
 		// The edge-list format shares the validation layer; drive it with
 		// the same corpus (different grammar, same no-panic contract).
 		if in, err := ParseEdgeList(8, body); err == nil {
-			if !in.IsGeneral() || !in.Host.Bridgeless() {
+			if !in.IsGeneral() || !coverableOracle(in.Host) {
 				t.Fatalf("ParseEdgeList(%q) admitted an uncoverable host", body)
 			}
 		}
 	})
+}
+
+// TestAdmissionErrorTexts pins the exact admission errors a client
+// sees — which bridge is named, which asymmetric pair is reported
+// first — so a change of host representation cannot reword them.
+func TestAdmissionErrorTexts(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		spec string
+		want string
+	}{
+		{7, "edges:0-1,1-2,2-0,2-3,3-4,4-5,5-3,5-6,6-4", "instance: general host has bridge {2,3} — a bridge lies on no cycle, so no cycle cover exists"},
+		{8, "edges:4-5,5-6,6-4,0-1,1-2,2-0,2-3,3-4,6-7,7-5", "instance: general host has bridge {3,4} — a bridge lies on no cycle, so no cycle cover exists"},
+		{6, "edges:0-1,1-2,2-0,3-4,4-5,5-3", "instance: general host is disconnected — no cycle cover exists"},
+		{4, "adj:1,2,3;0,2,0;0,1,3;0,2", "instance: asymmetric adjacency: row 0 lists 1 ×1 but row 1 lists 0 ×2"},
+		{4, "adj:1,2;0,2,3;0,1,3;1,2,0", "instance: asymmetric adjacency: row 3 lists 0 ×1 but row 0 does not list 3"},
+		{4, "adj:1,2;0,2,3;0,1,3,3;1,2,0", "instance: asymmetric adjacency: row 2 lists 3 ×2 but row 3 lists 2 ×1"},
+	} {
+		_, err := Parse(tc.n, tc.spec)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%d, %q) err = %v, want %q", tc.n, tc.spec, err, tc.want)
+		}
+	}
 }

@@ -17,24 +17,39 @@ import (
 )
 
 // Instance is a named demand set over n vertices. Ring instances carry
-// only Demand, interpreted as logical requests routed on the physical
-// ring. General-topology instances (see general.go) additionally carry
-// Host, an arbitrary bridgeless graph; there Demand aliases Host —
-// every host edge must be covered by a cycle of the host — and the
-// objective is the total cover length rather than the cycle count.
+// only Demand, the dense logical graph of requests routed on the
+// physical ring. General-topology instances (see general.go) carry only
+// Host, an arbitrary bridgeless graph in the sparse representation: every
+// host edge must be covered by a cycle of the host, and the objective is
+// the total cover length rather than the cycle count.
 type Instance struct {
 	Name   string
 	Demand *graph.Graph
-	Host   *graph.Graph
+	Host   *graph.Host
 }
 
-// N returns the number of vertices. A zero-value Instance (e.g. what
-// Parse returns alongside an error) has no demand graph and reports 0.
-func (in Instance) N() int { return in.Demand.N() }
+// N returns the number of vertices: the host's for a general instance,
+// the demand's otherwise. A zero-value Instance (e.g. what Parse returns
+// alongside an error) has neither and reports 0.
+func (in Instance) N() int {
+	if in.IsGeneral() {
+		return in.Host.N()
+	}
+	return in.Demand.N()
+}
 
-// Requests returns the number of demand edges counted with multiplicity;
-// 0 for a zero-value Instance.
-func (in Instance) Requests() int { return in.Demand.M() }
+// Requests returns the number of demand edges counted with multiplicity
+// — a general instance's host edges; 0 for a zero-value Instance.
+func (in Instance) Requests() int {
+	if in.IsGeneral() {
+		return in.Host.M()
+	}
+	return in.Demand.M()
+}
+
+// IsZero reports whether the instance carries neither a demand nor a
+// host: the zero value that Parse returns alongside an error.
+func (in Instance) IsZero() bool { return in.Demand == nil && in.Host == nil }
 
 // IsAllToAll reports whether the demand is K_n with multiplicity one —
 // the class ρ(n) speaks about. It is keyed on the demand itself, not on

@@ -174,7 +174,7 @@ func TestParseSmallNErrors(t *testing.T) {
 
 // FuzzParse drives every spec family with n reduced into [0, 64]. Parse
 // must never panic; a success has exactly n vertices, and a general host
-// is connected and bridgeless.
+// is connected and bridgeless by coverableOracle.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []struct {
 		n    int
@@ -198,7 +198,7 @@ func FuzzParse(f *testing.F) {
 		if in.N() != n {
 			t.Fatalf("Parse(%d, %q) returned %d vertices", n, spec, in.N())
 		}
-		if in.IsGeneral() && (!in.Host.Connected(false) || !in.Host.Bridgeless()) {
+		if in.IsGeneral() && !coverableOracle(in.Host) {
 			t.Fatalf("Parse(%d, %q) admitted an uncoverable host", n, spec)
 		}
 	})

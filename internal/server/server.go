@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -453,7 +452,8 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 	} else if in.IsAllToAll() {
 		resp.Rho = cover.Rho(in.N())
 	}
-	resp.Cycles = slices.Grow(resp.Cycles, len(res.Covering.Cycles))
+	// Always a list: an empty covering answers "cycles": [], not null.
+	resp.Cycles = make([][]int, 0, len(res.Covering.Cycles))
 	for _, c := range res.Covering.Cycles {
 		resp.Cycles = append(resp.Cycles, c.Vertices())
 	}

@@ -616,3 +616,42 @@ func (w *discardResponse) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestEmptyCoveringAnswersEmptyList: an empty demand gets an empty
+// covering, and both /plan and a /plan/batch line must carry it as
+// "cycles": [], never null — a strict client reads null as a missing
+// field, while size says 0.
+func TestEmptyCoveringAnswersEmptyList(t *testing.T) {
+	_, ts := newTestServer(t)
+	cyclesOf := func(t *testing.T, plan json.RawMessage) string {
+		t.Helper()
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(plan, &fields); err != nil {
+			t.Fatalf("undecodable plan %s: %v", plan, err)
+		}
+		return string(fields["cycles"])
+	}
+	resp, body := get(t, ts.URL+"/plan?n=4&demand=random:0.0:1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/plan: status %d: %s", resp.StatusCode, body)
+	}
+	if got := cyclesOf(t, body); got != "[]" {
+		t.Fatalf("/plan: cycles = %s, want []", got)
+	}
+	resp, err := http.Post(ts.URL+"/plan/batch", "application/x-ndjson", strings.NewReader(`{"n": 4, "demand": "random:0.0:1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/plan/batch: status %d, err %v: %s", resp.StatusCode, err, raw)
+	}
+	var line map[string]json.RawMessage
+	if err := json.Unmarshal(bytes.TrimSpace(raw), &line); err != nil {
+		t.Fatalf("/plan/batch: undecodable line %s: %v", raw, err)
+	}
+	if got := cyclesOf(t, line["plan"]); got != "[]" {
+		t.Fatalf("/plan/batch: cycles = %s, want []", got)
+	}
+}
