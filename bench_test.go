@@ -346,8 +346,8 @@ func BenchmarkExactCertRho13(b *testing.B) {
 
 // BenchmarkSweep is the pinned sweep hot-path benchmark (see
 // BENCH_5.json): exhaustive k = 1 and k = 2 failure sweeps of the K_12
-// plan, serial, measuring the per-sweep fixed costs plus the scenario
-// evaluate loop.
+// plan, measuring the per-sweep fixed costs plus the scenario evaluate
+// loop.
 func BenchmarkSweep(b *testing.B) {
 	res, err := construct.AllToAllCtx(context.Background(), 12)
 	if err != nil {
@@ -362,7 +362,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sweep, err := sim.SweepCtx(context.Background(), survive.SweepOptions{K: k, Workers: 1})
+				sweep, err := sim.SweepCtx(context.Background(), survive.SweepOptions{K: k})
 				if err != nil || sweep.Evaluated == 0 {
 					b.Fatal("sweep failed")
 				}

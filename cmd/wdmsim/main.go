@@ -1,7 +1,7 @@
 // Command wdmsim plans a survivable WDM ring and drives k-failure
-// drills against it on the parallel sweep engine: exhaustive sweeps for
-// k ≤ 2, deterministically sampled sweeps for k ≥ 3, all through the
-// same cached planning path the cycled service serves (POST /simulate).
+// drills against it on the sweep engine: exhaustive sweeps for k ≤ 2,
+// deterministically sampled sweeps for k ≥ 3, all through the same
+// cached planning path the cycled service serves (POST /simulate).
 //
 // Usage:
 //
@@ -12,10 +12,8 @@
 //	wdmsim -n 16 -k 3 -sample 500     # seeded sample of triple failures
 //	wdmsim -n 12 -demand hub:0 -strategy greedy -timeout 2s
 //
-// -seed reproduces a sampled sweep exactly; -workers bounds the sweep's
-// parallelism (the aggregate report is identical for every worker
-// count); -timeout bounds planning and sweeping together, mirroring the
-// service's -plan-timeout.
+// -seed reproduces a sampled sweep exactly; -timeout bounds planning and
+// sweeping together, mirroring the service's -plan-timeout.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 	k := flag.Int("k", 1, "failure multiplicity per sweep scenario")
 	sample := flag.Int("sample", 0, "max sampled scenarios for k >= 3 (0 = library default)")
 	seed := flag.Int64("seed", 0, "scenario sampler seed (k >= 3)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "deadline for planning + sweeping (0 = none)")
 	flag.Parse()
 
@@ -84,10 +81,9 @@ func main() {
 	}
 
 	sim, err := planner.Simulate(ctx, in, cyclecover.SweepOptions{
-		K:       *k,
-		Sample:  *sample,
-		Seed:    *seed,
-		Workers: *workers,
+		K:      *k,
+		Sample: *sample,
+		Seed:   *seed,
 	})
 	if err != nil {
 		fatal(err)

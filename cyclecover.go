@@ -29,7 +29,7 @@
 //     coverage are tallied over pooled scratch in one pass, so repeated
 //     verification is allocation-free in steady state;
 //   - PlanWDM, NewSimulator — the optical layer and failure simulation,
-//     including the parallel k-failure sweep engine (SweepOptions /
+//     including the k-failure sweep engine (SweepOptions /
 //     SweepResult): exhaustive single- and double-failure sweeps,
 //     deterministically sampled k ≥ 3 sweeps, per-scenario reports and
 //     critical-link attribution, cancellable mid-sweep;
@@ -83,8 +83,8 @@ type (
 	Simulator = survive.Simulator
 	// FailureReport summarises one failure scenario.
 	FailureReport = survive.FailureReport
-	// SweepOptions configures a k-failure sweep (multiplicity, workers,
-	// sampling, budget).
+	// SweepOptions configures a k-failure sweep (multiplicity, sampling,
+	// budget).
 	SweepOptions = survive.SweepOptions
 	// SweepResult aggregates a k-failure sweep.
 	SweepResult = survive.SweepResult

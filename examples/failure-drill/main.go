@@ -1,9 +1,9 @@
 // Failure drill: exercises the survivability mechanism the paper designs
 // for — automatic protection switching inside each subnetwork — on the
-// cached planning + parallel sweep path. The program plans an 8-node
-// ring once through the Planner, cuts a fibre and shows every protection
-// switch, then sweeps single, double and sampled triple failures against
-// the same cached plan to contrast the guarantee with its limits.
+// cached planning + sweep path. The program plans an 8-node ring once
+// through the Planner, cuts a fibre and shows every protection switch,
+// then sweeps single, double and sampled triple failures against the
+// same cached plan to contrast the guarantee with its limits.
 package main
 
 import (

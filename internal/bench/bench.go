@@ -443,9 +443,8 @@ type F2Row struct {
 }
 
 // TableF2 runs the failure sweeps on the survivability engine, one row
-// per size, computed concurrently (parallelMap); each row's sweeps run
-// serially, since the rows already fan out. Double-failure sweeps are
-// quadratic in n and run only for n ≤ doubleLimit.
+// per size, computed concurrently (parallelMap). Double-failure sweeps
+// are quadratic in n and run only for n ≤ doubleLimit.
 func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 	return parallelMap(ctx, ns, func(n int) (F2Row, error) {
 		nw, err := allToAllNetwork(ctx, n)
@@ -453,7 +452,7 @@ func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 			return F2Row{}, err
 		}
 		sim := survive.NewSimulator(nw)
-		sweep, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 1, Workers: 1})
+		sweep, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 1})
 		if err != nil {
 			return F2Row{}, err
 		}
@@ -471,7 +470,7 @@ func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 			row.MeanSpareLen = float64(sweep.SumSpareLen) / float64(sweep.TotalAffected)
 		}
 		if n <= doubleLimit {
-			double, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 2, Workers: 1})
+			double, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 2})
 			if err != nil {
 				return F2Row{}, err
 			}

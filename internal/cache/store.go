@@ -116,8 +116,7 @@ func (s *Store) DoCtx(ctx context.Context, key string, compute func(context.Cont
 	}
 	// The computation must outlive this caller (other waiters may join),
 	// so its context drops ctx's cancellation and deadline, which reach it
-	// only through the last-waiter-departs rule below. It keeps ctx's
-	// values, so the pool's fan-out stamp reaches the construction.
+	// only through the last-waiter-departs rule below.
 	cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	s.inflight[key] = c

@@ -77,8 +77,8 @@ func (g *refGraph) covers(h *refGraph) bool {
 
 // FuzzGraphOps drives the dense graph and the map reference through the
 // same random operation sequence over two graphs and checks that every
-// observable — Mult, Degree, M, DistinctEdges, Edges order, Covers,
-// EqualCover — agrees at every step.
+// observable — Mult, Degree, M, DistinctEdges, Edges order, EqualCover —
+// agrees at every step.
 func FuzzGraphOps(f *testing.F) {
 	f.Add(uint8(5), []byte{0x01, 0x12, 0x83, 0x24, 0x45})
 	f.Add(uint8(3), []byte{0x01, 0x01, 0x81, 0x01})
@@ -143,13 +143,7 @@ func FuzzGraphOps(f *testing.F) {
 			}
 		}
 
-		// Cross-graph relations.
-		if got, want := dense[0].Covers(dense[1]), ref[0].covers(ref[1]); got != want {
-			t.Fatalf("Covers(a,b) = %v, reference %v", got, want)
-		}
-		if got, want := dense[1].Covers(dense[0]), ref[1].covers(ref[0]); got != want {
-			t.Fatalf("Covers(b,a) = %v, reference %v", got, want)
-		}
+		// Cross-graph relation.
 		wantEq := ref[0].covers(ref[1]) && ref[1].covers(ref[0])
 		if got := dense[0].EqualCover(dense[1]); got != wantEq {
 			t.Fatalf("EqualCover = %v, reference %v", got, wantEq)
@@ -237,6 +231,35 @@ func denseFindBridge(g *Graph) (Edge, bool) {
 	return bridge, found
 }
 
+// denseConnected is a breadth-first search over the dense Graph from
+// vertex 0, the reference FuzzHost holds Host.Connected to: every
+// vertex, isolated ones included, must be reached.
+func denseConnected(g *Graph) bool {
+	n := g.N()
+	if n == 0 {
+		return true
+	}
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := []int{0}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.Neighbors(v) {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	for _, ok := range seen {
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzHost builds a sparse Host and a dense Graph from the same random
 // edge multiset and checks that every observable agrees: M,
 // DistinctEdges, Degree, Mult, the ascending ForEachEdge walk with its
@@ -303,7 +326,7 @@ func FuzzHost(f *testing.F) {
 				}
 			}
 		}
-		if got, want := h.Connected(), dense.Connected(false); got != want {
+		if got, want := h.Connected(), denseConnected(dense); got != want {
 			t.Fatalf("Connected = %v, dense %v", got, want)
 		}
 		ge, gok := h.FindBridge()

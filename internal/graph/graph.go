@@ -20,10 +20,10 @@
 // Graph stores multiplicities in a flat triangular []int32 indexed by the
 // rank of the vertex pair (u, v), u < v, in lexicographic order, plus a
 // degree array. There is no hashing and no per-edge allocation: Mult, Add
-// and Remove are O(1) array operations, whole-graph comparisons
-// (EqualCover, Covers, IsSubgraphOf) are linear scans, and CopyFrom
-// re-fills a caller-owned scratch graph without allocating once its
-// backing arrays have grown to size. Iteration (Edges, ForEachEdge,
+// and Remove are O(1) array operations, the whole-graph comparison
+// EqualCover is a linear scan, and CopyFrom re-fills a caller-owned
+// scratch graph without allocating once its backing arrays have grown to
+// size. Iteration (Edges, ForEachEdge,
 // Neighbors) is always in ascending lexicographic pair order — the order
 // Host numbers its edges in — so every derived artifact (error messages,
 // JSON dumps, content hashes) is deterministic by construction.
@@ -49,18 +49,6 @@ func NewEdge(u, v int) Edge {
 		u, v = v, u
 	}
 	return Edge{U: u, V: v}
-}
-
-// Other returns the endpoint of e that is not w; ok is false if w is not an
-// endpoint.
-func (e Edge) Other(w int) (int, bool) {
-	switch w {
-	case e.U:
-		return e.V, true
-	case e.V:
-		return e.U, true
-	}
-	return 0, false
 }
 
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
@@ -134,11 +122,11 @@ func Cycle(n int) *Graph {
 
 // N returns the number of vertices. A nil graph — the demand of a
 // zero-value instance — has none; the read accessors (N, M,
-// DistinctEdges, Degree, Multiplicity, Mult, HasEdge, Edges,
-// EdgesWithMultiplicity, Neighbors, ForEachEdge, EqualCover, Covers) are
-// nil-safe so that handing such an instance to a size or membership check
-// reports emptiness instead of panicking. Everything else — mutation,
-// cloning, traversal — still requires a graph built by New.
+// DistinctEdges, Degree, Multiplicity, Mult, HasEdge, Edges, Neighbors,
+// ForEachEdge, ForEachNeighbor, EqualCover) are nil-safe so that handing
+// such an instance to a size or membership check reports emptiness
+// instead of panicking. Everything else — mutation and cloning — still
+// requires a graph built by New.
 func (g *Graph) N() int {
 	if g == nil {
 		return 0
@@ -291,22 +279,6 @@ func (g *Graph) ForEachEdge(fn func(u, v, mult int) bool) {
 	}
 }
 
-// EdgesWithMultiplicity returns every edge repeated by its multiplicity,
-// in deterministic order; nil for a nil graph.
-func (g *Graph) EdgesWithMultiplicity() []Edge {
-	if g == nil {
-		return nil
-	}
-	es := make([]Edge, 0, g.m)
-	g.ForEachEdge(func(u, v, mult int) bool {
-		for i := 0; i < mult; i++ {
-			es = append(es, Edge{U: u, V: v})
-		}
-		return true
-	})
-	return es
-}
-
 // Neighbors returns the distinct neighbours of v in ascending order;
 // nil for a nil graph.
 func (g *Graph) Neighbors(v int) []int {
@@ -347,16 +319,6 @@ func (g *Graph) ForEachNeighbor(v int, fn func(w, mult int) bool) {
 		}
 		i++
 	}
-}
-
-// firstNeighbor returns the lowest-numbered neighbour of v, or -1.
-func (g *Graph) firstNeighbor(v int) int {
-	first := -1
-	g.ForEachNeighbor(v, func(w, _ int) bool {
-		first = w
-		return false
-	})
-	return first
 }
 
 // Clone returns a deep copy.
@@ -421,131 +383,6 @@ func (g *Graph) EqualCover(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// Covers reports whether g serves h as a demand: every edge of h appears
-// in g with at least its multiplicity. It requires h to fit (h.N() ≤
-// g.N()) and is an allocation-free linear scan; a nil h is vacuously
-// covered.
-func (g *Graph) Covers(h *Graph) bool {
-	if h.N() == 0 {
-		return true
-	}
-	if g.N() < h.N() {
-		return false
-	}
-	covered := true
-	h.ForEachEdge(func(u, v, need int) bool {
-		if g.Multiplicity(u, v) < need {
-			covered = false
-			return false
-		}
-		return true
-	})
-	return covered
-}
-
-// IsSubgraphOf reports whether every edge of g (with multiplicity) appears
-// in h.
-func (g *Graph) IsSubgraphOf(h *Graph) bool {
-	if g.n > h.n {
-		return false
-	}
-	return h.Covers(g)
-}
-
-// Connected reports whether the graph is connected, ignoring isolated
-// vertices when ignoreIsolated is set. The empty graph counts as
-// connected.
-func (g *Graph) Connected(ignoreIsolated bool) bool {
-	start := -1
-	for v := 0; v < g.n; v++ {
-		if g.deg[v] > 0 || !ignoreIsolated {
-			start = v
-			break
-		}
-	}
-	if start == -1 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	queue := []int{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.ForEachNeighbor(v, func(w, _ int) bool {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-			return true
-		})
-	}
-	for v := 0; v < g.n; v++ {
-		if !seen[v] && (g.deg[v] > 0 || !ignoreIsolated) {
-			return false
-		}
-	}
-	return true
-}
-
-// EveryDegreeEven reports whether every vertex has even degree — the
-// Eulerian condition used by the DRC structure argument (Fact A in
-// DESIGN.md): the union of edge-disjoint routes of a cycle's requests has
-// all-even degrees on the ring.
-func (g *Graph) EveryDegreeEven() bool {
-	for _, d := range g.deg {
-		if d%2 != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// EulerCircuit returns an Eulerian circuit as a vertex walk (first ==
-// last) if the graph is connected (ignoring isolated vertices) with all
-// degrees even and at least one edge; ok reports success. Hierholzer's
-// algorithm on the multigraph.
-func (g *Graph) EulerCircuit() ([]int, bool) {
-	if g.m == 0 || !g.EveryDegreeEven() || !g.Connected(true) {
-		return nil, false
-	}
-	work := g.Clone()
-	start := -1
-	for v := 0; v < g.n; v++ {
-		if work.deg[v] > 0 {
-			start = v
-			break
-		}
-	}
-	// Hierholzer: walk until stuck (back at a vertex with no unused
-	// edges), splicing sub-tours.
-	circuit := []int{start}
-	for i := 0; i < len(circuit); i++ {
-		v := circuit[i]
-		if work.deg[v] == 0 {
-			continue
-		}
-		// Grow a sub-tour from v and splice it in at position i.
-		var tour []int
-		cur := v
-		for work.deg[cur] > 0 {
-			next := work.firstNeighbor(cur)
-			work.RemoveEdge(cur, next)
-			tour = append(tour, next)
-			cur = next
-		}
-		spliced := make([]int, 0, len(circuit)+len(tour))
-		spliced = append(spliced, circuit[:i+1]...)
-		spliced = append(spliced, tour...)
-		spliced = append(spliced, circuit[i+1:]...)
-		circuit = spliced
-	}
-	if work.m != 0 {
-		return nil, false
-	}
-	return circuit, true
 }
 
 func (g *Graph) check(v int) {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewEdgeCanonical(t *testing.T) {
 	if e := NewEdge(5, 2); e.U != 2 || e.V != 5 {
@@ -21,19 +18,6 @@ func TestNewEdgeSelfLoopPanics(t *testing.T) {
 		}
 	}()
 	NewEdge(4, 4)
-}
-
-func TestEdgeOther(t *testing.T) {
-	e := NewEdge(2, 7)
-	if w, ok := e.Other(2); !ok || w != 7 {
-		t.Errorf("Other(2) = %d,%v", w, ok)
-	}
-	if w, ok := e.Other(7); !ok || w != 2 {
-		t.Errorf("Other(7) = %d,%v", w, ok)
-	}
-	if _, ok := e.Other(3); ok {
-		t.Error("Other(3): want ok=false")
-	}
 }
 
 func TestCompleteGraphCounts(t *testing.T) {
@@ -120,19 +104,6 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestEdgesWithMultiplicity(t *testing.T) {
-	g := New(3)
-	g.AddEdgeMulti(0, 1, 2)
-	g.AddEdge(1, 2)
-	es := g.EdgesWithMultiplicity()
-	if len(es) != 3 {
-		t.Fatalf("EdgesWithMultiplicity = %v, want 3 entries", es)
-	}
-	if es[0] != NewEdge(0, 1) || es[1] != NewEdge(0, 1) || es[2] != NewEdge(1, 2) {
-		t.Fatalf("EdgesWithMultiplicity = %v", es)
-	}
-}
-
 func TestNeighbors(t *testing.T) {
 	g := New(5)
 	g.AddEdge(2, 4)
@@ -159,134 +130,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestIsSubgraphOf(t *testing.T) {
-	k4 := Complete(4)
-	c4 := Cycle(4)
-	if !c4.IsSubgraphOf(k4) {
-		t.Error("C4 ⊆ K4: want true")
-	}
-	if k4.IsSubgraphOf(c4) {
-		t.Error("K4 ⊆ C4: want false")
-	}
-	two := New(3)
-	two.AddEdgeMulti(0, 1, 2)
-	one := New(3)
-	one.AddEdge(0, 1)
-	if two.IsSubgraphOf(one) {
-		t.Error("multiplicity must be respected")
-	}
-	if !one.IsSubgraphOf(two) {
-		t.Error("single edge ⊆ double edge")
-	}
-}
-
-func TestConnected(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if g.Connected(false) {
-		t.Error("isolated vertices present: want not connected")
-	}
-	if !g.Connected(true) {
-		t.Error("ignoring isolated vertices: want connected")
-	}
-	g.AddEdge(3, 4)
-	if g.Connected(true) {
-		t.Error("two components: want not connected")
-	}
-	if !New(0).Connected(false) || !New(3).Connected(true) {
-		t.Error("empty graphs count as connected")
-	}
-}
-
-func TestEveryDegreeEven(t *testing.T) {
-	if !Cycle(5).EveryDegreeEven() {
-		t.Error("cycle degrees are even")
-	}
-	if Complete(4).EveryDegreeEven() {
-		t.Error("K4 has odd degrees")
-	}
-	if !Complete(5).EveryDegreeEven() {
-		t.Error("K5 has even degrees")
-	}
-}
-
-func TestEulerCircuitOnCycle(t *testing.T) {
-	g := Cycle(7)
-	walk, ok := g.EulerCircuit()
-	if !ok {
-		t.Fatal("C7 has an Euler circuit")
-	}
-	if len(walk) != 8 || walk[0] != walk[len(walk)-1] {
-		t.Fatalf("walk = %v: want closed walk of 8 vertices", walk)
-	}
-	// Each ring edge used exactly once.
-	used := map[Edge]int{}
-	for i := 0; i+1 < len(walk); i++ {
-		used[NewEdge(walk[i], walk[i+1])]++
-	}
-	for _, e := range g.Edges() {
-		if used[e] != 1 {
-			t.Errorf("edge %v used %d times", e, used[e])
-		}
-	}
-}
-
-func TestEulerCircuitConditions(t *testing.T) {
-	if _, ok := Complete(4).EulerCircuit(); ok {
-		t.Error("K4: odd degrees, no Euler circuit")
-	}
-	disconnected := New(6)
-	disconnected.AddEdge(0, 1)
-	disconnected.AddEdge(1, 0) // doubled edge, even degrees
-	disconnected.AddEdge(3, 4)
-	disconnected.AddEdge(4, 3)
-	if _, ok := disconnected.EulerCircuit(); ok {
-		t.Error("disconnected even graph has no single Euler circuit")
-	}
-	if _, ok := New(3).EulerCircuit(); ok {
-		t.Error("empty graph: no circuit")
-	}
-}
-
-func TestEulerCircuitK5Property(t *testing.T) {
-	// K_{2p+1} is Eulerian; the circuit must traverse every edge once.
-	for _, n := range []int{5, 7, 9} {
-		g := Complete(n)
-		walk, ok := g.EulerCircuit()
-		if !ok {
-			t.Fatalf("K%d must be Eulerian", n)
-		}
-		if len(walk) != g.M()+1 {
-			t.Fatalf("K%d: walk length %d, want %d", n, len(walk), g.M()+1)
-		}
-		used := map[Edge]int{}
-		for i := 0; i+1 < len(walk); i++ {
-			used[NewEdge(walk[i], walk[i+1])]++
-		}
-		for _, e := range g.Edges() {
-			if used[e] != 1 {
-				t.Fatalf("K%d: edge %v used %d times", n, e, used[e])
-			}
-		}
-	}
-}
-
-func TestSubgraphProperty(t *testing.T) {
-	// Removing any edge of a graph keeps it a subgraph of the original.
-	f := func(seed uint8) bool {
-		g := Complete(6)
-		es := g.Edges()
-		e := es[int(seed)%len(es)]
-		h := g.Clone()
-		h.RemoveEdge(e.U, e.V)
-		return h.IsSubgraphOf(g) && !g.IsSubgraphOf(h)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCheckPanics(t *testing.T) {
 	g := New(3)
 	defer func() {
@@ -308,7 +151,7 @@ func TestNilGraphReadAccessors(t *testing.T) {
 	if g.Degree(0) != 0 || g.Multiplicity(0, 1) != 0 || g.HasEdge(0, 1) {
 		t.Error("nil graph membership checks must report emptiness")
 	}
-	if g.Edges() != nil || g.EdgesWithMultiplicity() != nil || g.Neighbors(0) != nil {
+	if g.Edges() != nil || g.Neighbors(0) != nil {
 		t.Error("nil graph enumerations must be nil")
 	}
 }

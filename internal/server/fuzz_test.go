@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -198,8 +199,6 @@ func FuzzPlanMatchesPlanner(f *testing.F) {
 		for _, c := range cv.Cycles {
 			want = append(want, c.Vertices())
 		}
-		// EqualFunc, not DeepEqual: /plan encodes an empty covering's
-		// cycles as null.
 		if !slices.EqualFunc(got.Cycles, want, slices.Equal[[]int]) {
 			t.Fatalf("n=%d %s: /plan cycles differ from the Planner's:\n/plan:   %v\nPlanner: %v", n, spec, got.Cycles, want)
 		}
@@ -208,6 +207,81 @@ func FuzzPlanMatchesPlanner(f *testing.F) {
 		}
 		if sig := p.SignatureOf(in); got.Signature != sig {
 			t.Fatalf("n=%d %s: /plan signature %q, Planner signature %q", n, spec, got.Signature, sig)
+		}
+	})
+}
+
+// FuzzSimulateMatchesPlanner is the differential check of /simulate
+// against the library: GET /simulate on the HTTP handler and
+// Planner.Simulate must agree on every request. A request is rejected
+// (400) exactly when ParseInstance rejects its spec, its host is
+// general, or k or sample lies outside the service bounds; otherwise
+// /simulate answers 200 with the Planner's signature and the sweep
+// report Planner.Simulate gives under the service's scenario cap.
+func FuzzSimulateMatchesPlanner(f *testing.F) {
+	s := New(Config{})
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	p := cyclecover.NewPlanner()
+	for _, seed := range []struct {
+		n, kind uint8
+		a, b    uint16
+		k       int8
+		sample  int16
+		seed    int64
+	}{
+		{8, 0, 0, 0, 1, 512, 0},  // K_11, every single failure
+		{6, 0, 0, 0, 2, 77, 99},  // K_9, double failures: sample and seed ignored
+		{3, 0, 0, 0, 3, 512, 5},  // K_6, C(6,3) = 20 enumerated
+		{13, 1, 1, 0, 3, 40, 7},  // 2K_16, C(16,3) = 560 sampled
+		{5, 2, 3, 0, 4, 100, -2}, // hub:3 on C_8, C(8,4) = 70 enumerated
+		{9, 4, 3, 5, 6, 8192, 1}, // random:0.3:5 on C_12, every 6-failure
+		{1, 4, 0, 1, 2, 512, 0},  // random:0.0:1 on C_4: empty demand
+		{0, 2, 4, 0, 1, 512, 0},  // hub:4 on C_3: off the ring
+		{7, 5, 0, 0, 1, 512, 0},  // Petersen: general
+		{4, 0, 0, 0, 0, 512, 0},  // k = 0
+		{4, 0, 0, 0, 7, 512, 0},  // k above the service cap
+		{0, 0, 0, 0, 4, 512, 0},  // k above the link count of C_3
+		{4, 0, 0, 0, 3, 0, 0},    // sample = 0
+		{4, 0, 0, 0, 3, 8193, 0}, // sample above the cap
+	} {
+		f.Add(seed.n, seed.kind, seed.a, seed.b, seed.k, seed.sample, seed.seed)
+	}
+	f.Fuzz(func(t *testing.T, nb, kind uint8, a, b uint16, k int8, sample int16, seed int64) {
+		n, spec := planSpec(nb, kind, a, b)
+		query := fmt.Sprintf("n=%d&demand=%s&k=%d&sample=%d&seed=%d", n, url.QueryEscape(spec), k, sample, seed)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/simulate?"+query, nil))
+		in, perr := cyclecover.ParseInstance(n, spec)
+		inBounds := k >= 1 && int(k) <= min(MaxSweepK, n) && sample >= 1 && int(sample) <= MaxSweepSample
+		if perr != nil || in.IsGeneral() || !inBounds {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: want 400 (parse error %v, general %v, in bounds %v), /simulate answered %d: %s",
+					query, perr, perr == nil && in.IsGeneral(), inBounds, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: /simulate answered %d: %s", query, rec.Code, rec.Body)
+		}
+		var got struct {
+			Signature string                 `json:"signature"`
+			Sweep     cyclecover.SweepResult `json:"sweep"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: undecodable /simulate answer: %v", query, err)
+		}
+		sim, err := p.Simulate(context.Background(), in, cyclecover.SweepOptions{
+			K: int(k), Sample: int(sample), Seed: seed, MaxScenarios: MaxSweepScenarios,
+		})
+		if err != nil {
+			t.Fatalf("%s: Planner: %v", query, err)
+		}
+		if !reflect.DeepEqual(got.Sweep, sim.Sweep) {
+			t.Fatalf("%s: /simulate sweep differs from the Planner's:\n/simulate: %+v\nPlanner:   %+v", query, got.Sweep, sim.Sweep)
+		}
+		if sig := p.SignatureOf(in); got.Signature != sig {
+			t.Fatalf("%s: /simulate signature %q, Planner signature %q", query, got.Signature, sig)
 		}
 	})
 }

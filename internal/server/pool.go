@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
-	"github.com/cyclecover/cyclecover/internal/fanout"
 	"github.com/cyclecover/cyclecover/internal/faultinject"
 )
 
@@ -27,10 +26,9 @@ var ErrPoolClosed = errors.New("server: worker pool closed")
 // Pool is a bounded executor. At most `workers` jobs run at once and at
 // most `queue` more wait in its buffer; a further submission blocks until
 // buffer space frees, its context fires, or the pool closes. Each job runs
-// under its submitter's context, stamped with its fan-out share, behind
-// the pool's recover boundary. The pool never deduplicates: identical
-// concurrent jobs each run, and the covering cache's single flight shares
-// the work they have in common.
+// under its submitter's context, behind the pool's recover boundary. The
+// pool never deduplicates: identical concurrent jobs each run, and the
+// covering cache's single flight shares the work they have in common.
 type Pool struct {
 	jobs     chan *poolJob
 	quit     chan struct{} // closed by Close: wakes blocked submitters, stops the workers
@@ -60,10 +58,8 @@ type Pool struct {
 	// job. panicsTotal is their sum; both feed /metrics.
 	panics      map[string]uint64
 	panicsTotal uint64
-	// running counts jobs currently executing on a worker. It drives the
-	// per-job fan-out stamp: each job gets its fair share of the cores
-	// (fanout.Share), so nested parallel stages — the failure sweeps —
-	// stop multiplying by GOMAXPROCS under a busy pool.
+	// running counts jobs currently executing on a worker
+	// (PoolStats.Running).
 	running int
 }
 
@@ -102,12 +98,11 @@ func NewPool(workers, queue int) *Pool {
 }
 
 // Submit runs fn on a worker and returns its result. It blocks until the
-// result is ready, ctx is done, or the pool closes. fn receives ctx
-// stamped with the job's fan-out share, so a submitter that gives up
-// returns ctx's error at once and its job is cancelled mid-run, or
-// skipped if still queued. The string argument is ignored; it stays in
-// the signature so that existing callers, such as _perfbench's traced
-// replay (a separate module), compile unchanged.
+// result is ready, ctx is done, or the pool closes. fn receives ctx, so a
+// submitter that gives up returns ctx's error at once and its job is
+// cancelled mid-run, or skipped if still queued. The string argument is
+// ignored; it stays in the signature so that existing callers, such as
+// _perfbench's traced replay (a separate module), compile unchanged.
 func (p *Pool) Submit(ctx context.Context, _ string, fn func(context.Context) (any, error)) (any, error) {
 	j := &poolJob{ctx: ctx, run: fn, done: make(chan struct{})}
 	if err := p.enqueue(j); err != nil {
@@ -159,14 +154,10 @@ func (p *Pool) worker() {
 			if err := j.ctx.Err(); err != nil {
 				j.err = err
 			} else {
-				// Stamp the job's context with its fair share of the cores
-				// given current pool occupancy: a lone job may fan out over
-				// the whole machine, jobs on a saturated pool run serially.
 				p.mu.Lock()
 				p.running++
-				share := fanout.Share(runtime.GOMAXPROCS(0), p.running)
 				p.mu.Unlock()
-				j.val, j.err = p.runJob(j, share)
+				j.val, j.err = p.runJob(j)
 				p.mu.Lock()
 				p.running--
 				p.mu.Unlock()
@@ -195,7 +186,7 @@ func (p *Pool) worker() {
 // keeps serving. (Goroutines a job spawns internally are out of this
 // recover's reach; the portfolio runner guards its members with
 // construct.SafeSolve for exactly that reason.)
-func (p *Pool) runJob(j *poolJob, share int) (val any, err error) {
+func (p *Pool) runJob(j *poolJob) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			val, err = nil, construct.Recovered("pool", r)
@@ -205,7 +196,7 @@ func (p *Pool) runJob(j *poolJob, share int) (val any, err error) {
 	if err := faultinject.Inject(faultinject.SitePoolDispatch); err != nil {
 		return nil, fmt.Errorf("server: pool dispatch: %w", err)
 	}
-	return j.run(fanout.With(j.ctx, share))
+	return j.run(j.ctx)
 }
 
 // Close stops the workers and fails every job that never ran with

@@ -45,6 +45,8 @@ type simulateResponse struct {
 
 // parseSweepOptions validates the sweep parameters of a /simulate
 // request. Absent k selects 1; absent sample selects DefaultSweepSample.
+// A sweep that enumerates its space ignores sample and reports seed 0,
+// so identical sweeps answer alike whatever sample/seed the caller sent.
 func parseSweepOptions(r *http.Request, links int) (survive.SweepOptions, error) {
 	opts := survive.SweepOptions{
 		K:            1,
@@ -78,13 +80,6 @@ func parseSweepOptions(r *http.Request, links int) (survive.SweepOptions, error)
 			return opts, fmt.Errorf("bad seed %q: %v", seedStr, err)
 		}
 		opts.Seed = seed
-	}
-	if opts.K <= 2 {
-		// Exhaustive sweeps ignore the sampler: normalize its parameters
-		// out of the echoed report, so identical sweeps answer alike
-		// whatever sample/seed the caller sent.
-		opts.Sample = DefaultSweepSample
-		opts.Seed = 0
 	}
 	return opts, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -250,9 +251,9 @@ func TestSimulateTimeout504(t *testing.T) {
 }
 
 // TestParseSweepOptionsNormalization is the table over the /simulate
-// sweep parameters: defaults, bounds, and the k ≤ 2 rule that resets the
-// sampler fields (sample, seed) — exhaustive sweeps ignore the sampler,
-// so its parameters must not differentiate otherwise-identical requests.
+// sweep parameters: defaults and bounds. The sampler fields (sample,
+// seed) pass through at every k; a sweep that enumerates its space
+// ignores them (TestSimulateEchoesNormalizedSeed).
 func TestParseSweepOptionsNormalization(t *testing.T) {
 	const links = 11
 	cases := []struct {
@@ -271,18 +272,18 @@ func TestParseSweepOptionsNormalization(t *testing.T) {
 				sample int
 				seed   int64
 			}{1, DefaultSweepSample, 0}},
-		{name: "k1 sampler params normalized away", query: "k=1&sample=99&seed=7",
+		{name: "k1 sampler params passed through", query: "k=1&sample=99&seed=7",
 			want: struct {
 				k      int
 				sample int
 				seed   int64
-			}{1, DefaultSweepSample, 0}},
-		{name: "k2 sampler params normalized away", query: "k=2&sample=8192&seed=-3",
+			}{1, 99, 7}},
+		{name: "k2 sampler params passed through", query: "k=2&sample=8192&seed=-3",
 			want: struct {
 				k      int
 				sample int
 				seed   int64
-			}{2, DefaultSweepSample, 0}},
+			}{2, 8192, -3}},
 		{name: "k3 defaults", query: "k=3",
 			want: struct {
 				k      int
@@ -333,27 +334,53 @@ func TestParseSweepOptionsNormalization(t *testing.T) {
 	}
 }
 
-// TestSimulateEchoesNormalizedSeed drives the normalization through the
-// HTTP surface: a k = 2 request carrying a seed gets the seed echoed as
-// 0 in the report — proof the handler swept with the normalized options,
-// not the raw request's.
+// TestSimulateEchoesNormalizedSeed drives the seed rule through the
+// HTTP surface: a sweep that enumerates its whole space reports seed 0
+// whatever seed the request carried, so identical sweeps answer alike —
+// k = 2, and k = 3 on a space (C(6,3) = 20) within the sample size.
 func TestSimulateEchoesNormalizedSeed(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := get(t, ts.URL+"/simulate?n=9&k=2&seed=99&sample=77")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	sweepOf := func(query string) json.RawMessage {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/simulate?"+query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, body)
+		}
+		var sb struct {
+			Sweep json.RawMessage `json:"sweep"`
+		}
+		if err := json.Unmarshal(body, &sb); err != nil {
+			t.Fatalf("%s: bad JSON: %v (%s)", query, err, body)
+		}
+		return sb.Sweep
 	}
-	var sb struct {
-		Sweep struct {
-			K       int   `json:"k"`
-			Seed    int64 `json:"seed"`
-			Sampled bool  `json:"sampled"`
-		} `json:"sweep"`
-	}
-	if err := json.Unmarshal(body, &sb); err != nil {
-		t.Fatalf("bad JSON: %v (%s)", err, body)
-	}
-	if sb.Sweep.K != 2 || sb.Sweep.Seed != 0 || sb.Sweep.Sampled {
-		t.Fatalf("k=2 report must echo the normalized sampler (seed 0, not sampled): %+v", sb.Sweep)
+	for _, c := range []struct {
+		k     int
+		query []string
+	}{
+		{2, []string{"n=9&k=2&seed=99&sample=77"}},
+		{3, []string{"n=6&k=3&seed=5", "n=6&k=3&seed=6"}},
+	} {
+		var first json.RawMessage
+		for _, q := range c.query {
+			raw := sweepOf(q)
+			var sw struct {
+				K        int   `json:"k"`
+				Seed     int64 `json:"seed"`
+				Sampled  bool  `json:"sampled"`
+				Complete bool  `json:"complete"`
+			}
+			if err := json.Unmarshal(raw, &sw); err != nil {
+				t.Fatalf("%s: bad sweep JSON: %v (%s)", q, err, raw)
+			}
+			if sw.K != c.k || sw.Seed != 0 || sw.Sampled || !sw.Complete {
+				t.Fatalf("%s: an enumerated sweep must report seed 0, complete and not sampled: %+v", q, sw)
+			}
+			if first == nil {
+				first = raw
+			} else if !bytes.Equal(raw, first) {
+				t.Fatalf("%s: identical sweeps answer differently:\n%s\n%s", q, first, raw)
+			}
+		}
 	}
 }

@@ -15,9 +15,9 @@
 // simultaneous failures: there a protection path may itself be broken,
 // and the aggregated restoration rates quantify what single-failure
 // protection does NOT promise. Sweeps are exhaustive for k ≤ 2,
-// deterministically sampled for k ≥ 3, fan scenario evaluation over a
-// bounded worker pool with a bit-identical aggregate for every worker
-// count, and honour context cancellation mid-sweep. See DESIGN.md §6.
+// deterministically sampled for k ≥ 3, evaluate their scenarios in
+// sequence order, and honour context cancellation mid-sweep. See
+// DESIGN.md §6.
 package survive
 
 import (

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
-	"github.com/cyclecover/cyclecover/internal/fanout"
 	"github.com/cyclecover/cyclecover/internal/ring"
 	"github.com/cyclecover/cyclecover/internal/scratch"
 )
@@ -25,20 +22,12 @@ const DefaultSample = 1024
 const DefaultScenarioLimit = 1 << 20
 
 // SweepOptions configures a k-failure sweep. The zero value runs the
-// exhaustive single-failure sweep with one worker per core.
+// exhaustive single-failure sweep.
 type SweepOptions struct {
 	// K is the number of simultaneous link failures per scenario; 0
 	// selects 1. K = 1 and K = 2 sweeps are exhaustive (every K-subset of
 	// links); K ≥ 3 spaces larger than Sample are sampled.
 	K int
-	// Workers bounds the worker pool that fans scenario evaluation out.
-	// 0 defers to the context's fan-out stamp (fanout.Limit) when one is
-	// present — inside a server pool job that is the job's fair share of
-	// the cores, so nested parallelism does not multiply — and GOMAXPROCS
-	// otherwise; 1 forces the serial sweep. The aggregate report is
-	// bit-identical for every worker count: workers accumulate integer
-	// tallies into private shards that merge deterministically.
-	Workers int
 	// Sample bounds the scenario set of a K ≥ 3 sweep; 0 selects
 	// DefaultSample. A space no larger than Sample is enumerated
 	// exhaustively; a larger one is sampled without replacement by the
@@ -91,8 +80,7 @@ type LinkCriticality struct {
 }
 
 // SweepResult aggregates a k-failure sweep. All counters are summed over
-// evaluated scenarios; the report is bit-identical for every worker
-// count (see SweepOptions.Workers).
+// evaluated scenarios.
 type SweepResult struct {
 	// K is the failure multiplicity swept.
 	K int `json:"k"`
@@ -107,7 +95,7 @@ type SweepResult struct {
 	// Sampled reports that the scenario set is a seeded sample, not the
 	// full space.
 	Sampled bool `json:"sampled"`
-	// Seed echoes the sampler seed (meaningful when Sampled).
+	// Seed echoes the sampler seed when Sampled, and is 0 otherwise.
 	Seed int64 `json:"seed"`
 	// Complete reports an exhaustive, uninterrupted sweep: every
 	// scenario of the space was evaluated. A sampled, budget-cut or
@@ -148,15 +136,17 @@ type SweepResult struct {
 }
 
 // sweepScratch is the reusable working state of one sweep: the resolved
-// demand routes, the flat scenario arena, and the per-worker shards. It
-// is drawn from a pool shared across all simulators (the same
+// demand routes, the flat scenario arena, and the per-link loss tallies.
+// It is drawn from a pool shared across all simulators (the same
 // scratch-pool type the server layer uses for its response buffers), so
 // steady-state sweeps allocate only what escapes into the result.
 type sweepScratch struct {
 	routes []demandRoute
 	scen   [][]ring.Link // scenario views, each a window into flat
 	flat   []ring.Link   // scenario link storage, back to back
-	shards []sweepShard
+	// critScenarios and critLost index by link: lossy-scenario
+	// membership counts and lost-demand sums.
+	critScenarios, critLost []int
 }
 
 var sweepScratches = scratch.NewPool(func() *sweepScratch { return &sweepScratch{} })
@@ -171,16 +161,12 @@ var sweepScratches = scratch.NewPool(func() *sweepScratch { return &sweepScratch
 // truncates that sequence, so what a bounded sweep measures is
 // reproducible.
 //
-// Evaluation fans out over opts.Workers goroutines, each accumulating
-// integer tallies into a private shard; shards merge deterministically,
-// so the aggregate report is bit-identical to the serial sweep for every
-// worker count. Cancellation is polled per scenario: when ctx fires the
-// workers stop within one scenario evaluation, and SweepCtx returns the
-// partial aggregate (Complete = false, Evaluated < Planned) together
-// with ctx's error. A cancel that lands only after the last scenario
-// finished does not fail the call — the fully evaluated sweep is
-// returned as success. Which scenarios a cancelled parallel sweep had
-// evaluated is timing-dependent; everything else about the sweep is not.
+// Scenarios are evaluated in sequence order on the caller's goroutine,
+// each folded into one running aggregate. ctx is polled before every
+// scenario: when it fires, SweepCtx returns the aggregate of the
+// scenarios evaluated so far — a prefix of the sequence, Complete =
+// false, Evaluated < Planned — together with ctx's error. A cancel that
+// lands only after the last scenario does not fail the call.
 func (s *Simulator) SweepCtx(ctx context.Context, opts SweepOptions) (SweepResult, error) {
 	links := s.nw.Ring.Links()
 	if opts.K == 0 {
@@ -198,12 +184,6 @@ func (s *Simulator) SweepCtx(ctx context.Context, opts SweepOptions) (SweepResul
 	if opts.KeepWorst <= 0 {
 		opts.KeepWorst = 1
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		if workers = fanout.Limit(ctx); workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
 
 	sc := sweepScratches.Get()
 	defer sweepScratches.Put(sc)
@@ -211,48 +191,25 @@ func (s *Simulator) SweepCtx(ctx context.Context, opts SweepOptions) (SweepResul
 	space := binomial(links, opts.K)
 	// planScenarios caps every path at the MaxScenarios budget.
 	scenarios, sampled := sc.planScenarios(links, opts, space)
-	planned := len(scenarios)
-	if workers > planned {
-		workers = planned
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	demands, err := s.demandRoutes(sc)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	shards := sc.shardsFor(workers, links, opts.KeepWorst)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := &shards[w]
-			// Strided partition: worker w owns scenarios w, w+W, w+2W, …
-			// The partition is fixed up front, so each scenario's tallies
-			// land in one shard regardless of scheduling.
-			for i := w; i < planned; i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				sh.add(i, scenarios[i], s.evaluate(scenarios[i], demands))
-			}
-		}(w)
+	agg := sweepAgg{
+		res:  SweepResult{K: opts.K, Scenarios: space, Planned: len(scenarios), Sampled: sampled},
+		keep: opts.KeepWorst,
 	}
-	wg.Wait()
-
-	res := mergeShards(shards, opts, space, planned, sampled, len(demands))
-	if res.Evaluated < planned {
-		// Only a context firing makes workers stop early; a cancel that
-		// lands after the last scenario finished does not invalidate a
-		// fully evaluated sweep.
-		if err := ctx.Err(); err != nil {
-			return res, err
+	if sampled {
+		agg.res.Seed = opts.Seed
+	}
+	agg.critScenarios, agg.critLost = sc.tallies(links)
+	for i, failed := range scenarios {
+		if err = ctx.Err(); err != nil {
+			break
 		}
+		agg.add(i, failed, s.evaluate(failed, demands))
 	}
-	return res, nil
+	return agg.result(len(demands)), err
 }
 
 // scenarioTally is the integer outcome of one scenario evaluation.
@@ -346,74 +303,44 @@ func brokenBy(n, from, length int, failed []ring.Link) bool {
 	return false
 }
 
-// sweepShard is one worker's private aggregate. All fields are integers
-// (or derived from integers at merge time), so merging shards in worker
-// order reproduces the serial sweep bit for bit.
-type sweepShard struct {
-	evaluated     int
-	served        int64 // unaffected + affected, summed over scenarios
-	totalAffected int
-	totalLost     int
-	lossy         int
-	maxSpare      int
-	sumSpare      int
-	sumWorking    int
-	// most is the shard's most-rerouting scenario; worst its lossiest
-	// scenarios (capped at keep).
-	most     ScenarioReport
-	hasMost  bool
-	worst    []ScenarioReport
-	keep     int
-	minServe int // scenario minimum of served demands, for WorstRestoration
-	hasMin   bool
-	// critScenarios / critLost index by link: lossy-scenario membership
-	// counts and lost-demand sums.
-	critScenarios []int
-	critLost      []int
-}
-
-// shardsFor sizes the scratch's shard array for a sweep, resetting each
-// shard's counters and reusing its per-link tally storage.
-func (sc *sweepScratch) shardsFor(workers, links, keep int) []sweepShard {
-	for len(sc.shards) < workers {
-		sc.shards = append(sc.shards, sweepShard{})
-	}
-	shards := sc.shards[:workers]
-	for i := range shards {
-		shards[i].reset(links, keep)
-	}
-	return shards
-}
-
-// reset clears the shard for a new sweep, reusing its backing arrays.
-func (sh *sweepShard) reset(links, keep int) {
-	crit, lost, worst := sh.critScenarios, sh.critLost, sh.worst
-	*sh = sweepShard{keep: keep, worst: worst[:0]}
-	if cap(crit) < links {
-		crit = make([]int, links)
-		lost = make([]int, links)
+// tallies returns the scratch's per-link tally arrays, sized for a ring
+// of `links` links and cleared, reusing their backing storage.
+func (sc *sweepScratch) tallies(links int) (scenarios, lost []int) {
+	if cap(sc.critScenarios) < links {
+		sc.critScenarios, sc.critLost = make([]int, links), make([]int, links)
 	} else {
-		crit, lost = crit[:links], lost[:links]
-		clear(crit)
-		clear(lost)
+		sc.critScenarios, sc.critLost = sc.critScenarios[:links], sc.critLost[:links]
+		clear(sc.critScenarios)
+		clear(sc.critLost)
 	}
-	sh.critScenarios, sh.critLost = crit, lost
+	return sc.critScenarios, sc.critLost
 }
 
-func (sh *sweepShard) add(index int, links []ring.Link, t scenarioTally) {
-	sh.evaluated++
+// sweepAgg is the running aggregate of one sweep. Scenarios fold into it
+// in sequence order, so "first wins" on a tie keeps the earliest
+// scenario index.
+type sweepAgg struct {
+	res      SweepResult
+	keep     int   // KeepWorst
+	served   int64 // unaffected + affected, summed over scenarios
+	minServe int   // fewest demands any scenario served, for WorstRestoration
+	// critScenarios and critLost are the scratch's per-link tallies.
+	critScenarios, critLost []int
+}
+
+// add folds scenario `index`, failing `links`, into the aggregate.
+func (a *sweepAgg) add(index int, links []ring.Link, t scenarioTally) {
+	res := &a.res
+	res.Evaluated++
 	served := t.unaffected + t.affected
-	sh.served += int64(served)
-	sh.totalAffected += t.affected
-	sh.totalLost += t.lost
-	sh.sumSpare += t.sumSpare
-	sh.sumWorking += t.sumWorking
-	if t.maxSpare > sh.maxSpare {
-		sh.maxSpare = t.maxSpare
-	}
-	if !sh.hasMin || served < sh.minServe {
-		sh.minServe = served
-		sh.hasMin = true
+	a.served += int64(served)
+	res.TotalAffected += t.affected
+	res.TotalLost += t.lost
+	res.SumSpareLen += t.sumSpare
+	res.SumWorkingLen += t.sumWorking
+	res.MaxSpareLen = max(res.MaxSpareLen, t.maxSpare)
+	if index == 0 || served < a.minServe {
+		a.minServe = served
 	}
 	rep := ScenarioReport{
 		Index:       index,
@@ -426,21 +353,40 @@ func (sh *sweepShard) add(index int, links []ring.Link, t scenarioTally) {
 	}
 	// A retained report escapes the sweep (into SweepResult), while the
 	// scenario link sets live in pooled scratch — copy on retention.
-	if !sh.hasMost || moreAffected(rep, sh.most) {
-		sh.most = rep
-		sh.most.Links = append([]ring.Link(nil), links...)
-		sh.hasMost = true
+	if index == 0 || t.affected > res.MostAffected.Affected {
+		res.MostAffected = rep
+		res.MostAffected.Links = append([]ring.Link(nil), links...)
 	}
 	if t.lost > 0 {
-		sh.lossy++
+		res.LossyScenarios++
 		for _, l := range links {
-			sh.critScenarios[l]++
-			sh.critLost[l] += t.lost
+			a.critScenarios[l]++
+			a.critLost[l] += t.lost
 		}
-		kept := rep
-		kept.Links = append([]ring.Link(nil), links...)
-		sh.worst = insertWorst(sh.worst, kept, sh.keep)
+		res.Worst = keepWorst(res.Worst, rep, a.keep)
 	}
+}
+
+// result finishes the aggregate over `demands` demands: completeness,
+// the restoration rates, and the per-link criticality list.
+func (a *sweepAgg) result(demands int) SweepResult {
+	res := a.res
+	res.AllRestored = res.TotalLost == 0
+	res.Complete = !res.Sampled && res.Evaluated == res.Planned && int64(res.Planned) == res.Scenarios
+	res.MeanRestoration, res.WorstRestoration = 1, 1
+	if res.Evaluated > 0 && demands > 0 {
+		res.MeanRestoration = float64(a.served) / (float64(res.Evaluated) * float64(demands))
+		res.WorstRestoration = rate(a.minServe, demands)
+	}
+	if res.LossyScenarios > 0 {
+		res.Critical = make([]LinkCriticality, 0, len(a.critScenarios))
+		for l, sc := range a.critScenarios {
+			if sc > 0 {
+				res.Critical = append(res.Critical, LinkCriticality{Link: ring.Link(l), Scenarios: sc, LostDemands: a.critLost[l]})
+			}
+		}
+	}
+	return res
 }
 
 // rate is the restoration rate served/total, 1 for an empty demand.
@@ -451,109 +397,22 @@ func rate(served, total int) float64 {
 	return float64(served) / float64(total)
 }
 
-// moreAffected orders scenarios by reroute pressure: more restored
-// demands first, ties toward the earlier scenario index (what a serial
-// first-wins scan would keep).
-func moreAffected(a, b ScenarioReport) bool {
-	if a.Affected != b.Affected {
-		return a.Affected > b.Affected
-	}
-	return a.Index < b.Index
-}
-
-// lossier orders scenarios by damage: more lost demands first, ties
-// toward the earlier scenario index.
-func lossier(a, b ScenarioReport) bool {
-	if a.Lost != b.Lost {
-		return a.Lost > b.Lost
-	}
-	return a.Index < b.Index
-}
-
-// insertWorst keeps the `keep` lossiest reports in sorted order.
-func insertWorst(worst []ScenarioReport, rep ScenarioReport, keep int) []ScenarioReport {
-	i := sort.Search(len(worst), func(i int) bool { return lossier(rep, worst[i]) })
-	if i == len(worst) {
-		if len(worst) < keep {
-			worst = append(worst, rep)
-		}
+// keepWorst retains rep among the `keep` lossiest reports, most lost
+// demands first. Reports arrive in scenario order, so an equal loss
+// ranks after the reports already kept. A retained report's link set is
+// copied out of the pooled scratch.
+func keepWorst(worst []ScenarioReport, rep ScenarioReport, keep int) []ScenarioReport {
+	i := sort.Search(len(worst), func(i int) bool { return rep.Lost > worst[i].Lost })
+	if i == keep {
 		return worst
 	}
+	rep.Links = append([]ring.Link(nil), rep.Links...)
 	if len(worst) < keep {
 		worst = append(worst, ScenarioReport{})
 	}
 	copy(worst[i+1:], worst[i:])
 	worst[i] = rep
 	return worst
-}
-
-// mergeShards folds the workers' private aggregates into the final
-// report. Every reduction is either an integer sum, an integer max, or a
-// comparator with an index tie-break, so the result does not depend on
-// how scenarios were interleaved across workers.
-func mergeShards(shards []sweepShard, opts SweepOptions, space int64, planned int, sampled bool, demands int) SweepResult {
-	res := SweepResult{
-		K:         opts.K,
-		Scenarios: space,
-		Planned:   planned,
-		Sampled:   sampled,
-		Seed:      opts.Seed,
-	}
-	var served int64
-	minServe, hasMin := 0, false
-	var most ScenarioReport
-	hasMost := false
-	var worst []ScenarioReport
-	links := 0
-	for i := range shards {
-		sh := &shards[i]
-		links = len(sh.critScenarios)
-		res.Evaluated += sh.evaluated
-		res.TotalAffected += sh.totalAffected
-		res.TotalLost += sh.totalLost
-		res.LossyScenarios += sh.lossy
-		res.SumSpareLen += sh.sumSpare
-		res.SumWorkingLen += sh.sumWorking
-		served += sh.served
-		if sh.maxSpare > res.MaxSpareLen {
-			res.MaxSpareLen = sh.maxSpare
-		}
-		if sh.hasMin && (!hasMin || sh.minServe < minServe) {
-			minServe = sh.minServe
-			hasMin = true
-		}
-		if sh.hasMost && (!hasMost || moreAffected(sh.most, most)) {
-			most = sh.most
-			hasMost = true
-		}
-		for _, rep := range sh.worst {
-			worst = insertWorst(worst, rep, opts.KeepWorst)
-		}
-	}
-	res.AllRestored = res.TotalLost == 0
-	res.Complete = !sampled && res.Evaluated == planned && int64(planned) == space
-	res.MostAffected = most
-	res.Worst = worst
-	res.MeanRestoration, res.WorstRestoration = 1, 1
-	if res.Evaluated > 0 && demands > 0 {
-		res.MeanRestoration = float64(served) / (float64(res.Evaluated) * float64(demands))
-		res.WorstRestoration = rate(minServe, demands)
-	}
-	if res.LossyScenarios > 0 {
-		crit := make([]LinkCriticality, 0, links)
-		for l := 0; l < links; l++ {
-			sc, lost := 0, 0
-			for i := range shards {
-				sc += shards[i].critScenarios[l]
-				lost += shards[i].critLost[l]
-			}
-			if sc > 0 {
-				crit = append(crit, LinkCriticality{Link: ring.Link(l), Scenarios: sc, LostDemands: lost})
-			}
-		}
-		res.Critical = crit
-	}
-	return res
 }
 
 // binomial returns C(n, k), saturating at 1<<62 so huge spaces report a

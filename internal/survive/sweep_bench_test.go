@@ -25,22 +25,19 @@ func benchSimulator(b *testing.B, n int) *Simulator {
 	return NewSimulator(nw)
 }
 
-// BenchmarkSweep measures the k-failure sweep engine, serial vs fanned
-// out, on the workloads EXPERIMENTS.md §F reports: exhaustive k = 1 and
-// k = 2, and a 512-scenario sampled k = 3, all over the K_33 plan (55
-// subnetworks, 528 demands).
+// BenchmarkSweep measures the k-failure sweep engine on the workloads
+// EXPERIMENTS.md §F reports: exhaustive k = 1 and k = 2, and a
+// 512-scenario sampled k = 3, all over the K_33 plan (55 subnetworks,
+// 528 demands).
 func BenchmarkSweep(b *testing.B) {
 	sim := benchSimulator(b, 33)
 	for _, bc := range []struct {
 		name string
 		opts SweepOptions
 	}{
-		{"k1-serial", SweepOptions{K: 1, Workers: 1}},
-		{"k1-parallel", SweepOptions{K: 1}},
-		{"k2-serial", SweepOptions{K: 2, Workers: 1}},
-		{"k2-parallel", SweepOptions{K: 2}},
-		{"k3-sampled512-serial", SweepOptions{K: 3, Sample: 512, Seed: 1, Workers: 1}},
-		{"k3-sampled512-parallel", SweepOptions{K: 3, Sample: 512, Seed: 1}},
+		{"k1", SweepOptions{K: 1}},
+		{"k2", SweepOptions{K: 2}},
+		{"k3-sampled512", SweepOptions{K: 3, Sample: 512, Seed: 1}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,52 +51,26 @@ func network(t *testing.T, n int, spec string) *wdm.Network {
 	return nw
 }
 
-// TestParallelSweepMatchesSerial is the determinism acceptance gate: for
-// every demand family and every ring size the service accepts down at
-// the small end, the parallel sweep's aggregate report must be
-// bit-identical to the serial sweep's — for k = 1 (exhaustive), k = 2
-// (exhaustive) and sampled k = 3.
-func TestParallelSweepMatchesSerial(t *testing.T) {
-	specs := func(n int) []string {
-		return []string{
-			"alltoall",
-			"lambda:2",
-			"lambda:3",
-			"hub:0",
-			fmt.Sprintf("hub:%d", n-1),
-			"neighbors",
-			"random:0.3:5",
-			"random:0.8:11",
-			"random:0:1",
-			"random:1:2",
-		}
-	}
+// TestSweepMatchesFail checks every field of the sweep report against
+// an oracle built from Simulator.Fail, which classifies each demand with
+// its own failed-link map and Arc.Contains and so shares no evaluation or
+// aggregation code with the sweep. The matrix is every demand family at
+// every small ring size the service accepts, for k = 1, k = 2 and a
+// sampled k = 3; each case's scenario list is rebuilt with the sweep's
+// own planners (enumerate, sampleScenarios), then failed one by one.
+func TestSweepMatchesFail(t *testing.T) {
 	for n := 3; n <= 16; n++ {
-		for _, spec := range specs(n) {
+		for _, spec := range sweepSpecs(n) {
 			t.Run(fmt.Sprintf("n=%d/%s", n, spec), func(t *testing.T) {
 				sim := NewSimulator(network(t, n, spec))
-				for _, opts := range []SweepOptions{
-					{K: 1},
-					{K: 2, KeepWorst: 3},
-					{K: 3, Sample: 10, Seed: 42, KeepWorst: 2},
-				} {
-					if opts.K > n {
-						continue
-					}
-					serial, parallel := opts, opts
-					serial.Workers = 1
-					parallel.Workers = 4
-					want, err := sim.SweepCtx(context.Background(), serial)
+				for _, opts := range sweepMatrix(n) {
+					got, err := sim.SweepCtx(context.Background(), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sim.SweepCtx(context.Background(), parallel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("k=%d: parallel sweep diverges from serial:\nserial:   %+v\nparallel: %+v",
-							opts.K, want, got)
+					if want := failOracle(t, sim, n, opts); !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d: sweep disagrees with the Fail oracle:\nsweep:  %+v\noracle: %+v",
+							opts.K, got, want)
 					}
 				}
 			})
@@ -103,11 +78,187 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// sweepSpecs lists the demand families the sweep tests cover on a ring
+// of n nodes.
+func sweepSpecs(n int) []string {
+	return []string{
+		"alltoall",
+		"lambda:2",
+		"lambda:3",
+		"hub:0",
+		fmt.Sprintf("hub:%d", n-1),
+		"neighbors",
+		"random:0.3:5",
+		"random:0.8:11",
+		"random:0:1",
+		"random:1:2",
+	}
+}
+
+// sweepMatrix lists the sweeps the tests run on a ring of n links:
+// k = 1, k = 2 and a sampled k = 3, each only where k ≤ n.
+func sweepMatrix(n int) []SweepOptions {
+	var opts []SweepOptions
+	for _, o := range []SweepOptions{
+		{K: 1},
+		{K: 2, KeepWorst: 3},
+		{K: 3, Sample: 10, Seed: 42, KeepWorst: 2},
+	} {
+		if o.K <= n {
+			opts = append(opts, o)
+		}
+	}
+	return opts
+}
+
+// TestParallelSweepMatchesSerial checks that sweeps run concurrently on
+// one Simulator report exactly what the same sweeps report run one at a
+// time. Every sweep draws its working state (routes, scenario arena,
+// per-link tallies) from one scratch pool shared by all simulators, and
+// the service runs sweeps on several pool workers at once, so state
+// leaking between overlapping sweeps would show here as a diverging
+// report, and under -race as a data race. The callers start at different
+// rows of the matrix, so sweeps of different k overlap and hand each
+// other scratch of different shapes.
+func TestParallelSweepMatchesSerial(t *testing.T) {
+	const callers = 4
+	for n := 3; n <= 16; n++ {
+		for _, spec := range sweepSpecs(n) {
+			t.Run(fmt.Sprintf("n=%d/%s", n, spec), func(t *testing.T) {
+				sim := NewSimulator(network(t, n, spec))
+				opts := sweepMatrix(n)
+				want := make([]SweepResult, len(opts))
+				for i, o := range opts {
+					res, err := sim.SweepCtx(context.Background(), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[i] = res
+				}
+				got := make([][]SweepResult, callers)
+				errs := make([]error, callers)
+				var wg sync.WaitGroup
+				for c := range callers {
+					got[c] = make([]SweepResult, len(opts))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := range opts {
+							i := (c + j) % len(opts)
+							if got[c][i], errs[c] = sim.SweepCtx(context.Background(), opts[i]); errs[c] != nil {
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				for c := range callers {
+					if errs[c] != nil {
+						t.Fatal(errs[c])
+					}
+					for i := range opts {
+						if !reflect.DeepEqual(want[i], got[c][i]) {
+							t.Fatalf("k=%d: concurrent sweep %d diverges from serial:\nserial:     %+v\nconcurrent: %+v",
+								opts[i].K, c, want[i], got[c][i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// failOracle computes the report a sweep over a ring of n links should
+// give, by running Simulator.Fail on every planned scenario. opts must
+// set K and leave MaxScenarios at its default; a zero Sample or
+// KeepWorst takes the sweep's default.
+func failOracle(t *testing.T, sim *Simulator, n int, opts SweepOptions) SweepResult {
+	t.Helper()
+	if opts.Sample == 0 {
+		opts.Sample = DefaultSample
+	}
+	if opts.KeepWorst == 0 {
+		opts.KeepWorst = 1
+	}
+	space := binomial(n, opts.K)
+	want := SweepResult{K: opts.K, Scenarios: space}
+	var scenarios [][]ring.Link
+	if opts.K <= 2 || space <= int64(opts.Sample) {
+		scenarios = enumerate(n, opts.K, space)
+	} else {
+		scenarios = sampleScenarios(n, opts.K, opts.Sample, opts.Seed, space)
+		want.Sampled, want.Seed = true, opts.Seed
+	}
+	want.Planned, want.Evaluated = len(scenarios), len(scenarios)
+	want.Complete = !want.Sampled
+
+	var reports []ScenarioReport
+	var served, demands int
+	critScenarios, critLost := make([]int, n), make([]int, n)
+	want.WorstRestoration = 1
+	for i, links := range scenarios {
+		fr, err := sim.Fail(links...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := ScenarioReport{
+			Index:      i,
+			Links:      fr.Failed,
+			Unaffected: fr.Unaffected,
+			Affected:   len(fr.Affected),
+			Lost:       len(fr.Lost),
+			Rate:       fr.RestorationRate(),
+		}
+		for _, rr := range fr.Affected {
+			rep.MaxSpareLen = max(rep.MaxSpareLen, rr.SpareLen)
+			want.SumSpareLen += rr.SpareLen
+			want.SumWorkingLen += rr.WorkingLen
+		}
+		reports = append(reports, rep)
+		demands = rep.Unaffected + rep.Affected + rep.Lost
+		served += rep.Unaffected + rep.Affected
+		want.TotalAffected += rep.Affected
+		want.TotalLost += rep.Lost
+		want.MaxSpareLen = max(want.MaxSpareLen, rep.MaxSpareLen)
+		want.WorstRestoration = min(want.WorstRestoration, rep.Rate)
+		if i == 0 || rep.Affected > want.MostAffected.Affected {
+			want.MostAffected = rep
+		}
+		if rep.Lost > 0 {
+			want.LossyScenarios++
+			for _, l := range links {
+				critScenarios[l]++
+				critLost[l] += rep.Lost
+			}
+		}
+	}
+	want.AllRestored = want.TotalLost == 0
+	want.MeanRestoration = 1
+	if demands > 0 {
+		want.MeanRestoration = float64(served) / (float64(want.Evaluated) * float64(demands))
+	}
+	// Worst: the lossiest scenarios, most lost first, ties toward the
+	// earlier index (a stable sort keeps scenario order).
+	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Lost > reports[j].Lost })
+	for _, rep := range reports {
+		if rep.Lost == 0 || len(want.Worst) == opts.KeepWorst {
+			break
+		}
+		want.Worst = append(want.Worst, rep)
+	}
+	for l := range critScenarios {
+		if critScenarios[l] > 0 {
+			want.Critical = append(want.Critical, LinkCriticality{Link: ring.Link(l), Scenarios: critScenarios[l], LostDemands: critLost[l]})
+		}
+	}
+	return want
+}
+
 // TestSweepSingleMatchesFail cross-checks the sweep's lean evaluation
 // path against the reference Fail reports, link by link.
 func TestSweepSingleMatchesFail(t *testing.T) {
 	sim := NewSimulator(network(t, 11, "alltoall"))
-	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{K: 1, Workers: 3})
+	sweep, err := sim.SweepCtx(context.Background(), SweepOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +341,7 @@ func TestSweepSampledVsExhaustive(t *testing.T) {
 	if !s1.Sampled || s1.Complete || s1.Planned != 20 || s1.Scenarios != 84 {
 		t.Fatalf("oversized space must sample: %+v", s1)
 	}
-	s2, err := sim.SweepCtx(context.Background(), SweepOptions{K: 3, Sample: 20, Seed: 5, Workers: 4})
+	s2, err := sim.SweepCtx(context.Background(), SweepOptions{K: 3, Sample: 20, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +362,12 @@ func TestSweepBudgetTruncates(t *testing.T) {
 	if a.Planned != 7 || a.Evaluated != 7 || a.Complete || a.Scenarios != 45 {
 		t.Fatalf("budget must truncate to 7 of 45: %+v", a)
 	}
-	b, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2, MaxScenarios: 7, Workers: 3})
+	b, err := sim.SweepCtx(context.Background(), SweepOptions{K: 2, MaxScenarios: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("budget-cut sweep must not depend on workers:\n%+v\n%+v", a, b)
+		t.Fatalf("budget-cut sweep must reproduce:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -240,11 +391,12 @@ func TestSweepValidatesK(t *testing.T) {
 }
 
 // TestSweepCancellation cancels a large sweep mid-flight: the call must
-// return promptly with the context error and a partial, internally
-// consistent aggregate, and must not leak its workers.
+// return promptly with the context error and the aggregate of a prefix
+// of the scenario sequence — the very report a sweep budget-cut to the
+// same number of scenarios gives.
 func TestSweepCancellation(t *testing.T) {
 	sim := NewSimulator(network(t, 16, "lambda:3"))
-	before := runtime.NumGoroutine()
+	opts := SweepOptions{K: 2, KeepWorst: 3}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -256,7 +408,7 @@ func TestSweepCancellation(t *testing.T) {
 		close(started)
 		// C(16,2)=120 scenarios rerun many times to give cancel a window.
 		for i := 0; i < 10000; i++ {
-			res, err = sim.SweepCtx(ctx, SweepOptions{K: 2, Workers: 4})
+			res, err = sim.SweepCtx(ctx, opts)
 			if err != nil {
 				return
 			}
@@ -276,20 +428,27 @@ func TestSweepCancellation(t *testing.T) {
 	if res.Complete {
 		t.Fatal("a cancelled sweep must not claim completeness")
 	}
-	if res.Evaluated > res.Planned {
-		t.Fatalf("evaluated %d > planned %d", res.Evaluated, res.Planned)
+	if res.Evaluated >= res.Planned {
+		t.Fatalf("evaluated %d of %d planned, want fewer", res.Evaluated, res.Planned)
 	}
-	// The partial aggregate must still be internally consistent.
-	if res.LossyScenarios > res.Evaluated {
-		t.Fatalf("lossy %d > evaluated %d", res.LossyScenarios, res.Evaluated)
+	if res.Evaluated == 0 {
+		// The cancel landed before the sweep's first scenario.
+		if res.LossyScenarios != 0 || res.TotalAffected != 0 || res.Worst != nil || res.Critical != nil {
+			t.Fatalf("an empty partial sweep reports work: %+v", res)
+		}
+		return
 	}
-	// No leaked workers: the goroutine count settles back.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	budget := opts
+	budget.MaxScenarios = int64(res.Evaluated)
+	want, err := sim.SweepCtx(context.Background(), budget)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	// Only Planned tells the two apart: the budget planned the prefix.
+	want.Planned = res.Planned
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("cancelled sweep is not the prefix of %d scenarios:\ncancelled: %+v\nbudget:    %+v",
+			res.Evaluated, res, want)
 	}
 }
 

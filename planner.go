@@ -258,8 +258,8 @@ type Simulation struct {
 // Repeated simulations of one instance signature — any k, sample size or
 // seed — reuse the cached plan, so only the first call pays for
 // construction. See SweepOptions for the sweep contract (exhaustive
-// k ≤ 2, deterministic seeded sampling for k ≥ 3, parallel evaluation
-// with a worker-count-independent report).
+// k ≤ 2, deterministic seeded sampling for k ≥ 3, a budget that
+// truncates the scenario sequence).
 //
 // Cancellation or a deadline aborts the planning stage exactly like
 // PlanWDM, and the sweep stage within one scenario evaluation; an
