@@ -54,22 +54,26 @@ type gate struct {
 // delta-repair paths must stay allocation-free, scc-exact must not
 // allocate per enumeration step or per search node (allocation ceiling
 // from EXPERIMENTS.md §C, measured +10% headroom), scc-colour must not
-// allocate per colouring step (ceiling from EXPERIMENTS.md §K, measured
-// +10% headroom, over its largest host), admitting a general host must
-// stay linear in its size (B/op ceiling from EXPERIMENTS.md §N, measured
-// +10% headroom at n = 1024, where a Θ(n²) structure would cost
-// megabytes), and the symmetry-reduced exact engine must keep its
-// search-effort wins (node ceilings from EXPERIMENTS.md §I, measured
-// +10% headroom).
+// allocate per colouring step or per 2-factor circuit (ceiling from
+// EXPERIMENTS.md §Q, measured +10% headroom, over its largest host),
+// admitting a general host must stay linear in its size (B/op ceiling
+// from EXPERIMENTS.md §Q, measured +10% headroom at n = 1024, where a
+// Θ(n²) structure would cost megabytes), a sampled failure sweep must
+// not allocate per draw and a warm /plan must not allocate per cycle of
+// its answer (ceilings from EXPERIMENTS.md §Q, measured +10% headroom),
+// and the symmetry-reduced exact engine must keep its search-effort
+// wins (node ceilings from EXPERIMENTS.md §I, measured +10% headroom).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkSCCCoverCubic", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: -1},
 	{Bench: "BenchmarkSCCExactNodeLimited", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: 8_864},
-	{Bench: "BenchmarkSCCColour", Package: "./internal/construct", Benchtime: "20x", MaxAllocs: 52},
-	{Bench: "BenchmarkParseGeneral", Package: "./internal/instance", Benchtime: "20x", MaxAllocs: -1, MaxBytes: 233_129},
+	{Bench: "BenchmarkSCCColour", Package: "./internal/construct", Benchtime: "20x", MaxAllocs: 27},
+	{Bench: "BenchmarkParseGeneral", Package: "./internal/instance", Benchtime: "20x", MaxAllocs: -1, MaxBytes: 227_865},
 	{Bench: "BenchmarkExactInnerBranch", Package: "./internal/construct", Benchtime: "5x", MaxAllocs: 0},
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
+	{Bench: "BenchmarkSweep", Package: "./internal/survive", Benchtime: "20x", MaxAllocs: 35},
+	{Bench: "BenchmarkPlanHit", Package: "./internal/server", Benchtime: "200x", MaxAllocs: 20, MaxBytes: 26_266},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkExact", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 850},
 	{Bench: "BenchmarkExactCert", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 7_000_000},

@@ -165,8 +165,9 @@ func TestCheckBytesBudget(t *testing.T) {
 // TestGatesMatchPinnedContract guards the pinned set itself: the five
 // allocation-free hot paths (including the general-topology walk
 // verifier), the cubic scc pipeline smoke, the allocation ceilings of a
-// node-limited scc-exact run and of scc-colour, the bytes ceiling of
-// general-host admission, and the two node-budgeted search benchmarks.
+// node-limited scc-exact run, of scc-colour and of the failure sweeps,
+// the bytes ceiling of general-host admission, the allocation and bytes
+// ceilings of a warm /plan, and the two node-budgeted search benchmarks.
 // Editing the set is a deliberate act that must touch this test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
@@ -180,10 +181,12 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkGeneralVerify":       {pkg: "./internal/cover"},
 		"BenchmarkSCCCoverCubic":       {pkg: "./internal/construct", allocs: -1},
 		"BenchmarkSCCExactNodeLimited": {pkg: "./internal/construct", allocs: 8_864},
-		"BenchmarkSCCColour":           {pkg: "./internal/construct", allocs: 52},
-		"BenchmarkParseGeneral":        {pkg: "./internal/instance", allocs: -1, bytes: 233_129},
+		"BenchmarkSCCColour":           {pkg: "./internal/construct", allocs: 27},
+		"BenchmarkParseGeneral":        {pkg: "./internal/instance", allocs: -1, bytes: 227_865},
 		"BenchmarkExactInnerBranch":    {pkg: "./internal/construct"},
 		"BenchmarkSweepEvaluate":       {pkg: "./internal/survive"},
+		"BenchmarkSweep":               {pkg: "./internal/survive", allocs: 35},
+		"BenchmarkPlanHit":             {pkg: "./internal/server", allocs: 20, bytes: 26_266},
 		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
 		"BenchmarkExact":               {pkg: ".", allocs: -1, nodes: true},
 		"BenchmarkExactCert":           {pkg: ".", allocs: -1, nodes: true},

@@ -18,10 +18,11 @@ import (
 const DefaultCapacity = 256
 
 // Plans memoizes verified coverings and planned WDM networks per instance
-// signature. It is safe for concurrent use; every covering handed out is
-// a private clone, so callers may canonicalize or extend their copy
-// without corrupting the cache, while cached *wdm.Network values are
-// shared and must be treated as read-only.
+// signature. It is safe for concurrent use; every covering CoverCtx,
+// Lookup and CoverDeltaCtx hand out is a private clone, so callers may
+// canonicalize or extend their copy without corrupting the cache, while
+// cached *wdm.Network values, and the covering CoverKeyedCtx returns,
+// are shared and must be treated as read-only.
 type Plans struct {
 	coverings *Store
 	networks  *Store
@@ -85,21 +86,33 @@ func (p *Plans) Stats() PlansStats {
 // delivered to surviving waiters is always a verified, completed
 // covering.
 func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options) (CoverResult, bool, error) {
+	res, hit, err := p.CoverKeyedCtx(ctx, Signature(in, opts), in, opts)
+	if err != nil {
+		return CoverResult{}, hit, err
+	}
+	// A library caller gets a private clone, so no two callers (nor the
+	// cache) share a mutable Cycles slice.
+	res.Covering = res.Covering.Clone()
+	return res, hit, nil
+}
+
+// CoverKeyedCtx is CoverCtx for a caller that has already keyed the
+// request — sig must be Signature(in, opts) — and only reads the
+// covering: the result's Covering is the cached one, shared with the
+// cache and every other caller, like a cached *wdm.Network, and must
+// not be modified. The cycled service keys each request once and
+// writes its answer straight from this covering.
+func (p *Plans) CoverKeyedCtx(ctx context.Context, sig string, in instance.Instance, opts Options) (CoverResult, bool, error) {
 	if in.IsZero() {
 		return CoverResult{}, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
-	sig := Signature(in, opts)
 	v, hit, err := p.coverings.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
 		return buildCover(cctx, in, opts)
 	})
 	if err != nil {
 		return CoverResult{}, hit, err
 	}
-	res := v.(CoverResult)
-	// Clone on every exit so no two callers (nor the cache) share a
-	// mutable Cycles slice.
-	res.Covering = res.Covering.Clone()
-	return res, hit, nil
+	return v.(CoverResult), hit, nil
 }
 
 // Lookup probes the covering cache without computing: it returns the
@@ -175,6 +188,12 @@ func (p *Plans) NetworkAllToAllCtx(ctx context.Context, n int, opts Options) (*w
 // semantics. The returned network is shared across callers and must not
 // be mutated.
 func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Options) (*wdm.Network, bool, error) {
+	return p.NetworkKeyedCtx(ctx, Signature(in, opts), in, opts)
+}
+
+// NetworkKeyedCtx is NetworkCtx for a caller that has already keyed the
+// request: sig must be Signature(in, opts).
+func (p *Plans) NetworkKeyedCtx(ctx context.Context, sig string, in instance.Instance, opts Options) (*wdm.Network, bool, error) {
 	if in.IsZero() {
 		return nil, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
@@ -183,9 +202,9 @@ func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Optio
 		// has no ring routing to assign over.
 		return nil, false, fmt.Errorf("cache: WDM planning applies to ring instances only, %q is general-topology", in.Name)
 	}
-	sig := Signature(in, opts)
 	v, hit, err := p.networks.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
-		res, _, err := p.CoverCtx(cctx, in, opts)
+		// wdm.Plan only reads the covering, so it plans over the cached one.
+		res, _, err := p.CoverKeyedCtx(cctx, sig, in, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -126,25 +126,7 @@ func LookupStrategy(name string) (Strategy, bool) {
 // UniformLambda reports whether g is λK_n for some uniform λ ≥ 1 — the
 // demand class the paper's closed forms address. Nil-safe: an empty or
 // nil graph is not a λ-class.
-func UniformLambda(g *graph.Graph) (int, bool) {
-	n := g.N()
-	pairs := n * (n - 1) / 2
-	if pairs == 0 || g.DistinctEdges() != pairs || g.M()%pairs != 0 {
-		return 0, false
-	}
-	lam := g.M() / pairs
-	// Walk the pair array without materializing an edge list: cache
-	// signatures call this on every request.
-	uniform := true
-	g.ForEachEdge(func(_, _, mult int) bool {
-		uniform = mult == lam
-		return uniform
-	})
-	if !uniform {
-		return 0, false
-	}
-	return lam, true
-}
+func UniformLambda(g *graph.Graph) (int, bool) { return g.UniformMultiplicity() }
 
 // ClosedForm is the paper's construction machinery: Theorem 1's odd
 // induction, the even-n search-plus-layered path, and the λ-composition.

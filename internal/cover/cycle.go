@@ -57,21 +57,40 @@ type Cycle struct {
 // normalised to [0, n); duplicates are rejected, as are sets smaller than
 // MinCycleLen.
 func NewCycle(r ring.Ring, verts ...int) (Cycle, error) {
-	vs := make([]int, 0, len(verts))
-	seen := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		nv := r.Norm(v)
-		if seen[nv] {
-			return Cycle{}, fmt.Errorf("cover: duplicate vertex %d in cycle %v", nv, verts)
+	return newCycleIn(r, make([]int, len(verts)), verts)
+}
+
+// newCycleIn is NewCycle storing the cycle's vertices in vs, which has
+// the length of verts.
+func newCycleIn(r ring.Ring, vs, verts []int) (Cycle, error) {
+	for i, v := range verts {
+		vs[i] = r.Norm(v)
+	}
+	ring.SortByRingOrder(vs)
+	for i := 1; i < len(vs); i++ {
+		if vs[i] == vs[i-1] {
+			return Cycle{}, duplicateError(r, verts)
 		}
-		seen[nv] = true
-		vs = append(vs, nv)
 	}
 	if len(vs) < MinCycleLen {
 		return Cycle{}, fmt.Errorf("cover: cycle needs at least %d distinct vertices, got %d", MinCycleLen, len(vs))
 	}
-	ring.SortByRingOrder(vs)
 	return Cycle{verts: vs}, nil
+}
+
+// duplicateError names the first vertex of verts, in order and
+// normalised, that repeats an earlier one. Only the error path pays for
+// its map.
+func duplicateError(r ring.Ring, verts []int) error {
+	seen := make(map[int]bool, len(verts))
+	for _, v := range verts {
+		nv := r.Norm(v)
+		if seen[nv] {
+			return fmt.Errorf("cover: duplicate vertex %d in cycle %v", nv, verts)
+		}
+		seen[nv] = true
+	}
+	panic("cover: duplicateError on a cycle without a repeated vertex")
 }
 
 // CycleFromSortedVerts wraps an already-canonical vertex slice — sorted

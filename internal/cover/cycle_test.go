@@ -30,6 +30,41 @@ func TestNewCycleValidation(t *testing.T) {
 	}
 }
 
+// TestCycleErrorTexts pins the vertex each rejection names: the first
+// one, in input order, that repeats an earlier one (NewCycle, after
+// normalising) or that is negative or repeats one (WalkCycle).
+func TestCycleErrorTexts(t *testing.T) {
+	r := ring.MustNew(5)
+	for _, tc := range []struct {
+		verts []int
+		want  string
+	}{
+		{[]int{1, 2, 1}, "cover: duplicate vertex 1 in cycle [1 2 1]"},
+		{[]int{3, 2, 2, 3}, "cover: duplicate vertex 2 in cycle [3 2 2 3]"},
+		{[]int{6, 3, 1}, "cover: duplicate vertex 1 in cycle [6 3 1]"},
+		{[]int{4, 4}, "cover: duplicate vertex 4 in cycle [4 4]"},
+		{[]int{0, 1, 2, 3, 4, 5, 6}, "cover: duplicate vertex 0 in cycle [0 1 2 3 4 5 6]"},
+		{[]int{1, 2}, "cover: cycle needs at least 3 distinct vertices, got 2"},
+	} {
+		if _, err := NewCycle(r, tc.verts...); err == nil || err.Error() != tc.want {
+			t.Errorf("NewCycle(%v) = %v, want %q", tc.verts, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		verts []int
+		want  string
+	}{
+		{[]int{3, 1, 3, -2}, "cover: duplicate vertex 3 in cycle [3 1 3 -2]"},
+		{[]int{3, -1, 3}, "cover: negative vertex -1 in cycle [3 -1 3]"},
+		{[]int{2, 5, 5, 2}, "cover: duplicate vertex 5 in cycle [2 5 5 2]"},
+		{[]int{0, 1}, "cover: cycle needs at least 3 distinct vertices, got 2"},
+	} {
+		if _, err := WalkCycle(tc.verts); err == nil || err.Error() != tc.want {
+			t.Errorf("WalkCycle(%v) = %v, want %q", tc.verts, err, tc.want)
+		}
+	}
+}
+
 func TestCycleNormalisesLabels(t *testing.T) {
 	r := ring.MustNew(5)
 	c := MustCycle(r, -1, 5, 7)

@@ -23,6 +23,7 @@ package cover
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/ring"
@@ -48,21 +49,24 @@ func WalkCycle(verts []int) (Cycle, error) {
 	if k < MinCycleLen {
 		return Cycle{}, fmt.Errorf("cover: cycle needs at least %d distinct vertices, got %d", MinCycleLen, k)
 	}
+	// Sort a copy in the output buffer to find a negative or repeated
+	// vertex without a map; the canonical walk overwrites it below.
+	out := make([]int, k)
+	copy(out, verts)
+	slices.Sort(out)
+	bad := out[0] < 0
+	for i := 1; i < k && !bad; i++ {
+		bad = out[i] == out[i-1]
+	}
+	if bad {
+		return Cycle{}, walkError(verts)
+	}
 	minAt := 0
-	seen := make(map[int]bool, k)
 	for i, v := range verts {
-		if v < 0 {
-			return Cycle{}, fmt.Errorf("cover: negative vertex %d in cycle %v", v, verts)
-		}
-		if seen[v] {
-			return Cycle{}, fmt.Errorf("cover: duplicate vertex %d in cycle %v", v, verts)
-		}
-		seen[v] = true
 		if v < verts[minAt] {
 			minAt = i
 		}
 	}
-	out := make([]int, k)
 	// Rotate the minimum to the front, then pick the traversal direction
 	// with the smaller second vertex: the canonical form of an undirected
 	// closed walk.
@@ -76,6 +80,22 @@ func WalkCycle(verts []int) (Cycle, error) {
 		}
 	}
 	return Cycle{verts: out}, nil
+}
+
+// walkError names the first vertex of verts, in order, that is negative
+// or repeats an earlier one. Only the error path pays for its map.
+func walkError(verts []int) error {
+	seen := make(map[int]bool, len(verts))
+	for _, v := range verts {
+		if v < 0 {
+			return fmt.Errorf("cover: negative vertex %d in cycle %v", v, verts)
+		}
+		if seen[v] {
+			return fmt.Errorf("cover: duplicate vertex %d in cycle %v", v, verts)
+		}
+		seen[v] = true
+	}
+	panic("cover: walkError on a walk without a bad vertex")
 }
 
 // MustWalkCycle is WalkCycle that panics on error; for tests and

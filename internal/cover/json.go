@@ -30,13 +30,21 @@ func (cv *Covering) MarshalJSON() ([]byte, error) {
 // cache snapshots, the /verify endpoint), so validation stays in one
 // place.
 func FromVertexSets(r ring.Ring, sets [][]int) (*Covering, error) {
-	cv := NewCovering(r)
+	// The cycles' vertices are carved from one backing array.
+	total := 0
+	for _, verts := range sets {
+		total += len(verts)
+	}
+	backing := make([]int, total)
+	cv := &Covering{Ring: r, Cycles: make([]Cycle, 0, len(sets))}
 	for i, verts := range sets {
-		c, err := NewCycle(r, verts...)
+		k := len(verts)
+		c, err := newCycleIn(r, backing[:k:k], verts)
+		backing = backing[k:]
 		if err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", i, err)
 		}
-		cv.Add(c)
+		cv.Cycles = append(cv.Cycles, c)
 	}
 	return cv, nil
 }

@@ -2,8 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
+
+	"github.com/cyclecover/cyclecover/internal/scratch"
 )
 
 // This file provides the cubic host-graph generators behind the
@@ -140,7 +141,9 @@ func RandomCubicBridgeless(n int, seed int64) (*Host, error) {
 	if n < 4 || n%2 != 0 {
 		return nil, fmt.Errorf("graph: random cubic graph needs even n >= 4, got %d", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := scratch.Rands.Get()
+	defer scratch.Rands.Put(rng)
+	rng.Seed(seed)
 	stubs := make([]int, 3*n)
 	nbr := make([]int, 3*n) // nbr[3v : 3v+deg[v]] lists v's neighbours so far
 	deg := make([]int, n)

@@ -83,28 +83,31 @@ func New(n int) *Graph {
 }
 
 // Complete returns K_n.
-func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	return g
-}
+func Complete(n int) *Graph { return LambdaComplete(n, 1) }
 
 // LambdaComplete returns λK_n, the complete multigraph where every pair is
-// joined by lambda parallel edges. It panics for lambda < 1.
+// joined by lambda parallel edges. It panics for lambda < 1 and, like
+// AddEdgeMulti, when lambda overflows the int32 pair counter. The pair
+// array, degrees and counts are filled in one pass.
 func LambdaComplete(n, lambda int) *Graph {
 	if lambda < 1 {
 		panic("graph: lambda must be >= 1")
 	}
 	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdgeMulti(u, v, lambda)
-		}
+	if len(g.mult) == 0 {
+		return g
 	}
+	if lambda > math.MaxInt32 {
+		panic("graph: multiplicity of {0,1} overflows int32")
+	}
+	for i := range g.mult {
+		g.mult[i] = int32(lambda)
+	}
+	for v := range g.deg {
+		g.deg[v] = (n - 1) * lambda
+	}
+	g.distinct = len(g.mult)
+	g.m = g.distinct * lambda
 	return g
 }
 
@@ -277,6 +280,23 @@ func (g *Graph) ForEachEdge(fn func(u, v, mult int) bool) {
 			i++
 		}
 	}
+}
+
+// UniformMultiplicity reports whether every vertex pair is joined by the
+// same number λ ≥ 1 of edges — whether g is λK_n — and returns λ. It
+// scans the pair array directly; a nil graph or one with no pairs is
+// not uniform.
+func (g *Graph) UniformMultiplicity() (int, bool) {
+	if g == nil || len(g.mult) == 0 || g.distinct != len(g.mult) || g.m%len(g.mult) != 0 {
+		return 0, false
+	}
+	lam := int32(g.m / len(g.mult))
+	for _, k := range g.mult {
+		if k != lam {
+			return 0, false
+		}
+	}
+	return int(lam), true
 }
 
 // Neighbors returns the distinct neighbours of v in ascending order;

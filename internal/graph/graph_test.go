@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNewEdgeCanonical(t *testing.T) {
 	if e := NewEdge(5, 2); e.U != 2 || e.V != 5 {
@@ -45,6 +48,39 @@ func TestLambdaComplete(t *testing.T) {
 	}
 	if g.DistinctEdges() != 10 {
 		t.Errorf("3K5: distinct = %d, want 10", g.DistinctEdges())
+	}
+	// The one-pass fill builds exactly the graph pair-by-pair insertion
+	// builds: same pairs, degrees and counts.
+	for n := 0; n <= 12; n++ {
+		for lam := 1; lam <= 3; lam++ {
+			want := New(n)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					want.AddEdgeMulti(u, v, lam)
+				}
+			}
+			got := LambdaComplete(n, lam)
+			if !got.EqualCover(want) {
+				t.Fatalf("%dK%d differs from pair-by-pair insertion", lam, n)
+			}
+			for v := 0; v < n; v++ {
+				if got.Degree(v) != want.Degree(v) {
+					t.Fatalf("%dK%d: deg(%d) = %d, want %d", lam, n, v, got.Degree(v), want.Degree(v))
+				}
+			}
+			if l, ok := got.UniformMultiplicity(); ok != (n >= 2) || (ok && l != lam) {
+				t.Fatalf("%dK%d: UniformMultiplicity = (%d, %v)", lam, n, l, ok)
+			}
+		}
+	}
+	if math.MaxInt > math.MaxInt32 {
+		over := int64(math.MaxInt32) + 1
+		defer func() {
+			if r := recover(); r != "graph: multiplicity of {0,1} overflows int32" {
+				t.Fatalf("LambdaComplete(3, MaxInt32+1) panicked with %v", r)
+			}
+		}()
+		LambdaComplete(3, int(over))
 	}
 }
 

@@ -9,11 +9,11 @@ package instance
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
 	"github.com/cyclecover/cyclecover/internal/graph"
+	"github.com/cyclecover/cyclecover/internal/scratch"
 )
 
 // Instance is a named demand set over n vertices. Ring instances carry
@@ -114,7 +114,9 @@ func RandomSymmetric(n int, density float64, seed int64) (Instance, error) {
 	if density > 1 {
 		density = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := scratch.Rands.Get()
+	defer scratch.Rands.Put(rng)
+	rng.Seed(seed)
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

@@ -289,4 +289,17 @@ func TestSortByRingOrder(t *testing.T) {
 	}
 	var empty []int
 	SortByRingOrder(empty) // must not panic
+	// Long sets (a /verify body may list every vertex) sort the same way.
+	for _, n := range []int{12, 13, 1024} {
+		long := make([]int, n)
+		for i := range long {
+			long[i] = (7*i + 3) % n
+		}
+		SortByRingOrder(long)
+		for i, v := range long {
+			if v != i {
+				t.Fatalf("SortByRingOrder of a permuted 0..%d = %v", n-1, long)
+			}
+		}
+	}
 }

@@ -10,7 +10,10 @@
 // idle entries under memory pressure, exactly like a bare sync.Pool.
 package scratch
 
-import "sync"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Pool is a typed free-list of *T scratch values.
 type Pool[T any] struct {
@@ -29,3 +32,9 @@ func (p *Pool[T]) Get() *T { return p.p.Get().(*T) }
 // Put returns a scratch value to the pool. The caller must not use x
 // afterwards.
 func (p *Pool[T]) Put(x *T) { p.p.Put(x) }
+
+// Rands recycles seeded math/rand generators, whose source state is
+// about 4.9 KB. Get one, Seed it, draw, and Put it back: Seed resets the
+// whole source, so a recycled generator draws exactly what
+// rand.New(rand.NewSource(seed)) would.
+var Rands = NewPool(func() *rand.Rand { return rand.New(rand.NewSource(1)) })

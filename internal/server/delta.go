@@ -25,11 +25,16 @@ type deltaRequest struct {
 }
 
 // deltaResponse is a full plan response for the child instance plus the
-// delta provenance: which parent it replanned from, the applied delta,
-// and whether the covering came from warm repair (vs cold fallback or a
-// cached child).
+// delta provenance.
 type deltaResponse struct {
 	planResponse
+	deltaTail
+}
+
+// deltaTail is the delta provenance: which parent the child was
+// replanned from, the applied delta, and whether the covering came from
+// warm repair (vs cold fallback or a cached child).
+type deltaTail struct {
 	Parent   string `json:"parent"`
 	Delta    string `json:"delta"`
 	Repaired bool   `json:"repaired"`
@@ -122,7 +127,7 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		nw, netHit, err := s.plans.NetworkCtx(jctx, dp.Child, dp.Opts)
+		nw, netHit, err := s.plans.NetworkKeyedCtx(jctx, dp.ChildSig, dp.Child, dp.Opts)
 		if err != nil {
 			return nil, err
 		}
@@ -136,14 +141,16 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 
 	resp := deltaResponse{
 		planResponse: buildPlanResponse(dp.ChildSig, dp.Child, dp.Opts.Strategy, pl.res, pl.nw, pl.hit),
-		Parent:       dp.ParentSig,
-		Delta:        d.String(),
-		Repaired:     pl.res.Method == construct.MethodDelta,
+		deltaTail: deltaTail{
+			Parent:   dp.ParentSig,
+			Delta:    d.String(),
+			Repaired: pl.res.Method == construct.MethodDelta,
+		},
 	}
 	if resp.CacheHit {
 		w.Header().Set("X-Cache", "HIT")
 	} else {
 		w.Header().Set("X-Cache", "MISS")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePlan(w, &resp.planResponse, &resp.deltaTail)
 }

@@ -27,7 +27,11 @@ func FuzzVerifyBody(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		body, err := json.Marshal(verifyRequest{N: n, Cycles: resp.Cycles, Demand: demand})
+		req := verifyRequest{N: n, Demand: demand}
+		for _, c := range resp.cycles {
+			req.Cycles = append(req.Cycles, c.Vertices())
+		}
+		body, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -329,19 +329,29 @@ type planResponse struct {
 	// with no optimality claim. Stale additionally marks a degraded
 	// answer served from a previously cached entry without any new
 	// construction (the X-Degraded: stale response).
-	Degraded    bool    `json:"degraded,omitempty"`
-	Stale       bool    `json:"stale,omitempty"`
-	Method      string  `json:"method"`
+	Degraded bool   `json:"degraded,omitempty"`
+	Stale    bool   `json:"stale,omitempty"`
+	Method   string `json:"method"`
+	// Cycles is the decoded shape of the answer's cycle list, filled only
+	// when an answer is decoded (tests) or built as the encoding/json
+	// reference in answer_test.go. The server leaves it nil and writes the
+	// list from cycles (answer.go), so a planResponse it built must never
+	// go through writeJSON.
 	Cycles      [][]int `json:"cycles"`
 	Wavelengths int     `json:"wavelengths"`
 	ADMs        int     `json:"adms"`
 	MaxTransit  int     `json:"maxTransit"`
 	Cost        float64 `json:"cost"`
 	CacheHit    bool    `json:"cacheHit"`
+
+	// cycles are the covering's cycles, read in place: for a fresh plan
+	// the cached covering itself, which must not be modified.
+	cycles []cover.Cycle
 }
 
-// planned bundles what one pool job computes. nw is the cached network,
-// shared and read-only; nil for general instances.
+// planned bundles what one pool job computes. res.Covering and nw are
+// the cached covering and network, shared and read-only; nw is nil for
+// general instances.
 type planned struct {
 	res cache.CoverResult
 	nw  *wdm.Network
@@ -389,10 +399,12 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 			}
 		}
 	}
+	// The request is keyed once: for a hub or random demand the signature
+	// is an O(n²) hash.
 	sig := cache.Signature(in, opts)
 	jobStart := time.Now()
 	v, err := s.pool.Submit(ctx, "", func(jctx context.Context) (any, error) {
-		res, coverHit, err := s.plans.CoverCtx(jctx, in, opts)
+		res, coverHit, err := s.plans.CoverKeyedCtx(jctx, sig, in, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +413,7 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 			// itself, judged by the shortest-cycle-cover objective.
 			return planned{res: res, hit: coverHit}, nil
 		}
-		nw, netHit, err := s.plans.NetworkCtx(jctx, in, opts)
+		nw, netHit, err := s.plans.NetworkKeyedCtx(jctx, sig, in, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -425,9 +437,10 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 	return buildPlanResponse(sig, in, strategy, pl.res, pl.nw, pl.hit), http.StatusOK, nil
 }
 
-// buildPlanResponse assembles the /plan JSON from a covering result and
+// buildPlanResponse assembles the /plan answer from a covering result and
 // (for ring instances) the optical facts its planned network carries.
-// Shared by planOne, the stale-serve path and /plan/delta.
+// The answer reads the covering's cycles in place. Shared by planOne,
+// the stale-serve path and /plan/delta.
 func buildPlanResponse(sig string, in instance.Instance, strategy string, res cache.CoverResult, nw *wdm.Network, hit bool) planResponse {
 	resp := planResponse{
 		Signature: sig,
@@ -452,11 +465,7 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 	} else if in.IsAllToAll() {
 		resp.Rho = cover.Rho(in.N())
 	}
-	// Always a list: an empty covering answers "cycles": [], not null.
-	resp.Cycles = make([][]int, 0, len(res.Covering.Cycles))
-	for _, c := range res.Covering.Cycles {
-		resp.Cycles = append(resp.Cycles, c.Vertices())
-	}
+	resp.cycles = res.Covering.Cycles
 	return resp
 }
 
@@ -526,7 +535,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	} else if resp.Degraded {
 		w.Header().Set("X-Degraded", "true")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePlan(w, &resp, nil)
 }
 
 // MaxBatchItems bounds how many plan requests one /plan/batch call may
@@ -685,9 +694,14 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var buf []byte
 	for line := range results {
-		enc.Encode(line)
+		// A line that cannot be encoded (a non-finite cost) is dropped,
+		// as json.Encoder drops it.
+		if b, err := appendBatchLine(buf[:0], &line); err == nil {
+			buf = b
+			w.Write(buf)
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -742,7 +756,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading verify request: %v", err)
 		return
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeVerifyRequest(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad verify request: %v", err)
 		return
 	}

@@ -144,7 +144,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	opts := cache.Options{Strategy: strategy}
 	planSig := cache.Signature(in, opts)
 	v, err := s.pool.Submit(ctx, "", func(jctx context.Context) (any, error) {
-		nw, hit, err := s.plans.NetworkCtx(jctx, in, opts)
+		nw, hit, err := s.plans.NetworkKeyedCtx(jctx, planSig, in, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,9 @@ package survive
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/cyclecover/cyclecover/internal/ring"
@@ -546,7 +548,9 @@ func enumerate(links, k int, limit int64) [][]ring.Link {
 // half the space, rejection sampling degrades, so the full space is
 // enumerated (it is at most 2·count subsets) and shuffled instead.
 func sampleScenarios(links, k, count int, seed int64, space int64) [][]ring.Link {
-	rng := rand.New(rand.NewSource(seed))
+	rng := scratch.Rands.Get()
+	defer scratch.Rands.Put(rng)
+	rng.Seed(seed)
 	if space <= 2*int64(count) {
 		all := enumerate(links, k, space)
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
@@ -554,45 +558,61 @@ func sampleScenarios(links, k, count int, seed int64, space int64) [][]ring.Link
 		sortScenarios(all)
 		return all
 	}
-	seen := make(map[string]bool, count)
+	// Each draw is keyed by its links packed into one integer, width bits
+	// apiece; the service's draws (k ≤ 6 on at most 1024 links) always
+	// pack. A draw too wide to pack is keyed by its text.
+	width := bits.Len(uint(links - 1))
+	packed := k*width <= 64
+	seen := make(map[uint64]bool, count)
+	var seenWide map[string]bool
+	if !packed {
+		seenWide = make(map[string]bool, count)
+	}
+	// The scenarios are carved from one backing array.
+	backing := make([]ring.Link, 0, count*k)
 	out := make([][]ring.Link, 0, count)
-	buf := make([]byte, 2*k)
+	var drawArr [8]ring.Link
+	draw := drawArr[:0]
 	for len(out) < count {
-		combo := randomSubset(rng, links, k)
-		for i, l := range combo {
-			buf[2*i] = byte(l)
-			buf[2*i+1] = byte(int(l) >> 8)
+		draw = randomSubset(rng, links, k, draw)
+		if packed {
+			key := uint64(0)
+			for _, l := range draw {
+				key = key<<width | uint64(l)
+			}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		} else {
+			key := fmt.Sprint(draw)
+			if seenWide[key] {
+				continue
+			}
+			seenWide[key] = true
 		}
-		key := string(buf)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, combo)
+		off := len(backing)
+		backing = append(backing, draw...)
+		out = append(out, backing[off:len(backing):len(backing)])
 	}
 	sortScenarios(out)
 	return out
 }
 
 // randomSubset draws a uniform k-subset of [0, links) by Floyd's
-// algorithm and returns it sorted.
-func randomSubset(rng *rand.Rand, links, k int) []ring.Link {
-	chosen := make(map[int]bool, k)
+// algorithm into buf, kept sorted, and returns it.
+func randomSubset(rng *rand.Rand, links, k int, buf []ring.Link) []ring.Link {
+	buf = buf[:0]
 	for j := links - k; j < links; j++ {
-		t := rng.Intn(j + 1)
-		if chosen[t] {
-			chosen[j] = true
-		} else {
-			chosen[t] = true
+		t := ring.Link(rng.Intn(j + 1))
+		i, taken := slices.BinarySearch(buf, t)
+		if taken {
+			// Floyd takes j instead, which exceeds every link drawn so far.
+			t, i = ring.Link(j), len(buf)
 		}
+		buf = slices.Insert(buf, i, t)
 	}
-	out := make([]ring.Link, 0, k)
-	//cyclecover:nondet keys are sorted immediately below before any use
-	for v := range chosen {
-		out = append(out, ring.Link(v))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return buf
 }
 
 // sortScenarios orders scenario link sets lexicographically.

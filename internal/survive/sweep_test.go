@@ -3,6 +3,7 @@ package survive
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -319,6 +320,61 @@ func TestSamplerDeterminism(t *testing.T) {
 	e := sampleScenarios(7, 3, 30, 3, binomial(7, 3))
 	if len(d) != 30 || !reflect.DeepEqual(d, e) {
 		t.Fatalf("dense sampling not deterministic: %d scenarios", len(d))
+	}
+}
+
+// TestSamplerMatchesMapSampler pins the sampled draws to the sampler
+// they replaced, which kept a map per draw and a string key per scenario
+// (copied below): the same generator calls, so the same scenarios, on
+// packed draws and on one too wide to pack (8 links of 10 bits).
+func TestSamplerMatchesMapSampler(t *testing.T) {
+	mapSampler := func(links, k, count int, seed int64) [][]ring.Link {
+		rng := rand.New(rand.NewSource(seed))
+		seen := map[string]bool{}
+		var out [][]ring.Link
+		buf := make([]byte, 2*k)
+		for len(out) < count {
+			chosen := map[int]bool{}
+			for j := links - k; j < links; j++ {
+				if t := rng.Intn(j + 1); chosen[t] {
+					chosen[j] = true
+				} else {
+					chosen[t] = true
+				}
+			}
+			combo := make([]ring.Link, 0, k)
+			//cyclecover:nondet keys are sorted immediately below
+			for v := range chosen {
+				combo = append(combo, ring.Link(v))
+			}
+			sort.Slice(combo, func(i, j int) bool { return combo[i] < combo[j] })
+			for i, l := range combo {
+				buf[2*i] = byte(l)
+				buf[2*i+1] = byte(int(l) >> 8)
+			}
+			if key := string(buf); !seen[key] {
+				seen[key] = true
+				out = append(out, combo)
+			}
+		}
+		sortScenarios(out)
+		return out
+	}
+	for _, tc := range []struct {
+		links, k, count int
+		seed            int64
+	}{
+		{16, 3, 20, 7},
+		{16, 3, 200, 8},
+		{64, 3, 512, 1},
+		{40, 5, 300, -4},
+		{1024, 6, 100, 99},
+		{600, 8, 60, 5},
+	} {
+		got := sampleScenarios(tc.links, tc.k, tc.count, tc.seed, binomial(tc.links, tc.k))
+		if want := mapSampler(tc.links, tc.k, tc.count, tc.seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: sampled\n%v\nwant\n%v", tc, got, want)
+		}
 	}
 }
 
