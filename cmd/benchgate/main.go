@@ -1,19 +1,20 @@
 // Command benchgate enforces the hot-path performance budgets in CI. It
 // runs a pinned set of -benchmem benchmarks, parses their allocs/op and
-// B/op figures — and, for the search benchmarks, the custom nodes/op
-// metric — from `go test` output, and diffs the results against the
-// pinned names: a missing benchmark (renamed, deleted, or silently
-// skipped) fails the gate just as hard as a blown budget, so neither the
-// allocation contract nor the search-effort contract can rot by
-// omission.
+// B/op figures — and, where a gate names one, a custom effort count
+// reported through b.ReportMetric (nodes/op for the exact search,
+// probes/op for the greedy constructor) — from `go test` output, and
+// diffs the results against the pinned names: a missing benchmark
+// (renamed, deleted, or silently skipped) fails the gate just as hard as
+// a blown budget, so neither the allocation contract nor the effort
+// contract can rot by omission.
 //
 // Budgets are per-metric: MaxAllocs < 0 leaves allocations ungated (the
 // exact-search end-to-end benchmarks allocate their solutions), MaxBytes
-// 0 leaves bytes ungated, and MaxNodes 0 leaves search effort ungated
-// (most benchmarks report no nodes/op metric at all). Node counts are
-// deterministic — the exact search is pinned to be bit-identical run to
-// run — so a nodes/op ceiling is a hard regression tripwire, not a flaky
-// timing threshold.
+// 0 leaves bytes ungated, and an empty Metric leaves effort ungated
+// (most benchmarks report no effort count). Effort counts are
+// deterministic — the exact search and the greedy constructor are pinned
+// to be bit-identical run to run — so their ceilings are hard regression
+// tripwires, not flaky timing thresholds.
 //
 // Usage:
 //
@@ -37,8 +38,9 @@ import (
 // gate pins one benchmark to its budgets. Benchtime uses the fixed-
 // iteration "Nx" form so the run cost stays bounded in CI. MaxAllocs is
 // the inclusive allocs/op budget, or negative to leave allocations
-// ungated; MaxBytes is the inclusive B/op budget and MaxNodes the
-// inclusive nodes/op budget, each 0 to leave that metric ungated. A
+// ungated; MaxBytes is the inclusive B/op budget, 0 to leave bytes
+// ungated; Metric names the unit of a b.ReportMetric effort count and
+// MaxMetric is its inclusive budget, Metric "" to leave effort ungated. A
 // budget holds for every sub-benchmark line of the benchmark.
 type gate struct {
 	Bench     string // exact benchmark function name
@@ -46,7 +48,8 @@ type gate struct {
 	Benchtime string // -benchtime value, e.g. "500x"
 	MaxAllocs int64  // inclusive allocs/op budget; < 0 = ungated
 	MaxBytes  int64  // inclusive B/op budget; 0 = ungated
-	MaxNodes  int64  // inclusive nodes/op budget; 0 = ungated
+	Metric    string // effort unit, e.g. "nodes/op"; "" = ungated
+	MaxMetric int64  // inclusive budget for Metric
 }
 
 // gates mirrors the hot-path contract documented in DESIGN.md: the
@@ -61,8 +64,12 @@ type gate struct {
 // Θ(n²) structure would cost megabytes), a sampled failure sweep must
 // not allocate per draw and a warm /plan must not allocate per cycle of
 // its answer (ceilings from EXPERIMENTS.md §Q, measured +10% headroom),
-// and the symmetry-reduced exact engine must keep its search-effort
-// wins (node ceilings from EXPERIMENTS.md §I, measured +10% headroom).
+// the symmetry-reduced exact engine must keep its search-effort wins
+// (node ceilings from EXPERIMENTS.md §I, measured +10% headroom), and
+// the greedy constructor's residual reads through its need probe — the
+// distance cursors and the candidate scoring — must not grow back
+// towards every pair slot per cycle (probe ceiling from EXPERIMENTS.md
+// §R, measured +10% headroom over its n = 1023 hub line).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
@@ -75,21 +82,22 @@ var gates = []gate{
 	{Bench: "BenchmarkSweep", Package: "./internal/survive", Benchtime: "20x", MaxAllocs: 35},
 	{Bench: "BenchmarkPlanHit", Package: "./internal/server", Benchtime: "200x", MaxAllocs: 20, MaxBytes: 26_266},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},
-	{Bench: "BenchmarkExact", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 850},
-	{Bench: "BenchmarkExactCert", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 7_000_000},
+	{Bench: "BenchmarkGreedy", Package: "./internal/construct", Benchtime: "3x", MaxAllocs: -1, Metric: "probes/op", MaxMetric: 2_169_768},
+	{Bench: "BenchmarkExact", Package: ".", Benchtime: "1x", MaxAllocs: -1, Metric: "nodes/op", MaxMetric: 850},
+	{Bench: "BenchmarkExactCert", Package: ".", Benchtime: "1x", MaxAllocs: -1, Metric: "nodes/op", MaxMetric: 7_000_000},
 }
 
 // result is one parsed benchmark line; each metric is flagged by
-// presence, since plain benchmarks report no nodes/op and runs without
-// -benchmem report no allocs/op or B/op.
+// presence, since plain benchmarks report no effort count and runs
+// without -benchmem report no allocs/op or B/op.
 type result struct {
 	Name      string // base name: sub-benchmark path and -P suffix stripped
 	Allocs    int64
 	HasAllocs bool
 	Bytes     int64
 	HasBytes  bool
-	Nodes     int64
-	HasNodes  bool
+	Metric    int64 // the effort count in the unit parseResults was asked for
+	HasMetric bool
 }
 
 func main() {
@@ -104,8 +112,8 @@ func main() {
 			if g.MaxBytes > 0 {
 				budgets += fmt.Sprintf("\tmax %d B/op", g.MaxBytes)
 			}
-			if g.MaxNodes > 0 {
-				budgets += fmt.Sprintf("\tmax %d nodes/op", g.MaxNodes)
+			if g.Metric != "" {
+				budgets += fmt.Sprintf("\tmax %d %s", g.MaxMetric, g.Metric)
 			}
 			fmt.Printf("%s\t%s\t-benchtime %s%s\n", g.Bench, g.Package, g.Benchtime, budgets)
 		}
@@ -119,7 +127,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", g.Bench, err)
 			os.Exit(2)
 		}
-		problems = append(problems, check(g, parseResults(out))...)
+		problems = append(problems, check(g, parseResults(out, g.Metric))...)
 	}
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -150,34 +158,24 @@ func check(g gate, results []result) []string {
 			continue
 		}
 		seen = true
-		if g.MaxAllocs >= 0 {
+		for _, m := range []struct {
+			gated      bool
+			unit, kind string // kind: "figure" for go test's own, "metric" for b.ReportMetric's
+			got, max   int64
+			has        bool
+		}{
+			{g.MaxAllocs >= 0, "allocs/op", "figure", r.Allocs, g.MaxAllocs, r.HasAllocs},
+			{g.MaxBytes > 0, "B/op", "figure", r.Bytes, g.MaxBytes, r.HasBytes},
+			{g.Metric != "", g.Metric, "metric", r.Metric, g.MaxMetric, r.HasMetric},
+		} {
 			switch {
-			case !r.HasAllocs:
-				problems = append(problems, fmt.Sprintf("%s (%s): no allocs/op figure in its result line",
-					g.Bench, g.Package))
-			case r.Allocs > g.MaxAllocs:
-				problems = append(problems, fmt.Sprintf("%s (%s): %d allocs/op, budget %d",
-					g.Bench, g.Package, r.Allocs, g.MaxAllocs))
-			}
-		}
-		if g.MaxBytes > 0 {
-			switch {
-			case !r.HasBytes:
-				problems = append(problems, fmt.Sprintf("%s (%s): no B/op figure in its result line",
-					g.Bench, g.Package))
-			case r.Bytes > g.MaxBytes:
-				problems = append(problems, fmt.Sprintf("%s (%s): %d B/op, budget %d",
-					g.Bench, g.Package, r.Bytes, g.MaxBytes))
-			}
-		}
-		if g.MaxNodes > 0 {
-			switch {
-			case !r.HasNodes:
-				problems = append(problems, fmt.Sprintf("%s (%s): no nodes/op metric in its result line",
-					g.Bench, g.Package))
-			case r.Nodes > g.MaxNodes:
-				problems = append(problems, fmt.Sprintf("%s (%s): %d nodes/op, budget %d",
-					g.Bench, g.Package, r.Nodes, g.MaxNodes))
+			case !m.gated:
+			case !m.has:
+				problems = append(problems, fmt.Sprintf("%s (%s): no %s %s in its result line",
+					g.Bench, g.Package, m.unit, m.kind))
+			case m.got > m.max:
+				problems = append(problems, fmt.Sprintf("%s (%s): %d %s, budget %d",
+					g.Bench, g.Package, m.got, m.unit, m.max))
 			}
 		}
 	}
@@ -188,15 +186,15 @@ func check(g gate, results []result) []string {
 	return problems
 }
 
-// parseResults extracts every benchmark line carrying an allocs/op, B/op
-// or nodes/op figure. The parse keys off field positions rather than column
-// offsets: each count is the field immediately before its unit, and the
-// benchmark name is field 0 with any sub-benchmark path and GOMAXPROCS
-// suffix stripped. nodes/op arrives via b.ReportMetric as a float
-// ("752244 nodes/op" or "1.25e+07 nodes/op"), so it parses as a float
-// and rounds. Lines that do not fit (headers, PASS/ok trailers, partial
-// output) are skipped.
-func parseResults(out []byte) []result {
+// parseResults extracts every benchmark line carrying an allocs/op or
+// B/op figure or a count in the metric unit ("" for none). The parse
+// keys off field positions rather than column offsets: each count is the
+// field immediately before its unit, and the benchmark name is field 0
+// with any sub-benchmark path and GOMAXPROCS suffix stripped. The metric
+// arrives via b.ReportMetric as a float ("752244 nodes/op" or "1.25e+07
+// nodes/op"), so it parses as a float and rounds. Lines that do not fit
+// (headers, PASS/ok trailers, partial output) are skipped.
+func parseResults(out []byte, metric string) []result {
 	var results []result
 	sc := bufio.NewScanner(strings.NewReader(string(out)))
 	for sc.Scan() {
@@ -215,13 +213,13 @@ func parseResults(out []byte) []result {
 				if v, err := strconv.ParseInt(fields[i-1], 10, 64); err == nil {
 					r.Bytes, r.HasBytes = v, true
 				}
-			case "nodes/op":
+			case metric:
 				if v, err := strconv.ParseFloat(fields[i-1], 64); err == nil {
-					r.Nodes, r.HasNodes = int64(v+0.5), true
+					r.Metric, r.HasMetric = int64(v+0.5), true
 				}
 			}
 		}
-		if r.HasAllocs || r.HasBytes || r.HasNodes {
+		if r.HasAllocs || r.HasBytes || r.HasMetric {
 			results = append(results, r)
 		}
 	}

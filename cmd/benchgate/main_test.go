@@ -22,12 +22,12 @@ ok  	github.com/cyclecover/cyclecover/internal/cover	1.234s
 `
 
 func TestParseResults(t *testing.T) {
-	got := parseResults([]byte(sampleOutput))
+	got := parseResults([]byte(sampleOutput), "nodes/op")
 	want := []result{
 		{Name: "BenchmarkVerifyWarm", Allocs: 0, HasAllocs: true, Bytes: 0, HasBytes: true},
 		{Name: "BenchmarkVerifyWarm", Allocs: 2, HasAllocs: true, Bytes: 16, HasBytes: true},
-		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Bytes: 145512, HasBytes: true, Nodes: 752244, HasNodes: true},
-		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Bytes: 1024, HasBytes: true, Nodes: 40_000_000, HasNodes: true},
+		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Bytes: 145512, HasBytes: true, Metric: 752244, HasMetric: true},
+		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Bytes: 1024, HasBytes: true, Metric: 40_000_000, HasMetric: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %v", len(got), len(want), got)
@@ -44,15 +44,16 @@ func TestParseResultsSkipsMalformed(t *testing.T) {
 		"BenchmarkBroken-8 500 2 ns/op NaN allocs/op", // non-numeric count
 		"allocs/op",                   // too short
 		"NotABenchmark 1 0 allocs/op", // name without Benchmark prefix
-		"BenchmarkNodesOnly-8 1 2 ns/op 1500 nodes/op", // nodes metric without -benchmem
-		"BenchmarkTail-8 1 7 allocs/op",                // valid minimal shape
-		"BenchmarkBadNodes-8 1 2 ns/op wat nodes/op",   // non-numeric nodes, no allocs
-		"BenchmarkBadBytes-8 1 2 ns/op 1.5 B/op",       // B/op is an integer count
-		"BenchmarkBytesOnly-8 1 2 ns/op 4096 B/op",     // bytes without an allocs figure
+		"BenchmarkNodesOnly-8 1 2 ns/op 1500 nodes/op",  // nodes metric without -benchmem
+		"BenchmarkTail-8 1 7 allocs/op",                 // valid minimal shape
+		"BenchmarkBadNodes-8 1 2 ns/op wat nodes/op",    // non-numeric nodes, no allocs
+		"BenchmarkBadBytes-8 1 2 ns/op 1.5 B/op",        // B/op is an integer count
+		"BenchmarkBytesOnly-8 1 2 ns/op 4096 B/op",      // bytes without an allocs figure
+		"BenchmarkOtherUnit-8 1 2 ns/op 1500 probes/op", // an effort unit not asked for
 	}, "\n")
-	got := parseResults([]byte(malformed))
+	got := parseResults([]byte(malformed), "nodes/op")
 	want := []result{
-		{Name: "BenchmarkNodesOnly", Nodes: 1500, HasNodes: true},
+		{Name: "BenchmarkNodesOnly", Metric: 1500, HasMetric: true},
 		{Name: "BenchmarkTail", Allocs: 7, HasAllocs: true},
 		{Name: "BenchmarkBytesOnly", Bytes: 4096, HasBytes: true},
 	}
@@ -110,14 +111,14 @@ func TestCheckFlagsMissingBenchmark(t *testing.T) {
 // alloc contract is exercised: within budget passes, over budget fails,
 // and a gated benchmark that stopped reporting the metric fails too.
 func TestCheckNodesBudget(t *testing.T) {
-	g := gate{Bench: "BenchmarkExactCert", Package: ".", MaxAllocs: -1, MaxNodes: 1000}
+	g := gate{Bench: "BenchmarkExactCert", Package: ".", MaxAllocs: -1, Metric: "nodes/op", MaxMetric: 1000}
 
-	ok := []result{{Name: "BenchmarkExactCert", Allocs: 99, HasAllocs: true, Nodes: 1000, HasNodes: true}}
+	ok := []result{{Name: "BenchmarkExactCert", Allocs: 99, HasAllocs: true, Metric: 1000, HasMetric: true}}
 	if problems := check(g, ok); len(problems) != 0 {
 		t.Fatalf("within-budget problems: %v (allocs must be ungated at MaxAllocs<0)", problems)
 	}
 
-	over := []result{{Name: "BenchmarkExactCert", Nodes: 1001, HasNodes: true}}
+	over := []result{{Name: "BenchmarkExactCert", Metric: 1001, HasMetric: true}}
 	if problems := check(g, over); len(problems) != 1 || !strings.Contains(problems[0], "1001 nodes/op") {
 		t.Fatalf("problems = %v, want one over-node-budget violation", problems)
 	}
@@ -167,14 +168,16 @@ func TestCheckBytesBudget(t *testing.T) {
 // verifier), the cubic scc pipeline smoke, the allocation ceilings of a
 // node-limited scc-exact run, of scc-colour and of the failure sweeps,
 // the bytes ceiling of general-host admission, the allocation and bytes
-// ceilings of a warm /plan, and the two node-budgeted search benchmarks.
-// Editing the set is a deliberate act that must touch this test too.
+// ceilings of a warm /plan, the two node-budgeted search benchmarks and
+// the probe-budgeted greedy constructor. Editing the set is a deliberate
+// act that must touch this test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
-		pkg    string
-		allocs int64
-		bytes  int64 // the B/op ceiling; 0 = ungated
-		nodes  bool  // whether a nodes/op ceiling must be pinned
+		pkg       string
+		allocs    int64
+		bytes     int64  // the B/op ceiling; 0 = ungated
+		metric    string // the effort unit; "" = ungated
+		maxMetric int64  // the effort ceiling
 	}
 	want := map[string]budget{
 		"BenchmarkVerifyWarm":          {pkg: "./internal/cover"},
@@ -188,8 +191,9 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkSweep":               {pkg: "./internal/survive", allocs: 35},
 		"BenchmarkPlanHit":             {pkg: "./internal/server", allocs: 20, bytes: 26_266},
 		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
-		"BenchmarkExact":               {pkg: ".", allocs: -1, nodes: true},
-		"BenchmarkExactCert":           {pkg: ".", allocs: -1, nodes: true},
+		"BenchmarkGreedy":              {pkg: "./internal/construct", allocs: -1, metric: "probes/op", maxMetric: 2_169_768},
+		"BenchmarkExact":               {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 850},
+		"BenchmarkExactCert":           {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 7_000_000},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates pinned, want %d", len(gates), len(want))
@@ -213,8 +217,8 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		if g.MaxBytes != w.bytes {
 			t.Errorf("%s bytes budget %d, want %d", g.Bench, g.MaxBytes, w.bytes)
 		}
-		if w.nodes != (g.MaxNodes > 0) {
-			t.Errorf("%s nodes ceiling %d, want pinned=%v", g.Bench, g.MaxNodes, w.nodes)
+		if g.Metric != w.metric || g.MaxMetric != w.maxMetric {
+			t.Errorf("%s effort budget %d %q, want %d %q", g.Bench, g.MaxMetric, g.Metric, w.maxMetric, w.metric)
 		}
 		if !strings.HasSuffix(g.Benchtime, "x") {
 			t.Errorf("%s benchtime %q, want fixed-iteration Nx form", g.Bench, g.Benchtime)

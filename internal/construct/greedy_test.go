@@ -2,11 +2,13 @@ package construct
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
+	"github.com/cyclecover/cyclecover/internal/instance"
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
@@ -116,6 +118,22 @@ func TestGreedySmallerDemandThanRing(t *testing.T) {
 	}
 }
 
+// TestGreedyRejectsDemandOutsideRing pins that a request at a vertex
+// beyond the ring is an error, not a panic on a wrapped label, while a
+// larger demand graph whose extra vertices carry no request is planned.
+func TestGreedyRejectsDemandOutsideRing(t *testing.T) {
+	r := ring.MustNew(5)
+	demand := graph.New(8)
+	demand.AddEdge(1, 3)
+	if cv := mustGreedy(t, r, demand); cv.Size() != 1 || !cv.Cycles[0].CoversPair(1, 3) {
+		t.Fatalf("cycles %v, want one covering {1,3}", cv.Cycles)
+	}
+	demand.AddEdge(0, 6)
+	if _, err := GreedyCtx(context.Background(), r, demand); err == nil {
+		t.Fatal("request {0,6} on C_5: want an error")
+	}
+}
+
 func TestEliminateRedundant(t *testing.T) {
 	r := ring.MustNew(6)
 	demand := graph.New(6)
@@ -166,5 +184,37 @@ func TestLambda(t *testing.T) {
 	}
 	if _, err := LambdaCtx(context.Background(), 7, 0); err == nil {
 		t.Error("lambda 0: want error")
+	}
+}
+
+// BenchmarkGreedy times the greedy constructor on a dense random demand
+// at n = 101 and on the hub at the largest ring the service admits, and
+// reports residual probes per call: the residual reads made through
+// need by the distance cursors and the candidate scoring, a
+// deterministic figure that cmd/benchgate caps. A cursor or scoring loop
+// that went back to reading every pair slot per cycle through need
+// fails the gate; a read that bypasses need is not counted.
+func BenchmarkGreedy(b *testing.B) {
+	for _, bc := range []struct {
+		n    int
+		spec string
+	}{{101, "random:0.5:1"}, {1023, "hub:0"}} {
+		in, err := instance.Parse(bc.n, bc.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := ring.MustNew(bc.n)
+		b.Run(fmt.Sprintf("n=%d/%s", bc.n, bc.spec), func(b *testing.B) {
+			gs := &greedyScratch{}
+			probes := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gs.cover(context.Background(), r, in.Demand); err != nil {
+					b.Fatal(err)
+				}
+				probes += gs.probes
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
 	}
 }

@@ -15,10 +15,9 @@ import (
 // concurrent use; the package-level Verify/VerifyDRC/VerifyGeneral
 // functions draw from a shared pool and are.
 type Verifier struct {
-	// stamp[i] == epoch marks slot i: in VerifyDRC, ring link i as
-	// occupied by an arc of the cycle being checked; in VerifyGeneral,
-	// host edge i as covered. Bumping epoch resets every slot in O(1);
-	// the array is cleared only when it grows.
+	// stamp[i] == epoch marks host edge i as covered in VerifyGeneral.
+	// Bumping epoch resets every slot in O(1); the array is cleared only
+	// when it grows.
 	stamp []uint64
 	epoch uint64
 	// cov is the dense coverage tally of the ring covering under Verify:
@@ -32,12 +31,13 @@ func NewVerifier() *Verifier { return &Verifier{} }
 var verifiers = scratch.NewPool(NewVerifier)
 
 // VerifyDRC checks the disjoint routing constraint for a single cycle by
-// explicit construction rather than by the structure theorem: it walks
-// the canonical routing (clockwise arc per consecutive pair) and tallies
-// per-link load in one O(n) pass, reporting the first link claimed by two
-// arcs. For a well-formed Cycle this always succeeds — the test suite
-// relies on that — but the verifier recomputes it so that experiment
-// results never depend on the constructor's correctness alone.
+// explicit construction rather than by the structure theorem: it checks
+// that the canonical routing (clockwise arc per consecutive pair) uses
+// every link exactly once, in O(k) for a cycle of k vertices, reporting
+// the first link claimed by two arcs. For a well-formed Cycle this always
+// succeeds — the test suite relies on that — but the verifier recomputes
+// it so that experiment results never depend on the constructor's
+// correctness alone.
 func VerifyDRC(r ring.Ring, c Cycle) error {
 	vf := verifiers.Get()
 	err := vf.VerifyDRC(r, c)
@@ -48,36 +48,28 @@ func VerifyDRC(r ring.Ring, c Cycle) error {
 // VerifyDRC is the pooled VerifyDRC against this verifier's scratch
 // state. Allocation-free on the success path.
 //
+// Each clockwise arc starts where the previous one ended, so the arcs
+// route one contiguous run of links starting at link Norm(verts[0]) — a
+// cycle handed to the standalone VerifyDRC may carry out-of-ring vertex
+// labels. Summing the gaps therefore names every fault a link-by-link
+// walk would: a gap of 0 is an empty arc, a running sum past n routes
+// link Norm(verts[0]) a second time on the arc that passes n, and a
+// final sum below n leaves links unrouted.
+//
 //cyclecover:noalloc
 func (vf *Verifier) VerifyDRC(r ring.Ring, c Cycle) error {
 	n := r.N()
-	vf.ensureStamps(n)
-	vf.epoch++
 	verts := c.Vertices()
 	k := len(verts)
 	total := 0
 	for i := 0; i < k; i++ {
-		from, to := verts[i], verts[(i+1)%k]
-		gap := r.Gap(from, to)
+		gap := r.Gap(verts[i], verts[(i+1)%k])
 		if gap == 0 {
 			return fmt.Errorf("cover: cycle %v yields an empty routing arc", c)
 		}
 		total += gap
-		// Mark the gap links of the clockwise arc from→to. A duplicate
-		// mark is a link shared by two of the cycle's arcs — the first
-		// overload is reported, and bounds the whole walk at O(n) marks.
-		// Norm matches the old Arc-based walk: a cycle handed to the
-		// standalone VerifyDRC may carry out-of-ring vertex labels.
-		l := r.Norm(from)
-		for j := 0; j < gap; j++ {
-			if vf.stamp[l] == vf.epoch {
-				return fmt.Errorf("cover: cycle %v routes link %d on two arcs", c, l)
-			}
-			vf.stamp[l] = vf.epoch
-			l++
-			if l == n {
-				l = 0
-			}
+		if total > n {
+			return fmt.Errorf("cover: cycle %v routes link %d on two arcs", c, r.Norm(verts[0]))
 		}
 	}
 	if total != n {

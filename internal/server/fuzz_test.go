@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/cyclecover/cyclecover"
+	"github.com/cyclecover/cyclecover/internal/cache"
 )
 
 // FuzzVerifyBody posts arbitrary bytes to /verify. Every answer must be
@@ -211,6 +213,135 @@ func FuzzPlanMatchesPlanner(f *testing.F) {
 		}
 		if sig := p.SignatureOf(in); got.Signature != sig {
 			t.Fatalf("n=%d %s: /plan signature %q, Planner signature %q", n, spec, got.Signature, sig)
+		}
+	})
+}
+
+// deltaSpec maps fuzz bytes to a delta spec from the grammar /plan/delta
+// accepts, with endpoints up to two past the largest planSpec ring. Some
+// picks are invalid on purpose: a self-request, an endpoint off the ring,
+// removing an absent pair, a negative multiplicity, a truncated spec.
+func deltaSpec(op, u, v, m uint8) string {
+	a, b := int(u)%18, int(v)%18
+	switch op % 6 {
+	case 0:
+		return fmt.Sprintf("add:%d:%d", a, b)
+	case 1:
+		return fmt.Sprintf("remove:%d:%d", a, b)
+	case 2:
+		return fmt.Sprintf("fail:%d:%d", a, b)
+	case 3:
+		return fmt.Sprintf("set:%d:%d:%d", a, b, m%4)
+	case 4:
+		return fmt.Sprintf("set:%d:%d:-%d", a, b, 1+m%2)
+	default:
+		return fmt.Sprintf("add:%d", a)
+	}
+}
+
+// FuzzPlanDeltaMatchesPlanner is the differential check of /plan/delta
+// against the library. A fresh server and a fresh Planner each plan the
+// parent (unless the top bit of op leaves it unplanned), then receive
+// the same delta: POST /plan/delta and Planner.PlanDelta. The request is
+// rejected (400) exactly when the Planner rejects it: the delta spec
+// does not parse, the parent is unknown, or the delta is invalid against
+// the parent. Otherwise /plan/delta answers 200 with the Planner's
+// cycles in the same order, the same size, method and optimality, the
+// Planner's child signature and repaired flag, and the Planner's
+// covering passes Verify. Every non-uniform child runs greedy as its
+// repair budget probe.
+func FuzzPlanDeltaMatchesPlanner(f *testing.F) {
+	for _, seed := range []struct {
+		n, kind     uint8
+		a, b        uint16
+		op, u, v, m uint8
+	}{
+		{8, 0, 0, 0, 2, 2, 7, 0},    // K_11, fail:2:7: warm repair
+		{4, 0, 0, 0, 0, 0, 3, 0},    // K_7, add:0:3: 2 on one pair
+		{5, 2, 3, 0, 1, 3, 0, 0},    // hub:3 on C_8, remove:3:0
+		{5, 2, 3, 0, 1, 1, 2, 0},    // hub:3 on C_8, remove:1:2: absent pair
+		{9, 3, 0, 0, 3, 0, 6, 2},    // neighbors on C_12, set:0:6:2
+		{9, 3, 0, 0, 3, 0, 1, 1},    // neighbors on C_12, set:0:1:1: unchanged
+		{6, 4, 4, 7, 0, 1, 5, 0},    // random:0.4:7 on C_9, add:1:5
+		{1, 4, 0, 1, 0, 0, 2, 0},    // random:0.0:1 on C_4, add:0:2
+		{13, 1, 1, 0, 2, 0, 8, 0},   // 2K_16, fail:0:8
+		{4, 0, 0, 0, 0, 3, 3, 0},    // K_7, add:3:3: self-request
+		{4, 0, 0, 0, 0, 1, 9, 0},    // K_7, add:1:9: off the ring
+		{4, 0, 0, 0, 4, 1, 2, 0},    // K_7, set:1:2:-1
+		{4, 0, 0, 0, 5, 1, 2, 0},    // K_7, add:1: truncated
+		{7, 5, 0, 0, 0, 0, 1, 0},    // Petersen: general parent
+		{0, 2, 4, 0, 0, 0, 1, 0},    // hub:4 on C_3: parent does not parse
+		{8, 0, 0, 0, 0x80, 2, 7, 0}, // K_11 never planned: unknown parent
+	} {
+		f.Add(seed.n, seed.kind, seed.a, seed.b, seed.op, seed.u, seed.v, seed.m)
+	}
+	f.Fuzz(func(t *testing.T, nb, kind uint8, a, b uint16, op, u, v, m uint8) {
+		n, spec := planSpec(nb, kind, a, b)
+		delta := deltaSpec(op, u, v, m)
+		ctx := context.Background()
+		s := New(Config{})
+		defer s.Close()
+		h := s.Handler()
+		p := cyclecover.NewPlanner()
+		parent := "n=99;d=k1"
+		if in, err := cyclecover.ParseInstance(n, spec); err == nil {
+			parent = p.SignatureOf(in)
+			if op&0x80 == 0 {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+					fmt.Sprintf("/plan?n=%d&demand=%s", n, url.QueryEscape(spec)), nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("n=%d %s: /plan answered %d: %s", n, spec, rec.Code, rec.Body)
+				}
+				if _, err := p.CoverInstance(ctx, in); err != nil {
+					t.Fatalf("n=%d %s: Planner: %v", n, spec, err)
+				}
+			}
+		}
+		body, err := json.Marshal(deltaRequest{Parent: parent, Delta: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan/delta", bytes.NewReader(body)))
+		req := fmt.Sprintf("n=%d %s, parent %q, delta %s", n, spec, parent, delta)
+
+		d, err := cyclecover.ParseDelta(delta)
+		var pd *cyclecover.PlannedDelta
+		if err == nil {
+			pd, err = p.PlanDelta(ctx, parent, d)
+			if err != nil && !errors.Is(err, cache.ErrUnknownParent) && !errors.Is(err, cache.ErrBadDelta) {
+				t.Fatalf("%s: Planner failed outside the 400 table: %v", req, err)
+			}
+		}
+		if err != nil {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: Planner rejects it (%v), /plan/delta answered %d: %s", req, err, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: /plan/delta answered %d: %s", req, rec.Code, rec.Body)
+		}
+		var got deltaResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: undecodable /plan/delta answer: %v", req, err)
+		}
+		if err := cyclecover.Verify(pd.Covering, pd.Child); err != nil {
+			t.Fatalf("%s: Planner covering fails Verify: %v", req, err)
+		}
+		want := make([][]int, 0, len(pd.Covering.Cycles))
+		for _, c := range pd.Covering.Cycles {
+			want = append(want, c.Vertices())
+		}
+		if !slices.EqualFunc(got.Cycles, want, slices.Equal[[]int]) {
+			t.Fatalf("%s: /plan/delta cycles differ from the Planner's:\n/plan/delta: %v\nPlanner:     %v", req, got.Cycles, want)
+		}
+		if got.Size != pd.Covering.Size() || got.Signature != pd.Signature || got.Repaired != pd.Repaired ||
+			got.Method != pd.Method || got.Optimal != pd.Optimal {
+			t.Fatalf("%s: /plan/delta size %d, signature %q, repaired %v, method %s, optimal %v; Planner %d, %q, %v, %s, %v",
+				req, got.Size, got.Signature, got.Repaired, got.Method, got.Optimal,
+				pd.Covering.Size(), pd.Signature, pd.Repaired, pd.Method, pd.Optimal)
 		}
 	})
 }
