@@ -169,7 +169,7 @@ func TestCheckBytesBudget(t *testing.T) {
 // node-limited scc-exact run, of scc-colour and of the failure sweeps,
 // the bytes ceiling of general-host admission, the allocation and bytes
 // ceilings of a warm /plan, the two node-budgeted search benchmarks and
-// the probe-budgeted greedy constructor. Editing the set is a deliberate
+// the probe- and bytes-budgeted greedy constructor. Editing the set is a deliberate
 // act that must touch this test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
@@ -191,7 +191,7 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkSweep":               {pkg: "./internal/survive", allocs: 35},
 		"BenchmarkPlanHit":             {pkg: "./internal/server", allocs: 20, bytes: 26_266},
 		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
-		"BenchmarkGreedy":              {pkg: "./internal/construct", allocs: -1, metric: "probes/op", maxMetric: 2_169_768},
+		"BenchmarkGreedy":              {pkg: "./internal/construct", allocs: -1, bytes: 512_327, metric: "probes/op", maxMetric: 2_169_768},
 		"BenchmarkExact":               {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 850},
 		"BenchmarkExactCert":           {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 7_000_000},
 	}

@@ -20,7 +20,7 @@
 // cycle count against ρ(n).
 //
 // -strategy selects a construction path from the strategy registry
-// (closed-form, exact, repair, greedy, or portfolio to race them);
+// (closed-form, exact, repair, greedy, or portfolio to try them all);
 // without it the default pipeline picks by demand class. -timeout bounds
 // the construction: on expiry the search is cancelled mid-branch and the
 // command exits non-zero.

@@ -22,8 +22,8 @@
 //   - Strategies, CoverInstanceStrategy — the pluggable solver engine:
 //     every construction path (closed-form, exact, repair, greedy, and
 //     the scc members for general hosts) is independently selectable by
-//     name, and "portfolio" races them under one context with
-//     deterministic winner selection;
+//     name, and "portfolio" tries them in priority order under one
+//     context with deterministic winner selection;
 //   - Verify — independent validity checking of any covering, running
 //     on the flat dense graph core (DESIGN.md §7): link loads and
 //     coverage are tallied over pooled scratch in one pass, so repeated
@@ -193,10 +193,10 @@ func CoverInstance(ctx context.Context, in Instance) (*Covering, error) {
 // Strategies lists the selectable construction strategy names: the
 // registry in priority order ("closed-form", "exact", "repair",
 // "greedy" for rings; "scc-colour", "scc-exact", "scc-kcycle",
-// "scc-greedy" for general hosts) plus "portfolio", which races them
-// under one context and returns a deterministic winner (lowest cost,
-// ties toward the earliest registry entry — exactly the default
-// strategy's result wherever the closed forms apply).
+// "scc-greedy" for general hosts) plus "portfolio", which tries them in
+// priority order under one context and returns a deterministic winner
+// (lowest cost, ties toward the earliest registry entry — exactly the
+// default strategy's result wherever the closed forms apply).
 func Strategies() []string { return construct.Strategies() }
 
 // CoverInstanceStrategy constructs a covering with the named strategy

@@ -3,7 +3,7 @@
 // traffic, a random enterprise matrix, and the λK_n extension — each built
 // and verified through the public API, with the all-to-all optimum as the
 // reference point. Every construction runs under a deadline through the
-// context-aware API, and the strategy portfolio is raced against the
+// context-aware API, and the strategy portfolio is checked against the
 // default pipeline: the portfolio must reproduce it exactly (the
 // determinism rule prefers the closed forms at equal cost), which the
 // study asserts per pattern.
@@ -50,16 +50,16 @@ func main() {
 		if err := cyclecover.Verify(covering, in); err != nil {
 			log.Fatalf("%s: %v", in.Name, err)
 		}
-		// The portfolio races closed-form, exact, repair and greedy under
-		// one context; its deterministic winner matches the pipeline —
-		// not just in size but cycle for cycle.
-		raced, err := cyclecover.CoverInstanceStrategy(ctx, in, "portfolio")
+		// The portfolio tries closed-form, exact, repair and greedy in
+		// priority order under one context; its deterministic winner
+		// matches the pipeline — not just in size but cycle for cycle.
+		pf, err := cyclecover.CoverInstanceStrategy(ctx, in, "portfolio")
 		if err != nil {
 			log.Fatalf("%s: portfolio: %v", in.Name, err)
 		}
 		agree := "= pipeline"
-		if !sameCycles(raced, covering) {
-			agree = fmt.Sprintf("%d cycles!", raced.Size())
+		if !sameCycles(pf, covering) {
+			agree = fmt.Sprintf("%d cycles!", pf.Size())
 		}
 		fmt.Printf("%-28s  %9d  %7d  %5d  %5d  %9s\n",
 			in.Name, in.Requests(), covering.Size(),

@@ -75,7 +75,7 @@ func TestCoverDegraded(t *testing.T) {
 }
 
 // TestCoverDegradedGeneral checks the degraded path on a general host:
-// the anytime scc race produces a verified cover with no optimality
+// the anytime scc members produce a verified cover with no optimality
 // claim.
 func TestCoverDegradedGeneral(t *testing.T) {
 	p := New(8)

@@ -259,7 +259,7 @@ func buildCover(ctx context.Context, in instance.Instance, opts Options) (CoverR
 		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified covering: %w", err)
 	}
 	// A degraded result drops the optimality claim even if the anytime
-	// race happened to meet the bound: the flag's contract is "built for
-	// speed".
+	// portfolio happened to meet the bound: the flag's contract is "built
+	// for speed".
 	return CoverResult{Covering: out.Covering, Method: out.Method, Optimal: out.Optimal && !opts.Degrade, Degraded: opts.Degrade, Demand: in.Demand}, nil
 }

@@ -3,7 +3,6 @@ package construct
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
@@ -23,14 +22,13 @@ type ExactOptions struct {
 	// NodeLimit caps search nodes for determinism (no wall clocks); 0
 	// applies DefaultNodeLimit.
 	NodeLimit int64
-	// Bound, when non-nil, is a shared, live upper bound on useful
-	// covering size: the search only pursues coverings strictly smaller
-	// than the bound's current value, re-reading it as it descends.
-	// Portfolio racing feeds each member the best size already achieved
-	// by higher-priority members. A search cut by the bound reports
-	// Complete=false — the cut is relative to a competitor's result, not
-	// an exhaustion proof.
-	Bound *atomic.Int64
+	// Bound, when positive, is an upper bound on useful covering size:
+	// the search only pursues coverings strictly smaller than it; zero
+	// means no bound. The portfolio feeds each member the best size
+	// already achieved by higher-priority members. A search cut by the
+	// bound reports Complete=false — the cut is relative to another
+	// member's result, not an exhaustion proof.
+	Bound int
 	// Scratch, when non-nil, supplies reusable search state — the
 	// residual coverage matrix, the per-depth candidate arenas, the
 	// precomputed distance tables and the residual transposition table —
@@ -249,9 +247,9 @@ type exactState struct {
 	// at every branch boundary (countNode) so a cancel or deadline stops
 	// the search within one node expansion.
 	done <-chan struct{}
-	// boundCuts counts subtrees cut by the shared competitor bound
-	// (opts.Bound). Any cut forfeits the outcome's completeness claim —
-	// it is relative to a competitor, not an exhaustion proof — and a
+	// boundCuts counts subtrees cut by the portfolio bound (opts.Bound).
+	// Any cut forfeits the outcome's completeness claim — it is relative
+	// to another member's result, not an exhaustion proof — and a
 	// subtree is admitted to the memo table only if it finished with no
 	// new cuts inside it (see search), so memoized infeasibility is
 	// always a genuine proof.
@@ -455,22 +453,19 @@ func buildCovering(r ring.Ring, sol [][]int) *cover.Covering {
 
 // pruned reports whether the subtree at depth is cut by the bounds; a
 // pruned subtree counts as (vacuously) fully explored, except for cuts
-// induced by the shared competitor bound, which are counted in boundCuts
-// and downgrade the outcome to Complete=false.
+// induced by the portfolio bound, which are counted in boundCuts and
+// downgrade the outcome to Complete=false.
 //
 //cyclecover:noalloc
 func (s *exactState) pruned(depth int) bool {
 	if s.prunedAt(s.opts.Budget, depth) {
 		return true
 	}
-	if s.opts.Bound != nil {
-		// Only coverings strictly smaller than the best competitor size
-		// are useful; re-read on every node so a late improvement still
-		// tightens the search.
-		if b := s.opts.Bound.Load(); b <= int64(s.opts.Budget) && s.prunedAt(int(b)-1, depth) {
-			s.boundCuts++
-			return true
-		}
+	// Only coverings strictly smaller than an earlier member's size are
+	// useful.
+	if b := s.opts.Bound; b > 0 && b <= s.opts.Budget && s.prunedAt(b-1, depth) {
+		s.boundCuts++
+		return true
 	}
 	return false
 }

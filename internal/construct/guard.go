@@ -86,8 +86,8 @@ var (
 // RegisterStrategy adds a strategy to the by-name lookup (LookupStrategy,
 // Strategies). It rejects names that collide with a built-in strategy,
 // "portfolio", or a previous registration. Registered strategies do not
-// join the default portfolio race — the pinned determinism rule covers
-// the built-in registry only — but are selectable per request, which is
+// join the default portfolio — the pinned determinism rule covers the
+// built-in registry only — but are selectable per request, which is
 // what the chaos suite uses to rehearse panicking and stalling solvers.
 func RegisterStrategy(s Strategy) error {
 	name := s.Name()

@@ -65,7 +65,7 @@ func TestSafeSolvePassesThrough(t *testing.T) {
 }
 
 // TestPortfolioSurvivesPanickingMember checks a member panic fails only
-// that slot: the race still returns the deterministic winner.
+// that member: the portfolio still returns the deterministic winner.
 func TestPortfolioSurvivesPanickingMember(t *testing.T) {
 	p := NewPortfolio(panicStrategy{name: "chaos-member"}, GreedySweep{})
 	out, err := p.Solve(context.Background(), instance.AllToAll(9), Options{})
@@ -122,8 +122,9 @@ func TestRegisterStrategy(t *testing.T) {
 	}
 }
 
-// TestDegradedPortfolioRing checks the anytime race on a ring instance:
-// greedy wins (the scc members drop out) and the covering verifies.
+// TestDegradedPortfolioRing checks the anytime portfolio on a ring
+// instance: greedy wins (the scc members drop out) and the covering
+// verifies.
 func TestDegradedPortfolioRing(t *testing.T) {
 	out, err := NewDegradedPortfolio().Solve(context.Background(), instance.AllToAll(9), Options{})
 	if err != nil {
@@ -137,7 +138,7 @@ func TestDegradedPortfolioRing(t *testing.T) {
 	}
 }
 
-// TestDegradedPortfolioGeneral checks the anytime race on a general
+// TestDegradedPortfolioGeneral checks the anytime portfolio on a general
 // host returns a valid cover from the scc sub-family.
 func TestDegradedPortfolioGeneral(t *testing.T) {
 	in, err := instance.Parse(10, "petersen")

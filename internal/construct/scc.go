@@ -14,7 +14,7 @@
 //   - scc-exact: anytime branch-and-bound over the host's enumerated
 //     simple cycles with an edge-bitmask state (hosts up to 64 distinct
 //     edges), seeded with the greedy incumbent, pruned by the vertex
-//     visit bound Σ_v ⌈ucdeg(v)/2⌉ and the portfolio's shared bound.
+//     visit bound Σ_v ⌈ucdeg(v)/2⌉ and the portfolio bound.
 //   - scc-kcycle: the restricted/k-cycle approximation family (Manthey;
 //     Tang & Diao): greedy maximum-coverage over cycles of length at
 //     most KCycleMaxLen only. Drops out when short cycles cannot cover.
@@ -23,8 +23,8 @@
 //     bridgelessness guarantees such a cycle exists.
 //
 // All four refuse ring instances (ErrNotApplicable), exactly as the
-// ring members refuse general ones, so the portfolio race composes the
-// two families without cross-talk.
+// ring members refuse general ones, so the portfolio composes the two
+// families without cross-talk.
 package construct
 
 import (
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
@@ -57,14 +56,15 @@ func CoverCost(in instance.Instance, cv *cover.Covering) int {
 	return cv.Size()
 }
 
-// GeneralSCCCtx is the general-topology half of Auto, the serial
-// pinned counterpart of racing the scc members in the portfolio: it
-// runs scc-colour, scc-exact, scc-kcycle and scc-greedy in registry
-// order and keeps the cheapest cover (total length, ties to the earliest
-// member). It stops after the first Optimal outcome: a later member can
-// at best tie it, and ties go to the earlier one. The portfolio
-// determinism pin asserts the race returns bit-identically this winner
-// for every general family.
+// GeneralSCCCtx is the general-topology half of Auto: it runs
+// scc-colour, scc-exact, scc-kcycle and scc-greedy in registry order and
+// keeps the cheapest cover (total length, ties to the earliest member).
+// It stops after the first Optimal outcome: a later member can at best
+// tie it, and ties go to the earlier one. Unlike the portfolio's loop, a
+// member's real error (anything but a refusal) fails the call, and the
+// members run inside the caller's one panic boundary rather than each
+// behind SafeSolve. The portfolio determinism pin asserts the portfolio
+// returns bit-identically this winner for every general family.
 func GeneralSCCCtx(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
 	if !in.IsGeneral() {
 		return Outcome{}, fmt.Errorf("%w: GeneralSCCCtx needs a general-topology instance, got %q", ErrNotApplicable, in.Name)
@@ -102,10 +102,10 @@ const MaxSCCEdges = 64
 
 // MaxSCCCycles caps the cycle enumeration feeding scc-exact and
 // scc-kcycle; a host whose cycle space explodes past the cap makes the
-// enumerating strategies drop out rather than stall the race. The snark
-// families stay below it, but random cubic hosts do not: every seed
-// tried at n = 32…40 (m = 48…60) crossed it, none at n ≤ 30, so they
-// meet this wall well before the 64-edge one.
+// enumerating strategies drop out rather than stall the portfolio. The
+// snark families stay below it, but random cubic hosts do not: every
+// seed tried at n = 32…40 (m = 48…60) crossed it, none at n ≤ 30, so
+// they meet this wall well before the 64-edge one.
 const MaxSCCCycles = 50_000
 
 // DefaultSCCNodeLimit bounds scc-exact branch-and-bound expansions when
@@ -308,8 +308,8 @@ func (SCCGreedy) Solve(ctx context.Context, in instance.Instance, opts Options) 
 // SCCKCycle is the restricted-cycle approximation family: it covers
 // using only cycles of length ≤ KCycleMaxLen, picked by deterministic
 // greedy maximum coverage (most newly covered edges, then shortest, then
-// lowest enumeration index). It drops out of the race when some host
-// edge lies on no short cycle.
+// lowest enumeration index). It drops out of the portfolio when some
+// host edge lies on no short cycle.
 type SCCKCycle struct{}
 
 // Name implements Strategy.
@@ -381,7 +381,7 @@ func fullMask(m int) uint64 {
 // incumbent starts at the scc-greedy cover so a node-limited or
 // bound-cut search still returns a valid cover. Optimal is claimed only
 // when the search ran to completion with no cut below the incumbent
-// caused by the portfolio's shared bound.
+// caused by the portfolio bound.
 //
 // The search is serial and deterministic. Proven hosts finish in
 // milliseconds, but a host that spends the whole DefaultSCCNodeLimit
@@ -510,7 +510,7 @@ type sccSearch struct {
 	byEdge [][]int32
 	limit  int64
 	nodes  int64
-	bound  *atomic.Int64
+	bound  int // the portfolio bound (Options.Bound); 0 = none
 	done   <-chan struct{}
 	// art is the artificial exploration cap (literature bound + 1): no
 	// subtree that cannot beat it is entered.
@@ -573,10 +573,8 @@ func (s *sccSearch) expand(covered uint64, curLen int) {
 	if s.art < limit {
 		limit, tightened = s.art, true
 	}
-	if s.bound != nil {
-		if b := s.bound.Load(); b < int64(limit) {
-			limit, tightened = int(b), true
-		}
+	if s.bound > 0 && s.bound < limit {
+		limit, tightened = s.bound, true
 	}
 	lb := s.lowerBound(covered)
 	if curLen+lb >= limit {

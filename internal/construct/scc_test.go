@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,7 +90,7 @@ func TestSCCGreedyAndKCycleValidity(t *testing.T) {
 }
 
 // TestSCCKCycleDropsOut: a host whose only cycle is longer than the
-// restriction must make scc-kcycle (and only it) leave the race.
+// restriction must make scc-kcycle (and only it) drop out.
 func TestSCCKCycleDropsOut(t *testing.T) {
 	// C_12 as an explicit edge list: girth 12 > KCycleMaxLen.
 	spec := "edges:0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,9-10,10-11,11-0"
@@ -140,10 +139,10 @@ func TestSCCCrossFamilyGuards(t *testing.T) {
 }
 
 // TestPortfolioMatchesGeneralPipeline extends the portfolio equivalence
-// pin to the general-topology families: for every spec the racing
-// portfolio must return bit-identically the serial pinned winner
-// (GeneralSCCCtx), with the ring members in the race. Auto, the default
-// strategy, must return that winner outright.
+// pin to the general-topology families: for every spec the portfolio
+// must return bit-identically the pinned winner (GeneralSCCCtx), with
+// the ring members among its members. Auto, the default strategy, must
+// return that winner outright.
 func TestPortfolioMatchesGeneralPipeline(t *testing.T) {
 	pf := NewPortfolio()
 	for _, tc := range sccFamilies {
@@ -193,8 +192,7 @@ func TestSCCExactHonoursBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{}
-	opts.Bound = new(atomic.Int64)
-	opts.Bound.Store(21) // a rival already holds the optimum
+	opts.Bound = 21 // a rival already holds the optimum
 	out, err := (SCCExact{}).Solve(context.Background(), in, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/graph"
@@ -18,15 +15,16 @@ import (
 // offers — the paper's closed forms, exact branch-and-bound, the
 // min-conflicts repair search, greedy, and the scc members for general
 // hosts (scc.go) — wrapped behind one interface, a registry to select
-// them by name, a Portfolio that races a subset under one context, and
-// Auto, the default that picks one member by instance class. The cache,
-// the Planner facade and the cycled service all dispatch through here;
-// the Portfolio's determinism rule reproduces Auto's covering exactly
-// wherever the closed forms apply (see Portfolio).
+// them by name, a Portfolio that tries a subset in priority order under
+// one context, and Auto, the default that picks one member by instance
+// class. The cache, the Planner facade and the cycled service all
+// dispatch through here; the Portfolio's determinism rule reproduces
+// Auto's covering exactly wherever the closed forms apply (see
+// Portfolio).
 
 // ErrNotApplicable reports that a strategy does not address an
 // instance's demand class (e.g. exact search on a non-complete demand).
-// A portfolio member failing with it simply drops out of the race.
+// A portfolio member failing with it simply drops out.
 var ErrNotApplicable = errors.New("construct: strategy not applicable to this instance")
 
 // Options tunes a Strategy.Solve call.
@@ -34,13 +32,13 @@ type Options struct {
 	// NodeLimit caps exact-search node expansions for exact-backed
 	// strategies (0 = DefaultNodeLimit).
 	NodeLimit int64
-	// Bound, when non-nil, carries the best covering cost achieved by
-	// competing strategies that outrank this one — cycle count for ring
+	// Bound, when positive, is the best covering cost already achieved
+	// by strategies that outrank this one — cycle count for ring
 	// instances, total cover length for general-topology ones (see
 	// CoverCost); a solver may use it to prune work that can no longer
-	// produce a strictly cheaper covering. Set by Portfolio; zero-value
-	// calls run unpruned.
-	Bound *atomic.Int64
+	// produce a strictly cheaper covering. Set by Portfolio; zero means
+	// no bound, and the call runs unpruned.
+	Bound int
 }
 
 // Outcome is a strategy's constructed covering plus provenance.
@@ -88,7 +86,7 @@ func AnytimeRegistry() []Strategy {
 }
 
 // NewDegradedPortfolio returns the degraded-mode portfolio: the anytime
-// members raced under the standard deterministic winner rule. Results
+// members tried under the standard deterministic winner rule. Results
 // are valid, verified coverings with no optimality claim — callers mark
 // them degraded end-to-end (see cache.Options.Degrade).
 func NewDegradedPortfolio() *Portfolio { return NewPortfolio(AnytimeRegistry()...) }
@@ -108,9 +106,9 @@ func Strategies() []string {
 
 // LookupStrategy resolves a strategy by registry name ("closed-form",
 // "exact", "repair", "greedy", "scc-colour", "scc-exact", "scc-kcycle",
-// "scc-greedy", or "portfolio" for the full race), falling back to
-// RegisterStrategy extras. Auto has no name here: the default is
-// selected by naming no strategy.
+// "scc-greedy", or "portfolio" for the full registry in priority
+// order), falling back to RegisterStrategy extras. Auto has no name
+// here: the default is selected by naming no strategy.
 func LookupStrategy(name string) (Strategy, bool) {
 	if name == "portfolio" {
 		return NewPortfolio(), true
@@ -167,9 +165,9 @@ func (ClosedForm) Solve(ctx context.Context, in instance.Instance, opts Options)
 // §10). Applicable to the unit all-to-all demand only; when it returns
 // at all, the covering is provably optimal (no covering of K_n has
 // fewer than ρ(n) cycles). It honours Options.Bound, so in a portfolio
-// it stops expanding once a higher-priority member's result can no
-// longer be beaten; a subtree cut by that shared bound is excluded from
-// the transposition table (memo entries must stay genuine infeasibility
+// it does not expand a subtree that cannot beat a higher-priority
+// member's result; a subtree cut by that bound is excluded from the
+// transposition table (memo entries must stay genuine infeasibility
 // proofs) and downgrades Complete, never the covering itself.
 type ExactSearch struct{}
 
@@ -211,7 +209,7 @@ func (ExactSearch) Solve(ctx context.Context, in instance.Instance, opts Options
 }
 
 // Repair is the min-conflicts repair search at budget ρ(n) (the even-n
-// engine behind the closed-form path, exposed as its own racer).
+// engine behind the closed-form path, exposed as its own member).
 // Applicable to the unit all-to-all demand on even rings within the
 // search range; results are re-verified and only optimal converged
 // coverings are returned.
@@ -293,30 +291,29 @@ func (Auto) Solve(ctx context.Context, in instance.Instance, opts Options) (Outc
 	return out, err
 }
 
-// Portfolio races its member strategies concurrently under one parent
-// context and returns a deterministic winner. Each member runs with its
-// own cancellable sub-context and a private bound fed by every
-// higher-priority (lower-index) member that completes: once member i
-// finishes with a covering of size s, members j > i only matter if they
-// can produce strictly fewer cycles, so their bounds drop to s (exact
-// search prunes against it) — and if i's covering is provably optimal,
-// they are cancelled outright, since they could at best tie and the tie
-// goes to i.
+// Portfolio tries its member strategies one after another, in priority
+// order, under one context, and returns a deterministic winner: the
+// lowest-cost member, ties broken toward the lowest index. Each member
+// gets the best cost so far as its bound (Options.Bound): once member i
+// has a covering of cost s, members j > i only matter if they can
+// produce a strictly cheaper one, so exact search prunes against s. A
+// provably optimal covering ends the loop, since every later member
+// could at best tie it and the tie goes to the earlier one. A member
+// that fails — refusal, error or panic (SafeSolve) — drops out.
 //
-// Determinism: the winner is the lowest-cost member, ties broken toward
-// the lowest registry index. Cancellation and pruning only ever remove
-// results that this rule would discard anyway (a cancelled member ranks
-// below an optimal earlier one and cannot beat it strictly), so the
-// returned covering is independent of scheduling — with the default
-// registry it is byte-identical to Auto's output wherever the closed
-// forms apply, which the equivalence test pins for every demand family ×
-// n ∈ 3..16.
+// Determinism: the loop is a fixed schedule, and the bound and the early
+// stop only ever remove results the winner rule would discard anyway, so
+// with the default registry the returned covering is byte-identical to
+// Auto's wherever the closed forms apply, which the equivalence test pins
+// for every demand family × n ∈ 3..16. When ctx fires, the loop stops and
+// returns the best covering found so far, or ctx's error if there is
+// none.
 type Portfolio struct {
 	members []Strategy
 }
 
 // NewPortfolio returns a portfolio over the given members in priority
-// order; with no arguments it races the full default registry.
+// order; with no arguments it tries the full default registry.
 func NewPortfolio(members ...Strategy) *Portfolio {
 	if len(members) == 0 {
 		members = Registry()
@@ -332,95 +329,31 @@ func (p *Portfolio) Solve(ctx context.Context, in instance.Instance, opts Option
 	if len(p.members) == 0 {
 		return Outcome{}, errors.New("construct: portfolio has no members")
 	}
-	if err := ctx.Err(); err != nil {
-		// Don't start a race for a caller that already gave up — even the
-		// memoized paths would be wasted work.
-		return Outcome{}, err
-	}
-	type slot struct {
-		out  Outcome
-		err  error
-		size int
-	}
-	k := len(p.members)
-	results := make([]slot, k)
-	bounds := make([]atomic.Int64, k)
-	cancels := make([]context.CancelFunc, k)
-	ctxs := make([]context.Context, k)
-	for i := range p.members {
-		bounds[i].Store(math.MaxInt64)
-		ctxs[i], cancels[i] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
+	var best Outcome
+	opts.Bound = 0 // the best cost so far; 0 until a member answers
+	var errs []error
+	for _, m := range p.members {
+		if ctx.Err() != nil {
+			break
 		}
-	}()
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, m := range p.members {
-		wg.Add(1)
-		go func(i int, m Strategy) {
-			defer wg.Done()
-			mopts := opts
-			mopts.Bound = &bounds[i]
-			// SafeSolve: a member that panics drops out of the race as an
-			// errored slot (its goroutine would otherwise kill the process —
-			// the pool's recover boundary cannot reach goroutines the
-			// portfolio spawns itself).
-			out, err := SafeSolve(ctxs[i], m, in, mopts)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				results[i] = slot{err: err}
-				return
-			}
-			size := CoverCost(in, out.Covering)
-			results[i] = slot{out: out, size: size}
-			for j := i + 1; j < k; j++ {
-				casMin(&bounds[j], int64(size))
-			}
-			if out.Optimal {
-				// Nothing beats a provably optimal covering strictly; lower-
-				// index members may still tie and win the tie, so only the
-				// higher-index racers are cancelled.
-				for j := i + 1; j < k; j++ {
-					cancels[j]()
-				}
-			}
-		}(i, m)
-	}
-	wg.Wait()
-
-	best := -1
-	for i := range results {
-		if results[i].err != nil || results[i].out.Covering == nil {
+		// SafeSolve: a member that panics drops out like one that errs.
+		out, err := SafeSolve(ctx, m, in, opts)
+		if err != nil || out.Covering == nil {
+			errs = append(errs, fmt.Errorf("%s: %w", m.Name(), err))
 			continue
 		}
-		if best == -1 || results[i].size < results[best].size {
-			best = i
+		if c := CoverCost(in, out.Covering); best.Covering == nil || c < opts.Bound {
+			best, opts.Bound = out, c
+		}
+		if out.Optimal {
+			break
 		}
 	}
-	if best == -1 {
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, err
-		}
-		errs := make([]error, 0, k)
-		for i := range results {
-			errs = append(errs, fmt.Errorf("%s: %w", p.members[i].Name(), results[i].err))
-		}
-		return Outcome{}, fmt.Errorf("construct: no portfolio member produced a covering: %w", errors.Join(errs...))
+	if best.Covering != nil {
+		return best, nil
 	}
-	return results[best].out, nil
-}
-
-// casMin lowers a to v if v is smaller (atomic compare-and-swap loop).
-func casMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err
 	}
+	return Outcome{}, fmt.Errorf("construct: no portfolio member produced a covering: %w", errors.Join(errs...))
 }

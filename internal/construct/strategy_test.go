@@ -232,7 +232,7 @@ func TestStrategyRegistry(t *testing.T) {
 
 // TestStrategyNotApplicable: specialised strategies must refuse demand
 // classes they do not address, with ErrNotApplicable so the portfolio
-// can drop them from the race.
+// can drop them.
 func TestStrategyNotApplicable(t *testing.T) {
 	hub := instance.Hub(9, 0)
 	for _, st := range []Strategy{ClosedForm{}, ExactSearch{}, Repair{}} {
@@ -297,7 +297,7 @@ func TestExactCtxDeadline(t *testing.T) {
 }
 
 // TestPortfolioParentCancel: cancelling the parent context aborts the
-// whole race with the context's error.
+// whole portfolio with the context's error.
 func TestPortfolioParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -328,5 +328,107 @@ func TestPortfolioBoundPruning(t *testing.T) {
 	}
 	if err := cover.Verify(out.Covering, in.Demand); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingStrategy counts its Solve calls and refuses every instance.
+type countingStrategy struct{ calls *int }
+
+func (countingStrategy) Name() string { return "counting" }
+func (c countingStrategy) Solve(context.Context, instance.Instance, Options) (Outcome, error) {
+	*c.calls++
+	return Outcome{}, fmt.Errorf("%w: counts calls only", ErrNotApplicable)
+}
+
+// TestPortfolioStopsAfterOptimal: a member placed after a provably
+// optimal one is never called, since it could at best tie.
+func TestPortfolioStopsAfterOptimal(t *testing.T) {
+	calls := 0
+	out, err := NewPortfolio(ClosedForm{}, countingStrategy{&calls}).Solve(context.Background(), instance.AllToAll(13), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Strategy != "closed-form" || !out.Optimal {
+		t.Fatalf("winner %s (optimal %v), want the optimal closed form", out.Strategy, out.Optimal)
+	}
+	if calls != 0 {
+		t.Fatalf("member after an optimal one called %d times, want 0", calls)
+	}
+}
+
+// recordingStrategy records the bound it is handed and refuses.
+type recordingStrategy struct{ bounds *[]int }
+
+func (recordingStrategy) Name() string { return "recording" }
+func (r recordingStrategy) Solve(_ context.Context, _ instance.Instance, opts Options) (Outcome, error) {
+	*r.bounds = append(*r.bounds, opts.Bound)
+	return Outcome{}, fmt.Errorf("%w: records bounds only", ErrNotApplicable)
+}
+
+// doubledGreedy answers with every greedy cycle twice: a valid covering
+// at twice greedy's cost.
+type doubledGreedy struct{}
+
+func (doubledGreedy) Name() string { return "doubled-greedy" }
+func (doubledGreedy) Solve(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
+	out, err := GreedySweep{}.Solve(ctx, in, opts)
+	if err != nil {
+		return Outcome{}, err
+	}
+	cv := cover.NewCovering(out.Covering.Ring)
+	cv.Add(out.Covering.Cycles...)
+	cv.Add(out.Covering.Cycles...)
+	return Outcome{Covering: cv, Method: out.Method, Strategy: "doubled-greedy"}, nil
+}
+
+// TestPortfolioFeedsBestCostAsBound: each member's Options.Bound is the
+// cheapest cost an earlier member achieved, and 0 before any answered —
+// whatever bound the caller passed in.
+func TestPortfolioFeedsBestCostAsBound(t *testing.T) {
+	in := instance.Hub(12, 0)
+	var bounds []int
+	rec := recordingStrategy{&bounds}
+	out, err := NewPortfolio(rec, doubledGreedy{}, rec, GreedySweep{}, rec).Solve(context.Background(), in, Options{Bound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustGreedy(t, ring.MustNew(12), in.Demand).Size()
+	if out.Strategy != "greedy" || out.Covering.Size() != g {
+		t.Fatalf("winner %s with %d cycles, want greedy with %d", out.Strategy, out.Covering.Size(), g)
+	}
+	if want := []int{0, 2 * g, g}; fmt.Sprint(bounds) != fmt.Sprint(want) {
+		t.Fatalf("bounds seen %v, want %v", bounds, want)
+	}
+}
+
+// cancellingStrategy cancels the portfolio's context and fails with its
+// error, as a member interrupted by a deadline would.
+type cancellingStrategy struct{ cancel context.CancelFunc }
+
+func (cancellingStrategy) Name() string { return "cancelling" }
+func (c cancellingStrategy) Solve(ctx context.Context, _ instance.Instance, _ Options) (Outcome, error) {
+	c.cancel()
+	return Outcome{}, ctx.Err()
+}
+
+// TestPortfolioCancelKeepsBestSoFar: when ctx fires mid-loop, the
+// portfolio calls no further member and returns the best covering found
+// so far, or ctx's error if no member has answered.
+func TestPortfolioCancelKeepsBestSoFar(t *testing.T) {
+	in := instance.Hub(12, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	out, err := NewPortfolio(GreedySweep{}, cancellingStrategy{cancel}, countingStrategy{&calls}).Solve(ctx, in, Options{})
+	if err != nil || out.Strategy != "greedy" {
+		t.Fatalf("got (%s, %v), want greedy's covering", out.Strategy, err)
+	}
+	if calls != 0 {
+		t.Fatalf("member after the cancel called %d times, want 0", calls)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := NewPortfolio(cancellingStrategy{cancel}, GreedySweep{}).Solve(ctx, in, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

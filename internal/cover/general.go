@@ -111,7 +111,7 @@ func MustWalkCycle(verts ...int) Cycle {
 // TotalLength returns the shortest-cycle-cover objective Σ|C_i|: the
 // total number of edge slots the covering spends. On ring coverings this
 // equals TotalVertices; it is the cost the general-topology strategies
-// race on.
+// are ranked by.
 func (cv *Covering) TotalLength() int { return cv.TotalVertices() }
 
 // VerifyGeneral performs the full validity check of a cycle cover

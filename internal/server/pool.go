@@ -183,9 +183,9 @@ func (p *Pool) worker() {
 // boundary: a panic escaping the computation is recovered into a
 // fingerprinted *construct.PanicError that fails only this job — the
 // worker survives, every other queued job still runs, and the daemon
-// keeps serving. (Goroutines a job spawns internally are out of this
-// recover's reach; the portfolio runner guards its members with
-// construct.SafeSolve for exactly that reason.)
+// keeps serving. (A goroutine a job spawns is out of this recover's
+// reach; the cache's single flight, the one place below the pool that
+// starts one, recovers inside it.)
 func (p *Pool) runJob(j *poolJob) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -246,10 +246,8 @@ func (p *Pool) Stats() PoolStats {
 // submitters blocked on a full buffer.
 func (p *Pool) QueueDepth() int { return len(p.jobs) + int(p.blocked.Load()) }
 
-// Workers reports the worker count. /plan/batch bounds its own fan-out
-// to it: handler goroutines beyond the worker count could only park in
-// the queue, which is exactly the buildup admission control exists to
-// prevent.
+// Workers reports the worker count. The benchmark's traced replay reads
+// it to size its mirror of /plan/batch.
 func (p *Pool) Workers() int { return p.workers }
 
 // Closed reports whether the pool has stopped accepting work (/readyz).

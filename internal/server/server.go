@@ -539,8 +539,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // MaxBatchItems bounds how many plan requests one /plan/batch call may
-// carry. Each item costs a goroutine and a pool submission; a bulk
-// caller with more work splits it across requests.
+// carry. Each item costs a pool submission; a bulk caller with more work
+// splits it across requests.
 const MaxBatchItems = 1024
 
 // maxBatchBody bounds the /plan/batch request body.
@@ -559,8 +559,8 @@ type batchPlanRequest struct {
 
 // batchPlanLine is one NDJSON line of the /plan/batch response: the
 // zero-based index of the request line it answers, plus either the plan
-// or that item's error. Lines stream in completion order, not input
-// order — the index is the join key.
+// or that item's error. Lines stream in input order, and the index is
+// the join key.
 type batchPlanLine struct {
 	Index int           `json:"index"`
 	Plan  *planResponse `json:"plan,omitempty"`
@@ -569,15 +569,14 @@ type batchPlanLine struct {
 
 // handlePlanBatch serves POST /plan/batch: a newline-delimited JSON
 // stream of plan requests, answered by a newline-delimited JSON stream
-// of results written as they complete. Items run concurrently through
-// the same bounded worker pool as /plan — same-signature items (within
-// the batch or against live /plan traffic) share one construction
-// through the cache — and per-item failures are reported in-line without
-// failing the batch.
-// Batch fan-out is bounded to the pool's worker count, and every slot
-// re-checks the request context before touching the pool: when the
-// client disconnects mid-batch, not-yet-started slots fail in place
-// without spawning constructions.
+// of results, one line per item in input order, each flushed as soon as
+// it is written. Items run one after another through the same bounded
+// worker pool as /plan — same-signature items (within the batch or
+// against live /plan traffic) share one construction through the cache
+// — and per-item failures are reported in-line without failing the
+// batch. Every item re-checks the request context before touching the
+// pool: when the client disconnects mid-batch, the remaining items fail
+// in place without spawning constructions.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	s.count("/plan/batch")
 	if r.Method != http.MethodPost {
@@ -636,66 +635,34 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One deadline bounds the whole batch: items share the request's
 	// plan-timeout budget. When it (or the client's disconnect) fires,
-	// in-flight items detach from their constructions — each search is
-	// aborted once no other request wants it — and not-yet-scheduled
-	// items fail fast with the context error in their slot.
+	// the item in flight detaches from its construction — the search is
+	// aborted once no other request wants it — and the items after it
+	// fail fast with the context error in their line.
 	ctx, cancel := s.planContext(r)
 	defer cancel()
-	// Fan out over at most the pool's worker count: more handler
-	// goroutines could only park in the pool queue, and an unbounded
-	// spawn would keep stuffing that queue after the client is gone.
-	// Each slot gates on the context before submitting, so a dropped
-	// reader stops spawning constructions at the next slot boundary.
-	workers := s.pool.Workers()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	results := make(chan batchPlanLine)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				it := items[i]
-				switch {
-				case it.err != nil:
-					results <- batchPlanLine{Index: i, Error: it.err.Error()}
-				case ctx.Err() != nil:
-					results <- batchPlanLine{Index: i, Error: "batch cancelled: " + ctx.Err().Error()}
-				default:
-					if retry, ok := s.adm.checkQueue("/plan/batch"); !ok {
-						results <- batchPlanLine{Index: i, Error: fmt.Sprintf("shed: pool queue full, retry after %ds", retry)}
-						continue
-					}
-					resp, _, err := s.planOne(ctx, it.req.N, it.req.Demand, it.req.Strategy)
-					if err != nil {
-						results <- batchPlanLine{Index: i, Error: err.Error()}
-						continue
-					}
-					results <- batchPlanLine{Index: i, Plan: &resp}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// Stream each result the moment it lands; the client correlates lines
-	// by index. Headers are committed before the first line, so per-item
-	// errors ride inside the stream rather than as an HTTP status.
+	// Headers are committed before the first line, so per-item errors
+	// ride inside the stream rather than as an HTTP status.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var buf []byte
-	for line := range results {
+	for i, it := range items {
+		line := batchPlanLine{Index: i}
+		switch {
+		case it.err != nil:
+			line.Error = it.err.Error()
+		case ctx.Err() != nil:
+			line.Error = "batch cancelled: " + ctx.Err().Error()
+		default:
+			if retry, ok := s.adm.checkQueue("/plan/batch"); !ok {
+				line.Error = fmt.Sprintf("shed: pool queue full, retry after %ds", retry)
+			} else if resp, _, err := s.planOne(ctx, it.req.N, it.req.Demand, it.req.Strategy); err != nil {
+				line.Error = err.Error()
+			} else {
+				line.Plan = &resp
+			}
+		}
 		// A line that cannot be encoded (a non-finite cost) is dropped,
 		// as json.Encoder drops it.
 		if b, err := appendBatchLine(buf[:0], &line); err == nil {

@@ -434,6 +434,11 @@ func TestPlanBatchMixedItems(t *testing.T) {
 	if len(lines) != 8 {
 		t.Fatalf("got %d result lines, want 8", len(lines))
 	}
+	for i, l := range lines {
+		if l.Index != i {
+			t.Fatalf("line %d carries index %d: lines must stream in input order", i, l.Index)
+		}
+	}
 	byIndex := map[int]batchPlanLine{}
 	for _, l := range lines {
 		if _, dup := byIndex[l.Index]; dup {
@@ -567,6 +572,27 @@ func BenchmarkPlanBatchWarm(b *testing.B) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || strings.Count(string(out), "\n") != 8 {
 			b.Fatalf("status %d, %d lines", resp.StatusCode, strings.Count(string(out), "\n"))
+		}
+	}
+}
+
+// BenchmarkPlanBatchCold is a lone client's batch of 16 distinct cold
+// ring plans (random:0.3:1, n = 41, 43, …, 71) against a fresh server
+// with the default pool (GOMAXPROCS workers): every item constructs,
+// verifies and plans WDM.
+func BenchmarkPlanBatchCold(b *testing.B) {
+	var body strings.Builder
+	for n := 41; n <= 71; n += 2 {
+		fmt.Fprintf(&body, "{\"n\": %d, \"demand\": \"random:0.3:1\"}\n", n)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(Config{CacheSize: 64, Queue: 32})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan/batch", strings.NewReader(body.String())))
+		s.Close()
+		if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `"plan"`) != 16 {
+			b.Fatalf("status %d: %.300s", rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -2,8 +2,6 @@ package cyclecover
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"github.com/cyclecover/cyclecover/internal/cache"
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -190,55 +188,35 @@ type PlanManyResult struct {
 	Err      error
 }
 
-// PlanMany plans a heterogeneous batch of instances through the cache
-// with a bounded worker pool, returning results in input order. Repeated
-// or concurrent duplicates of one signature cost a single construction
-// (the cache single-flights them), so bulk workloads with overlapping
-// instance classes scale with the number of distinct signatures, not the
-// batch size. workers ≤ 0 selects GOMAXPROCS. A zero-value instance in
-// the batch yields an error in its slot, never a panic, and does not
-// affect the other slots.
+// PlanMany plans a heterogeneous batch of instances through the cache,
+// one after another, returning results in input order. Repeated
+// duplicates of one signature cost a single construction (the cache
+// serves the later ones, and single-flights them against concurrent
+// callers), so bulk workloads with overlapping instance classes scale
+// with the number of distinct signatures, not the batch size. A
+// zero-value instance in the batch yields an error in its slot, never a
+// panic, and does not affect the other slots. A caller that wants
+// distinct constructions to overlap calls PlanMany, or CoverInstance,
+// from several goroutines: a Planner is safe for concurrent use.
 //
-// When ctx fires mid-batch, slots that have not started are skipped and
-// report ctx's error (context.Canceled for a disconnect,
-// context.DeadlineExceeded for a deadline), in-flight slots detach from
-// their constructions (each construction is aborted once no caller wants
-// it), and completed slots keep their results — the returned slice
-// always has one entry per input, in input order.
-func (p *Planner) PlanMany(ctx context.Context, ins []Instance, workers int) []PlanManyResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ins) {
-		workers = len(ins)
-	}
+// When ctx fires mid-batch, the slot in flight detaches from its
+// construction (which is aborted once no caller wants it), the slots
+// after it are skipped and report ctx's error (context.Canceled for a
+// disconnect, context.DeadlineExceeded for a deadline), and completed
+// slots keep their results — the returned slice always has one entry
+// per input, in input order.
+func (p *Planner) PlanMany(ctx context.Context, ins []Instance) []PlanManyResult {
 	out := make([]PlanManyResult, len(ins))
-	if len(ins) == 0 {
-		return out
+	for i, in := range ins {
+		// A fired context skips all remaining work: unstarted slots must
+		// not launch new constructions for a caller that has already gone
+		// away.
+		if err := ctx.Err(); err != nil {
+			out[i] = PlanManyResult{Err: err}
+			continue
+		}
+		out[i] = p.planOne(ctx, in)
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A fired context skips all remaining work: unstarted
-				// slots must not launch new constructions for a caller
-				// that has already gone away.
-				if err := ctx.Err(); err != nil {
-					out[i] = PlanManyResult{Err: err}
-					continue
-				}
-				out[i] = p.planOne(ctx, ins[i])
-			}
-		}()
-	}
-	for i := range ins {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return out
 }
 

@@ -18,7 +18,7 @@ func TestPlanManyCtxCancelledSkipsSlots(t *testing.T) {
 	for i := range ins {
 		ins[i] = AllToAll(5 + i)
 	}
-	out := p.PlanMany(ctx, ins, 4)
+	out := p.PlanMany(ctx, ins)
 	if len(out) != len(ins) {
 		t.Fatalf("%d results for %d inputs", len(out), len(ins))
 	}
@@ -55,7 +55,7 @@ func TestPlanManyCtxMidBatchCancel(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	out := p.PlanMany(ctx, ins, 2)
+	out := p.PlanMany(ctx, ins)
 	if len(out) != len(ins) {
 		t.Fatalf("%d results for %d inputs", len(out), len(ins))
 	}
@@ -71,6 +71,13 @@ func TestPlanManyCtxMidBatchCancel(t *testing.T) {
 			}
 		default:
 			t.Errorf("slot %d: unexpected error %v", i, r.Err)
+		}
+	}
+	// Slots run in input order: the successful ones form a prefix, and
+	// every slot after the first cancelled one is cancelled too.
+	for i := 1; i < len(out); i++ {
+		if out[i].Err == nil && out[i-1].Err != nil {
+			t.Errorf("slot %d succeeded after slot %d was cancelled", i, i-1)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func TestPlanManyMixedBatch(t *testing.T) {
 		{}, // zero value: error slot, not a panic
 		AllToAll(9),
 	}
-	results := p.PlanMany(context.Background(), ins, 4)
+	results := p.PlanMany(context.Background(), ins)
 	if len(results) != len(ins) {
 		t.Fatalf("got %d results for %d instances", len(results), len(ins))
 	}
@@ -199,21 +199,21 @@ func TestPlanManyMixedBatch(t *testing.T) {
 	}
 }
 
-// TestPlanManyEmptyAndSerial covers the edges: empty batch, and workers
-// clamped to batch size / forced serial.
+// TestPlanManyEmptyAndSerial covers the edges: an empty batch and a
+// batch of one.
 func TestPlanManyEmptyAndSerial(t *testing.T) {
 	p := NewPlanner()
-	if got := p.PlanMany(context.Background(), nil, 8); len(got) != 0 {
+	if got := p.PlanMany(context.Background(), nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	results := p.PlanMany(context.Background(), []Instance{AllToAll(5)}, 1)
+	results := p.PlanMany(context.Background(), []Instance{AllToAll(5)})
 	if len(results) != 1 || results[0].Err != nil || results[0].Covering.Size() != 3 {
 		t.Fatalf("serial PlanMany broken: %+v", results)
 	}
 }
 
 // TestPlanManyConcurrentBatches runs several PlanMany calls on one
-// planner at once; with -race this checks the fan-out workers against
+// planner at once; with -race this checks concurrent batches against
 // the cache.
 func TestPlanManyConcurrentBatches(t *testing.T) {
 	p := NewPlanner()
@@ -223,7 +223,7 @@ func TestPlanManyConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, res := range p.PlanMany(context.Background(), ins, 0) {
+			for _, res := range p.PlanMany(context.Background(), ins) {
 				if res.Err != nil {
 					t.Error(res.Err)
 				}
@@ -243,11 +243,33 @@ func BenchmarkPlanManyWarm(b *testing.B) {
 		AllToAll(9), AllToAll(11), AllToAll(13), Hub(12, 0), Neighbors(10),
 		AllToAll(9), AllToAll(11), AllToAll(13),
 	}
-	p.PlanMany(context.Background(), ins, 0) // warm
+	p.PlanMany(context.Background(), ins) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range p.PlanMany(context.Background(), ins, 0) {
+		for _, res := range p.PlanMany(context.Background(), ins) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+	}
+}
+
+// BenchmarkPlanManyCold is a lone client's batch of 16 distinct cold
+// ring plans (random:0.3:1, n = 41, 43, …, 71) on a fresh Planner: every
+// slot constructs, verifies and plans WDM.
+func BenchmarkPlanManyCold(b *testing.B) {
+	ins := make([]Instance, 16)
+	for i := range ins {
+		in, err := RandomInstance(41+2*i, 0.3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins[i] = in
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, res := range NewPlanner().PlanMany(context.Background(), ins) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
