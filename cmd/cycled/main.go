@@ -6,8 +6,10 @@
 //
 //	GET  /plan?n=13&demand=alltoall   plan a covering + WDM design
 //	POST /plan/batch                  NDJSON bulk planning: one request per
-//	                                  line in, results streamed per line as
-//	                                  they complete (join on "index")
+//	                                  line in, one result line per request
+//	                                  streamed in input order ("index")
+//	POST /plan/delta                  replan a cached plan after a bounded
+//	                                  change (warm repair, cold fallback)
 //	GET  /simulate?n=13&k=2           plan (cached) + k-failure sweep:
 //	                                  restoration rates, worst scenarios,
 //	                                  critical links; k ≥ 3 sampled by
@@ -22,7 +24,7 @@
 // Usage:
 //
 //	cycled                        # listen on :8337
-//	cycled -addr 127.0.0.1:9000 -workers 8 -cache 512 -queue 128
+//	cycled -addr 127.0.0.1:9000 -workers 8 -cache 512
 //	cycled -plan-timeout 2s       # bound each plan request; expiry → 504
 //	cycled -snapshot plans.snap   # warm the cache at boot, persist on exit
 //	cycled -pprof 127.0.0.1:6060  # profiling endpoints on a second listener
@@ -31,7 +33,11 @@
 //
 // With -max-inflight and/or -max-queue set, the work endpoints shed
 // excess load with a structured 429 and a Retry-After hint derived from
-// the observed job-latency EWMA, instead of queueing without bound. With
+// the observed job-latency EWMA, instead of queueing without bound:
+// -max-inflight caps each work endpoint's admitted requests, -max-queue
+// the jobs waiting for a worker (a job waits in the pool's Submit, not
+// in a buffer). Every endpoint counts its requests, a 405 included, in
+// /metrics' cycled_http_requests_total. With
 // -degrade set (meaningful together with -plan-timeout), a request whose
 // remaining deadline budget is smaller than the measured full-pipeline
 // cost is planned by the anytime portfolio instead — verified, marked
@@ -91,13 +97,12 @@ func main() {
 	addr := flag.String("addr", ":8337", "listen address")
 	workers := flag.Int("workers", 0, "planner worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 0, "covering cache capacity per store (0 = default)")
-	queue := flag.Int("queue", 64, "planner queue bound")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	planTimeout := flag.Duration("plan-timeout", 0, "per-request plan deadline; expiry answers 504 and cancels the search (0 = none)")
 	snapshot := flag.String("snapshot", "", "cache snapshot file: warm at boot, persist atomically on shutdown (empty = disabled)")
 	pprofAddr := flag.String("pprof", "", "loopback address for net/http/pprof profiling endpoints (empty = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "per-endpoint in-flight admission cap; past it requests shed with 429 (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "shed new work when this many jobs wait for a worker, submissions blocked on a full -queue buffer included, so it also holds above -queue (0 = unlimited)")
+	maxQueue := flag.Int("max-queue", 0, "shed new work when this many jobs wait for a worker (0 = unlimited)")
 	degrade := flag.Bool("degrade", false, "deadline-aware degradation: demote to the anytime portfolio when the measured full-pipeline cost exceeds the remaining budget")
 	fault := flag.String("fault", "", "failpoint spec site=verb[(arg)][@prob][#limit];... (requires a -tags faultinject build)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed keying the deterministic failpoint schedule")
@@ -119,7 +124,6 @@ func main() {
 	cfg := server.Config{
 		CacheSize:   *cacheSize,
 		Workers:     *workers,
-		Queue:       *queue,
 		PlanTimeout: *planTimeout,
 		MaxInflight: *maxInflight,
 		MaxQueue:    *maxQueue,
@@ -178,8 +182,8 @@ func run(ctx context.Context, addr, pprofAddr string, cfg server.Config, snapsho
 		boundPprof = pln.Addr().String()
 		fmt.Fprintf(logw, "cycled: pprof on http://%s/debug/pprof/\n", boundPprof)
 	}
-	fmt.Fprintf(logw, "cycled: listening on %s (workers=%d cache=%d queue=%d plan-timeout=%s)\n",
-		ln.Addr(), cfg.Workers, cfg.CacheSize, cfg.Queue, cfg.PlanTimeout)
+	fmt.Fprintf(logw, "cycled: listening on %s (workers=%d cache=%d plan-timeout=%s)\n",
+		ln.Addr(), cfg.Workers, cfg.CacheSize, cfg.PlanTimeout)
 	srv.SetReady(true)
 	if onReady != nil {
 		onReady(ln.Addr().String(), boundPprof)

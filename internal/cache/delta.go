@@ -95,11 +95,8 @@ func isGeneralSignature(sig string) bool {
 func optionsFromSignature(sig string) Options {
 	var opts Options
 	for _, seg := range strings.Split(sig, ";") {
-		switch {
-		case seg == "o=er":
-			opts.EliminateRedundant = true
-		case strings.HasPrefix(seg, "s="):
-			opts.Strategy = strings.TrimPrefix(seg, "s=")
+		if strategy, ok := strings.CutPrefix(seg, "s="); ok {
+			opts.Strategy = strategy
 		}
 	}
 	return opts
@@ -191,9 +188,6 @@ func buildDelta(ctx context.Context, dp DeltaPlan) (CoverResult, error) {
 			return buildCover(ctx, in, dp.Opts)
 		}
 		res = CoverResult{Covering: fallback, Method: construct.MethodGreedy}
-	}
-	if dp.Opts.EliminateRedundant {
-		construct.EliminateRedundant(res.Covering, in.Demand)
 	}
 	if err := cover.Verify(res.Covering, in.Demand); err != nil {
 		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified covering: %w", err)

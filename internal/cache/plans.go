@@ -244,15 +244,8 @@ func buildCover(ctx context.Context, in instance.Instance, opts Options) (CoverR
 		return CoverResult{}, err
 	}
 	if in.IsGeneral() {
-		// Redundancy elimination is a ring-tally optimiser: a general
-		// cover's slack is already minimised by the scc objective itself.
 		err = cover.VerifyGeneral(out.Covering, in.Host)
 	} else {
-		if opts.EliminateRedundant {
-			// Redundancy elimination may shrink to ρ(n) but proves nothing;
-			// keep the constructor's optimality claim only.
-			construct.EliminateRedundant(out.Covering, in.Demand)
-		}
 		err = cover.Verify(out.Covering, in.Demand)
 	}
 	if err != nil {

@@ -35,7 +35,7 @@ func TestSignatureCanonicalization(t *testing.T) {
 	}
 	// Options are part of the key.
 	in := instance.AllToAll(9)
-	if Signature(in, Options{}) == Signature(in, Options{EliminateRedundant: true}) {
+	if Signature(in, Options{}) == Signature(in, Options{Strategy: "greedy"}) {
 		t.Fatal("options not reflected in signature")
 	}
 	// Signatures are name-independent: rebuilt demand, same key.
@@ -134,25 +134,6 @@ func TestCoverRejectsBadInstances(t *testing.T) {
 	// Errors are not cached: the store stays empty.
 	if st := p.Stats(); st.Coverings.Entries != 0 {
 		t.Fatalf("error cached: %+v", st)
-	}
-}
-
-func TestEliminateRedundantOption(t *testing.T) {
-	p := New(8)
-	in := instance.Hub(12, 0)
-	plain, _, err := p.CoverCtx(context.Background(), in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, _, err := p.CoverCtx(context.Background(), in, Options{EliminateRedundant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Covering.Size() > plain.Covering.Size() {
-		t.Fatalf("redundancy elimination grew the covering: %d > %d", opt.Covering.Size(), plain.Covering.Size())
-	}
-	if err := cover.Verify(opt.Covering, in.Demand); err != nil {
-		t.Fatal(err)
 	}
 }
 

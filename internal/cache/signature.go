@@ -23,9 +23,6 @@ import (
 // the same demand planned under different options occupies distinct
 // entries.
 type Options struct {
-	// EliminateRedundant runs the redundancy-elimination optimiser on the
-	// constructed covering before it is verified and cached.
-	EliminateRedundant bool
 	// Strategy selects the construction strategy by registry name
 	// (construct.Strategies: the ring members "closed-form", "exact",
 	// "repair", "greedy", the general-host members "scc-colour",
@@ -78,9 +75,6 @@ func SignatureLambda(n, lambda int, opts Options) string {
 }
 
 func withOptions(sig string, opts Options) string {
-	if opts.EliminateRedundant {
-		sig += ";o=er"
-	}
 	if opts.Strategy != "" {
 		sig += ";s=" + opts.Strategy
 	}

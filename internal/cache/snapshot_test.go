@@ -28,7 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, _, err := src.CoverCtx(context.Background(), instance.Hub(9, 0), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := src.CoverAllToAllCtx(context.Background(), 9, Options{EliminateRedundant: true}); err != nil {
+	if _, _, err := src.CoverAllToAllCtx(context.Background(), 9, Options{Strategy: "closed-form"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,7 +36,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := src.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s := buf.String(); strings.Contains(s, "o=er") || strings.Contains(s, "d=h") {
+	if s := buf.String(); strings.Contains(s, "s=") || strings.Contains(s, "d=h") {
 		t.Fatalf("snapshot leaked non-persistable entries: %s", s)
 	}
 

@@ -23,20 +23,23 @@ type DeltaScratch struct {
 // NewDeltaScratch returns an empty scratch, ready for DeltaRepair.
 func NewDeltaScratch() *DeltaScratch { return &DeltaScratch{} }
 
+// DeltaRepair's search budget: deltaAttempts restarts with distinct
+// derived RNG seeds, each of at most deltaBaseIters + deltaItersPerNode·n
+// min-conflicts iterations. Bounded deltas leave only a handful of pairs
+// in conflict, so this is orders of magnitude below the cold search
+// budgets.
+const (
+	deltaAttempts     = 3
+	deltaBaseIters    = 4_000
+	deltaItersPerNode = 400
+)
+
 // DeltaOptions tunes DeltaRepair.
 type DeltaOptions struct {
 	// Budget fixes the number of cycles in the repaired covering; ≤ 0
 	// selects the parent's size. Callers targeting "no worse than a cold
 	// replan" pass the cold pipeline's (predicted or computed) size.
 	Budget int
-	// Iters bounds min-conflicts iterations per attempt; ≤ 0 selects a
-	// size-scaled default. Bounded deltas leave only a handful of pairs
-	// in conflict, so the default is orders of magnitude below the cold
-	// search budgets.
-	Iters int
-	// Attempts is the number of restarts with distinct derived RNG
-	// seeds; ≤ 0 selects 3.
-	Attempts int
 	// Seed offsets the deterministic restart seed sequence.
 	Seed int64
 	// Scratch supplies the reusable state; nil allocates ephemeral
@@ -78,16 +81,9 @@ func DeltaRepair(ctx context.Context, r ring.Ring, parent *cover.Covering, deman
 	if budget < 1 {
 		return nil, false
 	}
-	iters := opts.Iters
-	if iters <= 0 {
-		iters = 4_000 + 400*r.N()
-	}
-	attempts := opts.Attempts
-	if attempts <= 0 {
-		attempts = 3
-	}
+	iters := deltaBaseIters + deltaItersPerNode*r.N()
 	ok := false
-	for a := 0; a < attempts && !ok && ctx.Err() == nil; a++ {
+	for a := 0; a < deltaAttempts && !ok && ctx.Err() == nil; a++ {
 		sc.st.init(mcProblem{
 			r:       r,
 			budget:  budget,

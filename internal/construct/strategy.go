@@ -331,7 +331,14 @@ func (p *Portfolio) Solve(ctx context.Context, in instance.Instance, opts Option
 	}
 	var best Outcome
 	opts.Bound = 0 // the best cost so far; 0 until a member answers
-	var errs []error
+	// The members that failed, with their errors, kept as they come and
+	// wrapped only if no member answers: most calls have a winner, and
+	// the wrapping would be thrown away.
+	type failure struct {
+		m   Strategy
+		err error
+	}
+	var failed []failure
 	for _, m := range p.members {
 		if ctx.Err() != nil {
 			break
@@ -339,7 +346,10 @@ func (p *Portfolio) Solve(ctx context.Context, in instance.Instance, opts Option
 		// SafeSolve: a member that panics drops out like one that errs.
 		out, err := SafeSolve(ctx, m, in, opts)
 		if err != nil || out.Covering == nil {
-			errs = append(errs, fmt.Errorf("%s: %w", m.Name(), err))
+			if failed == nil {
+				failed = make([]failure, 0, len(p.members))
+			}
+			failed = append(failed, failure{m, err})
 			continue
 		}
 		if c := CoverCost(in, out.Covering); best.Covering == nil || c < opts.Bound {
@@ -354,6 +364,10 @@ func (p *Portfolio) Solve(ctx context.Context, in instance.Instance, opts Option
 	}
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
+	}
+	errs := make([]error, len(failed))
+	for i, f := range failed {
+		errs[i] = fmt.Errorf("%s: %w", f.m.Name(), f.err)
 	}
 	return Outcome{}, fmt.Errorf("construct: no portfolio member produced a covering: %w", errors.Join(errs...))
 }

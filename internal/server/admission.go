@@ -48,71 +48,61 @@ const (
 	maxRetryAfter = 60
 )
 
-// admission is the server's load-shedding front door. Each work endpoint
-// admits at most maxInflight concurrent requests, and nothing is
-// admitted while the pool's pending queue is maxQueue deep or more; past
-// either limit the request is shed with a structured 429 whose
-// Retry-After hint derives from the EWMA of observed job latency. A zero
-// limit disables that check, so the zero-value Config keeps admission
-// off entirely and embedded users see no behaviour change.
+// admission is the server's load-shedding gate, applied by the route
+// wrapper to every work route. Each work route admits at most
+// maxInflight concurrent requests, and nothing is admitted while
+// maxQueue or more submitters wait for a pool worker; past either limit
+// the request is shed with a structured 429 whose Retry-After hint
+// derives from the EWMA of observed job latency. A zero limit disables
+// that check, so the zero-value Config keeps admission off entirely and
+// embedded users see no behaviour change.
 type admission struct {
 	maxInflight int
 	maxQueue    int
 	pool        *Pool
 
-	mu        sync.Mutex
-	inflight  map[string]int    // per-endpoint admitted requests
-	shed      map[string]uint64 // per-endpoint shed counters
-	shedTotal uint64
-	latency   ewma // full job latency (queue wait + construction)
+	// mu guards latency and every route's inflight and shed counts.
+	mu      sync.Mutex
+	latency ewma // full job latency (queue wait + construction)
 }
 
 func newAdmission(maxInflight, maxQueue int, pool *Pool) *admission {
-	return &admission{
-		maxInflight: maxInflight,
-		maxQueue:    maxQueue,
-		pool:        pool,
-		inflight:    make(map[string]int),
-		shed:        make(map[string]uint64),
-	}
+	return &admission{maxInflight: maxInflight, maxQueue: maxQueue, pool: pool}
 }
 
-// acquire admits one request on endpoint or sheds it. Admitted requests
-// get a release func the handler must defer; shed requests get ok=false
-// and the Retry-After seconds to hint.
-func (a *admission) acquire(endpoint string) (release func(), retryAfter int, ok bool) {
+// acquire admits one request on rt or sheds it. An admitted request must
+// be released; a shed one gets ok=false and the Retry-After seconds to
+// hint.
+func (a *admission) acquire(rt *route) (retryAfter int, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.maxInflight > 0 && a.inflight[endpoint] >= a.maxInflight {
-		a.shed[endpoint]++
-		a.shedTotal++
-		return nil, a.retryAfterLocked(), false
+	if a.maxInflight > 0 && rt.inflight >= a.maxInflight ||
+		a.maxQueue > 0 && a.pool.QueueDepth() >= a.maxQueue {
+		rt.shed++
+		return a.retryAfterLocked(), false
 	}
-	if a.maxQueue > 0 && a.pool.QueueDepth() >= a.maxQueue {
-		a.shed[endpoint]++
-		a.shedTotal++
-		return nil, a.retryAfterLocked(), false
-	}
-	a.inflight[endpoint]++
-	return func() {
-		a.mu.Lock()
-		a.inflight[endpoint]--
-		a.mu.Unlock()
-	}, 0, true
+	rt.inflight++
+	return 0, true
+}
+
+// release ends a request that acquire admitted on rt.
+func (a *admission) release(rt *route) {
+	a.mu.Lock()
+	rt.inflight--
+	a.mu.Unlock()
 }
 
 // checkQueue is the queue-depth half of acquire alone, used per batch
-// item: a batch already holds its endpoint's in-flight slot, but each
-// item is a separate pool submission that must not pile onto a saturated
+// item: a batch already holds its route's in-flight slot, but each item
+// is a separate pool submission that must not pile onto a saturated
 // queue.
-func (a *admission) checkQueue(endpoint string) (retryAfter int, ok bool) {
+func (a *admission) checkQueue(rt *route) (retryAfter int, ok bool) {
 	if a.maxQueue <= 0 || a.pool.QueueDepth() < a.maxQueue {
 		return 0, true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.shed[endpoint]++
-	a.shedTotal++
+	rt.shed++
 	return a.retryAfterLocked(), false
 }
 
@@ -141,18 +131,6 @@ func (a *admission) retryAfterLocked() int {
 		return maxRetryAfter
 	}
 	return sec
-}
-
-// snapshot copies the shed counters for /metrics.
-func (a *admission) snapshot() (byEndpoint map[string]uint64, total uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	byEndpoint = make(map[string]uint64, len(a.shed))
-	//cyclecover:nondet map copy; the metrics emitter sorts the keys
-	for k, v := range a.shed {
-		byEndpoint[k] = v
-	}
-	return byEndpoint, a.shedTotal
 }
 
 // shedBody is the JSON shape of a 429: the service is past an admission
@@ -187,19 +165,22 @@ const (
 // of growing with every distinct demand string an attacker sends.
 type costModel struct {
 	mu      sync.Mutex
-	buckets map[string]*ewma
+	buckets map[bucketKey]*ewma
+}
+
+// bucketKey names one cost-model bucket: mode, host kind and n.
+type bucketKey struct {
+	mode    string
+	general bool
+	n       int
 }
 
 func newCostModel() *costModel {
-	return &costModel{buckets: make(map[string]*ewma)}
+	return &costModel{buckets: make(map[bucketKey]*ewma)}
 }
 
-func costBucket(mode string, in instance.Instance) string {
-	kind := "ring"
-	if in.IsGeneral() {
-		kind = "general"
-	}
-	return fmt.Sprintf("%s:%s:%d", mode, kind, in.N())
+func costBucket(mode string, in instance.Instance) bucketKey {
+	return bucketKey{mode: mode, general: in.IsGeneral(), n: in.N()}
 }
 
 // observe feeds one measured construction duration into its bucket.

@@ -56,18 +56,6 @@ type deltaTail struct {
 // out of range, removing an absent pair). An expired plan timeout
 // answers 504 with the structured timeout body.
 func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
-	s.count("/plan/delta")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	release, retry, ok := s.adm.acquire("/plan/delta")
-	if !ok {
-		writeShed(w, "/plan/delta", retry)
-		return
-	}
-	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, maxDeltaBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {

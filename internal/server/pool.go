@@ -23,32 +23,29 @@ import (
 // ErrPoolClosed is returned by Submit after Close.
 var ErrPoolClosed = errors.New("server: worker pool closed")
 
-// Pool is a bounded executor. At most `workers` jobs run at once and at
-// most `queue` more wait in its buffer; a further submission blocks until
-// buffer space frees, its context fires, or the pool closes. Each job runs
-// under its submitter's context, behind the pool's recover boundary. The
-// pool never deduplicates: identical concurrent jobs each run, and the
-// covering cache's single flight shares the work they have in common.
+// Pool is a bounded executor. At most `workers` jobs run at once; Submit
+// hands a job straight to an idle worker, and while none is idle its
+// submitter waits in Submit until one is, its context fires, or the pool
+// closes. Each job runs under its submitter's context, behind the pool's
+// recover boundary. The pool never deduplicates: identical concurrent
+// jobs each run, and the covering cache's single flight shares the work
+// they have in common.
 type Pool struct {
-	jobs     chan *poolJob
-	quit     chan struct{} // closed by Close: wakes blocked submitters, stops the workers
+	jobs     chan *poolJob // unbuffered: a send is a handoff to a worker
+	quit     chan struct{} // closed by Close: wakes waiting submitters, stops the workers
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	workers  int
 
-	// closeMu orders enqueues against Close. Submit holds it shared from
-	// its closed check through its send; Close holds it exclusively while
-	// it sets closed, after closing quit has woken every submitter blocked
-	// on a full buffer. From then on no job can enter the queue, so once
-	// the workers exit, what they left there is all Close must fail.
-	// Workers never take closeMu: a submitter blocked on a full buffer
-	// holds it while it waits for them.
-	closeMu sync.RWMutex
-	closed  bool
-
-	// blocked counts submitters waiting on a full buffer, so QueueDepth
-	// sees the backlog past the buffer's capacity.
-	blocked atomic.Int64
+	// backlog is the submitters waiting in Submit minus the idle workers,
+	// so its positive part is the queue depth the admission layer sheds
+	// on. It starts at −workers: a worker counts as idle from before its
+	// goroutine first runs, and a submitter that misses a worker not yet
+	// back at its receive is one that worker is about to take. A
+	// submitter adds one while it waits; a worker adds one when it takes
+	// a job nobody waited for (a waited job's +1 passes from submitter to
+	// worker) and removes one when it finishes a job.
+	backlog atomic.Int64
 
 	mu       sync.Mutex
 	executed uint64
@@ -64,34 +61,31 @@ type Pool struct {
 }
 
 type poolJob struct {
-	ctx  context.Context // the submitter's: fires when it gives up
-	run  func(context.Context) (any, error)
-	done chan struct{}
-	val  any
-	err  error
+	ctx    context.Context // the submitter's: fires when it gives up
+	run    func(context.Context) (any, error)
+	waited bool // its submitter counted itself in Pool.backlog
+	done   chan struct{}
+	val    any
+	err    error
 }
 
-// NewPool starts a pool with the given worker count and queue bound.
-// workers ≤ 0 selects GOMAXPROCS; queue 0 selects 64, negative selects
-// an unbuffered queue.
+// NewPool starts a pool with the given worker count; workers ≤ 0 selects
+// GOMAXPROCS. queue is ignored: a job waits in Submit, not in a buffer.
+// It stays in the signature so that existing callers, such as
+// _perfbench's traced replay (a separate module), compile unchanged.
 func NewPool(workers, queue int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case queue == 0:
-		queue = 64
-	case queue < 0:
-		queue = 0
-	}
 	p := &Pool{
-		jobs:    make(chan *poolJob, queue),
+		jobs:    make(chan *poolJob),
 		quit:    make(chan struct{}),
 		workers: workers,
 		panics:  make(map[string]uint64),
 	}
+	p.backlog.Store(-int64(workers))
+	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
@@ -100,13 +94,29 @@ func NewPool(workers, queue int) *Pool {
 // Submit runs fn on a worker and returns its result. It blocks until the
 // result is ready, ctx is done, or the pool closes. fn receives ctx, so a
 // submitter that gives up returns ctx's error at once and its job is
-// cancelled mid-run, or skipped if still queued. The string argument is
-// ignored; it stays in the signature so that existing callers, such as
-// _perfbench's traced replay (a separate module), compile unchanged.
+// cancelled mid-run, or skipped if no worker has started it. A job an
+// idle worker takes at once never waits; a submitter that finds no
+// worker receiving waits, and counts in QueueDepth while every worker is
+// busy. The string argument is ignored; it stays in the signature so
+// that existing callers, such as _perfbench's traced replay (a separate
+// module), compile unchanged.
 func (p *Pool) Submit(ctx context.Context, _ string, fn func(context.Context) (any, error)) (any, error) {
 	j := &poolJob{ctx: ctx, run: fn, done: make(chan struct{})}
-	if err := p.enqueue(j); err != nil {
-		return nil, err
+	select {
+	case p.jobs <- j:
+	default:
+		// No worker is receiving: wait for the next one that comes free.
+		j.waited = true
+		p.backlog.Add(1)
+		select {
+		case p.jobs <- j:
+		case <-ctx.Done():
+			p.backlog.Add(-1)
+			return nil, ctx.Err()
+		case <-p.quit:
+			p.backlog.Add(-1)
+			return nil, ErrPoolClosed
+		}
 	}
 	select {
 	case <-j.done:
@@ -116,41 +126,17 @@ func (p *Pool) Submit(ctx context.Context, _ string, fn func(context.Context) (a
 	}
 }
 
-// enqueue puts j in the queue, waiting for buffer space while its
-// context and the pool allow. A submitter counts as blocked only after a
-// non-blocking send has failed: a job handed straight to an idle worker,
-// or into free buffer space, never waited.
-func (p *Pool) enqueue(j *poolJob) error {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	select {
-	case p.jobs <- j:
-		return nil
-	default:
-	}
-	p.blocked.Add(1)
-	defer p.blocked.Add(-1)
-	select {
-	case p.jobs <- j:
-		return nil
-	case <-j.ctx.Done():
-		return j.ctx.Err()
-	case <-p.quit:
-		return ErrPoolClosed
-	}
-}
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		select {
 		case j := <-p.jobs:
-			// A job whose submitter gave up while it sat in the queue is
-			// skipped outright: nobody will read the result, so running it
-			// would only burn the worker.
+			if !j.waited {
+				p.backlog.Add(1)
+			}
+			// A job whose submitter gave up while it waited for this worker
+			// is skipped outright: nobody will read the result, so running
+			// it would only burn the worker.
 			if err := j.ctx.Err(); err != nil {
 				j.err = err
 			} else {
@@ -173,6 +159,7 @@ func (p *Pool) worker() {
 			}
 			p.mu.Unlock()
 			close(j.done)
+			p.backlog.Add(-1)
 		case <-p.quit:
 			return
 		}
@@ -182,10 +169,10 @@ func (p *Pool) worker() {
 // runJob executes one job on a worker behind the pool's containment
 // boundary: a panic escaping the computation is recovered into a
 // fingerprinted *construct.PanicError that fails only this job — the
-// worker survives, every other queued job still runs, and the daemon
-// keeps serving. (A goroutine a job spawns is out of this recover's
-// reach; the cache's single flight, the one place below the pool that
-// starts one, recovers inside it.)
+// worker survives, every waiting job still runs, and the daemon keeps
+// serving. (A goroutine a job spawns is out of this recover's reach; the
+// cache's single flight, the one place below the pool that starts one,
+// recovers inside it.)
 func (p *Pool) runJob(j *poolJob) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,23 +186,16 @@ func (p *Pool) runJob(j *poolJob) (val any, err error) {
 	return j.run(j.ctx)
 }
 
-// Close stops the workers and fails every job that never ran with
-// ErrPoolClosed; a Submit racing it returns its own result or
-// ErrPoolClosed. Callers should drain in-flight HTTP traffic
-// (http.Server.Shutdown) before closing the pool so no handler is left
-// waiting.
+// Close stops the pool: a running job finishes, and a submitter still
+// waiting for a worker gets ErrPoolClosed, as does every Submit after
+// Close returns; a Submit racing Close returns its own result or
+// ErrPoolClosed.
+// Callers should drain in-flight HTTP traffic (http.Server.Shutdown)
+// before closing the pool so no handler is left waiting.
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() {
 		close(p.quit)
-		p.closeMu.Lock()
-		p.closed = true
-		p.closeMu.Unlock()
 		p.wg.Wait()
-		for len(p.jobs) > 0 {
-			j := <-p.jobs
-			j.err = ErrPoolClosed
-			close(j.done)
-		}
 	})
 }
 
@@ -242,9 +222,9 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // QueueDepth reports how many jobs are waiting for a worker right now —
-// the signal the admission layer sheds on: the buffered jobs plus the
-// submitters blocked on a full buffer.
-func (p *Pool) QueueDepth() int { return len(p.jobs) + int(p.blocked.Load()) }
+// the signal the admission layer sheds on: the submitters waiting in
+// Submit beyond the idle workers about to take them.
+func (p *Pool) QueueDepth() int { return max(0, int(p.backlog.Load())) }
 
 // Workers reports the worker count. The benchmark's traced replay reads
 // it to size its mirror of /plan/batch.
@@ -252,9 +232,12 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Closed reports whether the pool has stopped accepting work (/readyz).
 func (p *Pool) Closed() bool {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
-	return p.closed
+	select {
+	case <-p.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // Panics returns a copy of the per-fingerprint recovered-panic counters.

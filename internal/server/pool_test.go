@@ -86,10 +86,11 @@ func TestPoolCloseFailsPending(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestPoolSubmitRacesClose: submissions racing Close onto a small queue
-// are never stranded. Submitters keep submitting until the pool refuses
-// them, so Close meets jobs running, buffered, blocked on the full buffer
-// and mid-enqueue; every Submit returns its own value or ErrPoolClosed.
+// TestPoolSubmitRacesClose: submissions racing Close are never
+// stranded. Submitters keep submitting until the pool refuses them, so
+// Close meets jobs running, submitters waiting for a worker and
+// handoffs in progress; every Submit returns its own value or
+// ErrPoolClosed.
 func TestPoolSubmitRacesClose(t *testing.T) {
 	const rounds, submitters = 50, 16
 	for round := 0; round < rounds; round++ {
@@ -128,5 +129,96 @@ func TestPoolSubmitRacesClose(t *testing.T) {
 		for err := range errs {
 			t.Errorf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestPoolWaitingSubmitterLeaves: with the only worker busy, a second
+// submitter waits in Submit and counts in QueueDepth. It leaves with its
+// context's error, or with ErrPoolClosed when the pool closes, and its
+// job never runs; the running job still finishes.
+func TestPoolWaitingSubmitterLeaves(t *testing.T) {
+	for _, leave := range []string{"ctx", "close"} {
+		t.Run(leave, func(t *testing.T) {
+			p := NewPool(1, 0)
+			defer p.Close()
+			block := make(chan struct{})
+			unblock := sync.OnceFunc(func() { close(block) })
+			defer unblock() // before Close, which waits for the running job
+			started := make(chan struct{})
+			blocker := make(chan error, 1)
+			go func() {
+				v, err := p.Submit(context.Background(), "", func(context.Context) (any, error) {
+					close(started)
+					<-block
+					return "blocker", nil
+				})
+				if err == nil && v != "blocker" {
+					err = fmt.Errorf("blocker returned %v", v)
+				}
+				blocker <- err
+			}()
+			<-started // the only worker is now occupied
+
+			var ran atomic.Bool
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			waiter := make(chan error, 1)
+			go func() {
+				_, err := p.Submit(ctx, "", func(context.Context) (any, error) {
+					ran.Store(true)
+					return nil, nil
+				})
+				waiter <- err
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for p.QueueDepth() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue depth %d with one submitter waiting, want 1", p.QueueDepth())
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			want := context.Canceled
+			closed := make(chan struct{})
+			if leave == "ctx" {
+				cancel()
+			} else {
+				want = ErrPoolClosed
+				go func() { p.Close(); close(closed) }()
+			}
+			select {
+			case err := <-waiter:
+				if !errors.Is(err, want) {
+					t.Fatalf("waiting submitter got %v, want %v", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiting submitter never left")
+			}
+			if d := p.QueueDepth(); d != 0 {
+				t.Fatalf("queue depth %d after the submitter left, want 0", d)
+			}
+
+			unblock()
+			if err := <-blocker; err != nil {
+				t.Fatalf("running job: %v", err)
+			}
+			wantExecuted := uint64(1) // the blocker: no worker took the abandoned job
+			if leave == "ctx" {
+				// The worker is free again; once it has run a later job it is
+				// past any chance of picking up the abandoned one.
+				if _, err := p.Submit(context.Background(), "", func(context.Context) (any, error) { return nil, nil }); err != nil {
+					t.Fatal(err)
+				}
+				wantExecuted++
+			} else {
+				<-closed
+			}
+			if ran.Load() {
+				t.Fatal("the abandoned job ran")
+			}
+			if ex := p.Stats().Executed; ex != wantExecuted {
+				t.Fatalf("executed %d jobs, want %d", ex, wantExecuted)
+			}
+		})
 	}
 }

@@ -165,10 +165,10 @@ func TestShedQueueDepth(t *testing.T) {
 	}
 }
 
-// TestShedQueueDepthBeyondQueueBuffer: MaxQueue also holds above Queue,
-// because the queue depth counts submitters blocked on a full buffer.
-// With one job running, one buffered and one blocked, the depth is 2 and
-// a fourth request is shed.
+// TestShedQueueDepthBeyondQueueBuffer: MaxQueue holds whatever Queue
+// says, because the queue depth counts the submitters waiting in Submit
+// (Queue is ignored; the pool has no buffer). With one job running and
+// two waiting, the depth is 2 and a fourth request is shed.
 func TestShedQueueDepthBeyondQueueBuffer(t *testing.T) {
 	s := New(Config{CacheSize: 32, Workers: 1, Queue: 1, MaxQueue: 2})
 	ts := httptest.NewServer(s.Handler())

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,8 +110,10 @@ type Config struct {
 	CacheSize int
 	// Workers bounds concurrent plan computations (0 → GOMAXPROCS).
 	Workers int
-	// Queue bounds plan computations waiting for a worker (0 → 64,
-	// negative → unbuffered).
+	// Queue is ignored: a computation waits for a worker in Pool.Submit,
+	// not in a buffer, and MaxQueue bounds how many wait. It stays so that
+	// existing callers, such as _perfbench's traced replay (a separate
+	// module), compile unchanged.
 	Queue int
 	// PlanTimeout bounds each plan request (for /plan/batch: the whole
 	// request — all its items share the deadline). On expiry the caller
@@ -125,10 +127,8 @@ type Config struct {
 	// hint derived from observed job latency. 0 disables the cap.
 	MaxInflight int
 	// MaxQueue sheds new work while at least this many jobs wait for a
-	// worker — the buffered ones plus submissions blocked on a full
-	// buffer, so it holds above Queue too — bounding how much latency the
-	// queue can accumulate ahead of an admitted request. 0 disables the
-	// check.
+	// worker (Pool.QueueDepth), bounding how much latency the queue can
+	// accumulate ahead of an admitted request. 0 disables the check.
 	MaxQueue int
 	// Degrade enables deadline-aware graceful degradation: when a
 	// request's remaining context budget is smaller than the measured
@@ -146,6 +146,7 @@ type Server struct {
 	plans       *cache.Plans
 	pool        *Pool
 	mux         *http.ServeMux
+	routes      []route // the route table, in path order (New)
 	start       time.Time
 	planTimeout time.Duration
 	adm         *admission
@@ -163,10 +164,26 @@ type Server struct {
 	// answered from a verified stale cache entry.
 	degraded      atomic.Uint64
 	degradedStale atomic.Uint64
-
-	mu       sync.Mutex
-	requests map[string]uint64 // per-endpoint served count
 }
+
+// route is one entry of the route table (New): an endpoint, served by
+// serve.
+type route struct {
+	path    string
+	methods []string // the methods the route takes, as its Allow header lists them; nil takes any
+	work    bool     // admission applies: in-flight cap and queue-depth shedding
+	handle  http.HandlerFunc
+
+	served atomic.Uint64 // every request, a 405 included (/metrics)
+	// inflight and shed are guarded by admission.mu.
+	inflight int
+	shed     uint64
+}
+
+var (
+	getOrPost = []string{http.MethodGet, http.MethodPost}
+	postOnly  = []string{http.MethodPost}
+)
 
 // New builds a ready-to-serve planner service.
 func New(cfg Config) *Server {
@@ -178,20 +195,58 @@ func New(cfg Config) *Server {
 		planTimeout: cfg.PlanTimeout,
 		degrade:     cfg.Degrade,
 		costs:       newCostModel(),
-		requests:    make(map[string]uint64),
 	}
 	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, s.pool)
 	s.ready.Store(true)
-	s.mux.HandleFunc("/plan", s.handlePlan)
-	s.mux.HandleFunc("/plan/batch", s.handlePlanBatch)
-	s.mux.HandleFunc("/plan/delta", s.handlePlanDelta)
-	s.mux.HandleFunc("/simulate", s.handleSimulate)
-	s.mux.HandleFunc("/verify", s.handleVerify)
-	s.mux.HandleFunc("/healthz", s.handleLivez) // alias: /healthz is the historical liveness path
-	s.mux.HandleFunc("/livez", s.handleLivez)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	// In path order, which is /metrics' order.
+	s.routes = []route{
+		{path: "/healthz", handle: s.handleLivez}, // alias: /healthz is the historical liveness path
+		{path: "/livez", handle: s.handleLivez},
+		{path: "/metrics", handle: s.handleMetrics},
+		{path: "/plan", methods: getOrPost, work: true, handle: s.handlePlan},
+		{path: "/plan/batch", methods: postOnly, work: true, handle: s.handlePlanBatch},
+		{path: "/plan/delta", methods: postOnly, work: true, handle: s.handlePlanDelta},
+		{path: "/readyz", handle: s.handleReadyz},
+		{path: "/simulate", methods: getOrPost, work: true, handle: s.handleSimulate},
+		{path: "/verify", methods: postOnly, work: true, handle: s.handleVerify},
+	}
+	for i := range s.routes {
+		rt := &s.routes[i]
+		s.mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.serve(rt, w, r) })
+	}
 	return s
+}
+
+// serve is the front door: every request enters here. It counts the
+// request first, so a 405 is counted too; refuses a method the route
+// does not take; admits a work request or sheds it with a 429 naming the
+// route; and runs the route's handler, releasing the admission after.
+func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
+	rt.served.Add(1)
+	if rt.methods != nil && !slices.Contains(rt.methods, r.Method) {
+		w.Header().Set("Allow", strings.Join(rt.methods, ", "))
+		writeError(w, http.StatusMethodNotAllowed, "use %s", strings.Join(rt.methods, " or "))
+		return
+	}
+	if rt.work {
+		retry, ok := s.adm.acquire(rt)
+		if !ok {
+			writeShed(w, rt.path, retry)
+			return
+		}
+		defer s.adm.release(rt)
+	}
+	rt.handle(w, r)
+}
+
+// route returns the table entry for path.
+func (s *Server) route(path string) *route {
+	for i := range s.routes {
+		if s.routes[i].path == path {
+			return &s.routes[i]
+		}
+	}
+	panic("server: no route " + path)
 }
 
 // SetReady flips the /readyz verdict. The embedding process calls
@@ -213,12 +268,6 @@ func (s *Server) Plans() *cache.Plans { return s.plans }
 
 // Close stops the worker pool. Drain HTTP traffic first.
 func (s *Server) Close() { s.pool.Close() }
-
-func (s *Server) count(path string) {
-	s.mu.Lock()
-	s.requests[path]++
-	s.mu.Unlock()
-}
 
 // errorBody is the JSON shape of every non-2xx response.
 type errorBody struct {
@@ -501,18 +550,6 @@ func (s *Server) stalePlan(in instance.Instance, strategy string) (planResponse,
 // memory. With a configured plan timeout, an expired deadline answers
 // 504 with a structured body naming the timeout.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.count("/plan")
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
-	}
-	release, retry, ok := s.adm.acquire("/plan")
-	if !ok {
-		writeShed(w, "/plan", retry)
-		return
-	}
-	defer release()
 	n, err := formN(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -578,18 +615,6 @@ type batchPlanLine struct {
 // pool: when the client disconnects mid-batch, the remaining items fail
 // in place without spawning constructions.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	s.count("/plan/batch")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	release, retry, ok := s.adm.acquire("/plan/batch")
-	if !ok {
-		writeShed(w, "/plan/batch", retry)
-		return
-	}
-	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	type batchItem struct {
 		req batchPlanRequest
@@ -646,6 +671,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	batch := s.route("/plan/batch")
 	var buf []byte
 	for i, it := range items {
 		line := batchPlanLine{Index: i}
@@ -655,7 +681,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		case ctx.Err() != nil:
 			line.Error = "batch cancelled: " + ctx.Err().Error()
 		default:
-			if retry, ok := s.adm.checkQueue("/plan/batch"); !ok {
+			if retry, ok := s.adm.checkQueue(batch); !ok {
 				line.Error = fmt.Sprintf("shed: pool queue full, retry after %ds", retry)
 			} else if resp, _, err := s.planOne(ctx, it.req.N, it.req.Demand, it.req.Strategy); err != nil {
 				line.Error = err.Error()
@@ -699,18 +725,6 @@ type verifyResponse struct {
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	s.count("/verify")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	release, retry, ok := s.adm.acquire("/verify")
-	if !ok {
-		writeShed(w, "/verify", retry)
-		return
-	}
-	defer release()
 	var req verifyRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxVerifyBody)
 	body, err := io.ReadAll(r.Body)
@@ -801,7 +815,6 @@ type healthResponse struct {
 // draining daemon would be exactly wrong — and carries the cache/pool
 // counters for humans. Readiness lives on /readyz.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	s.count(r.URL.Path)
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -821,7 +834,6 @@ type readyResponse struct {
 // graceful-shutdown drain runs (StartDrain), or once the pool has
 // stopped accepting work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.count("/readyz")
 	switch {
 	case s.draining.Load():
 		writeJSON(w, http.StatusServiceUnavailable, readyResponse{Status: "draining"})
@@ -837,7 +849,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics emits the counters in the Prometheus text exposition
 // format, without taking a dependency on a metrics library.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.count("/metrics")
 	st := s.plans.Stats()
 	ps := s.pool.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -864,19 +875,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("cycled_pool_executed_total", "", ps.Executed)
 	emit("cycled_pool_running", "", uint64(ps.Running))
 	emit("cycled_queue_depth", "", uint64(ps.QueueDepth))
-	// Resilience counters: shed requests (total and per endpoint),
-	// degrade decisions, and recovered panics (total and per
-	// fingerprint). All label sets are sorted for byte-stable scrapes.
-	shedByPath, shedTotal := s.adm.snapshot()
-	emit("cycled_shed_total", "", shedTotal)
-	shedPaths := make([]string, 0, len(shedByPath))
-	//cyclecover:nondet keys are sorted immediately below before emission
-	for p := range shedByPath {
-		shedPaths = append(shedPaths, p)
+	// Resilience counters: shed requests (total and per route), degrade
+	// decisions, and recovered panics (total and per fingerprint). Route
+	// lines follow the table's path order and fingerprints are sorted, for
+	// byte-stable scrapes; a route with a zero count prints no line.
+	// Copy the shed counts before emitting: writing to a slow client
+	// under the admission mutex would stall every work request.
+	shed := make([]uint64, len(s.routes))
+	var shedTotal uint64
+	s.adm.mu.Lock()
+	for i := range s.routes {
+		shed[i] = s.routes[i].shed
+		shedTotal += shed[i]
 	}
-	sort.Strings(shedPaths)
-	for _, p := range shedPaths {
-		emit("cycled_shed_path_total", fmt.Sprintf("path=%q", p), shedByPath[p])
+	s.adm.mu.Unlock()
+	emit("cycled_shed_total", "", shedTotal)
+	for i, c := range shed {
+		if c != 0 {
+			emit("cycled_shed_path_total", fmt.Sprintf("path=%q", s.routes[i].path), c)
+		}
 	}
 	emit("cycled_degraded_total", "", s.degraded.Load())
 	emit("cycled_degraded_stale_total", "", s.degradedStale.Load())
@@ -891,23 +908,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, fp := range fps {
 		emit("cycled_panics_recovered_fingerprint_total", fmt.Sprintf("fingerprint=%q", fp), panics[fp])
 	}
-	// Snapshot the counters before emitting: writing to a slow client
-	// under s.mu would block every other handler's count().
-	s.mu.Lock()
-	counts := make(map[string]uint64, len(s.requests))
-	//cyclecover:nondet map-to-map copy; emission order fixed by the sorted key pass below
-	for p, c := range s.requests {
-		counts[p] = c
-	}
-	s.mu.Unlock()
-	paths := make([]string, 0, len(counts))
-	//cyclecover:nondet keys are sorted immediately below before emission
-	for p := range counts {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		emit("cycled_http_requests_total", fmt.Sprintf("path=%q", p), counts[p])
+	for i := range s.routes {
+		if c := s.routes[i].served.Load(); c != 0 {
+			emit("cycled_http_requests_total", fmt.Sprintf("path=%q", s.routes[i].path), c)
+		}
 	}
 	fmt.Fprintf(w, "cycled_uptime_seconds %d\n", int64(time.Since(s.start).Seconds()))
 }

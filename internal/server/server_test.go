@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -618,6 +619,27 @@ func BenchmarkPlanHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPlanHitGuarded measures a warm K_101 /plan answer through the
+// handler under the benchmark daemon's guards: a plan deadline, the
+// degrade decision's cost-model lookup, and admission's in-flight and
+// queue-depth checks, none of which BenchmarkPlanHit runs.
+func BenchmarkPlanHitGuarded(b *testing.B) {
+	s := New(Config{CacheSize: 8, Workers: 2, PlanTimeout: 30 * time.Second, Degrade: true, MaxInflight: 64, MaxQueue: 128})
+	defer s.Close()
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/plan?n=101", nil)
+	h.ServeHTTP(&discardResponse{}, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardResponse{}
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
 	}
 }
 

@@ -103,18 +103,6 @@ type simulated struct {
 // structured body, and the sweep (or the underlying construction) is
 // cancelled once no request wants it, exactly like /plan.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.count("/simulate")
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
-	}
-	release, retry, ok := s.adm.acquire("/simulate")
-	if !ok {
-		writeShed(w, "/simulate", retry)
-		return
-	}
-	defer release()
 	n, err := formN(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
