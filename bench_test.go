@@ -3,9 +3,8 @@
 // full reproduction run in miniature; cmd/experiments produces the
 // human-readable tables from the same code.
 //
-// The table paths go through the sweep cache and its embedded warm-start
-// snapshot (DESIGN.md §5.4), so the table benchmarks measure the
-// pipeline as shipped — cache included. Raw constructor and verifier
+// The table paths go through the sweep cache (DESIGN.md §5.4), so the
+// table benchmarks measure the pipeline as shipped — cache included. Raw constructor and verifier
 // cost is measured by the explicitly uncached micro-benchmarks at the
 // bottom (BenchmarkOddConstruction, BenchmarkVerifyCovering, ...) and by
 // the cold/warm pair in planner_test.go.
@@ -44,7 +43,7 @@ func BenchmarkTheorem1OddCovering(b *testing.B) {
 	}
 }
 
-// T2: Theorem 2 sweep (even n) — search range plus layered tail.
+// T2: Theorem 2 sweep (even n) — both residues of the closed form.
 func BenchmarkTheorem2EvenCovering(b *testing.B) {
 	ns := []int{4, 8, 12, 16, 20, 24, 40}
 	b.ReportAllocs()
@@ -54,8 +53,8 @@ func BenchmarkTheorem2EvenCovering(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if !r.Valid {
-				b.Fatalf("n=%d invalid", r.N)
+			if !r.Optimal || !r.Valid {
+				b.Fatalf("n=%d not optimal/valid", r.N)
 			}
 		}
 	}
@@ -155,16 +154,6 @@ func BenchmarkExtensionTopologies(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.TableX2(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// A1: even-constructor ablation.
-func BenchmarkEvenAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableA1(context.Background(), []int{8, 12, 16, 24, 48}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -163,9 +163,10 @@ func TestCheckBytesBudget(t *testing.T) {
 	}
 }
 
-// TestGatesMatchPinnedContract guards the pinned set itself: the five
+// TestGatesMatchPinnedContract guards the pinned set itself: the four
 // allocation-free hot paths (including the general-topology walk
-// verifier), the cubic scc pipeline smoke, the allocation ceilings of a
+// verifier), the allocation and bytes ceilings of a warm delta patch,
+// the cubic scc pipeline smoke, the allocation ceilings of a
 // node-limited scc-exact run, of scc-colour and of the failure sweeps,
 // the bytes ceiling of general-host admission, the allocation and bytes
 // ceilings of a warm /plan, the allocation ceiling of a warm /plan under
@@ -192,7 +193,7 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkSweep":               {pkg: "./internal/survive", allocs: 35},
 		"BenchmarkPlanHit":             {pkg: "./internal/server", allocs: 19, bytes: 26_266},
 		"BenchmarkPlanHitGuarded":      {pkg: "./internal/server", allocs: 25},
-		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct"},
+		"BenchmarkDeltaRepairWarm":     {pkg: "./internal/construct", allocs: 6, bytes: 652},
 		"BenchmarkGreedy":              {pkg: "./internal/construct", allocs: -1, bytes: 512_327, metric: "probes/op", maxMetric: 2_169_768},
 		"BenchmarkExact":               {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 850},
 		"BenchmarkExactCert":           {pkg: ".", allocs: -1, metric: "nodes/op", maxMetric: 7_000_000},

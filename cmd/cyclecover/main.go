@@ -28,9 +28,9 @@
 // -delta switches to incremental replanning: the -n/-demand instance is
 // planned as the parent, the delta (add:<u>:<v> | remove:<u>:<v> |
 // fail:<u>:<v> | set:<u>:<v>:<m>) is applied to its demand, and the
-// child is planned by warm-starting repair from the parent covering —
-// the same path POST /plan/delta serves — falling back to cold
-// construction when repair exhausts its budget.
+// child is planned by patching the parent covering — the same path
+// POST /plan/delta serves — with the cold plan answering instead when
+// the patch is larger.
 package main
 
 import (
@@ -191,7 +191,8 @@ type deltaOutput struct {
 }
 
 // runDelta plans the parent instance through a cached planner, applies
-// the delta and replans incrementally — warm repair with cold fallback.
+// the delta and replans incrementally — the parent patched, or the cold
+// plan when that is smaller.
 func runDelta(ctx context.Context, in cyclecover.Instance, strategy, deltaSpec string, asJSON, quiet bool) {
 	d, err := cyclecover.ParseDelta(deltaSpec)
 	if err != nil {

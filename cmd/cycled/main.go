@@ -9,7 +9,8 @@
 //	                                  line in, one result line per request
 //	                                  streamed in input order ("index")
 //	POST /plan/delta                  replan a cached plan after a bounded
-//	                                  change (warm repair, cold fallback)
+//	                                  change (the parent patched, or the
+//	                                  cold plan when that is smaller)
 //	GET  /simulate?n=13&k=2           plan (cached) + k-failure sweep:
 //	                                  restoration rates, worst scenarios,
 //	                                  critical links; k ≥ 3 sampled by

@@ -20,18 +20,12 @@ import (
 	"syscall"
 
 	"github.com/cyclecover/cyclecover/internal/bench"
-	"github.com/cyclecover/cyclecover/internal/cache"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
 	outPath := flag.String("out", "", "also write results to this file")
-	cold := flag.Bool("cold", false, "skip the warm-start snapshot (honest cold timings)")
-	saveCache := flag.String("save-cache", "", "after the sweep, write the covering cache snapshot here")
 	flag.Parse()
-	// Regenerating the snapshot from a warm cache would only write the old
-	// snapshot back, so -save-cache forces a cold sweep.
-	bench.SkipWarmStart = *cold || *saveCache != ""
 
 	var w io.Writer = os.Stdout
 	if *outPath != "" {
@@ -52,17 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if *saveCache != "" {
-		// Atomic write: an interrupted run can never leave a truncated
-		// snapshot for the next warm start to trip over.
-		err := cache.WriteFileAtomic(*saveCache, func(f *os.File) error {
-			return bench.SaveWarmSnapshot(f)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: saving cache:", err)
-			os.Exit(1)
-		}
-	}
 }
 
 func run(ctx context.Context, w io.Writer, quick bool) error {
@@ -72,7 +55,6 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 	f2Ns := []int{5, 6, 8, 9, 12, 15, 21, 33}
 	f3Ns := []int{5, 7, 9, 11, 13, 15}
 	c1Ns := []int{5, 7, 9, 11, 15, 21, 31}
-	a1Ns := []int{8, 12, 16, 20, 24, 40, 80}
 	t3Ns := []int{3, 4, 5, 6, 7, 8, 10, 12, 16, 20}
 	proofLimit := 8
 	doubleLimit := 12
@@ -83,7 +65,6 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 		f2Ns = []int{5, 8, 11}
 		f3Ns = []int{5, 9}
 		c1Ns = []int{5, 9, 15}
-		a1Ns = []int{8, 16, 24}
 		t3Ns = []int{3, 4, 5, 6}
 		proofLimit = 6
 		doubleLimit = 8
@@ -156,13 +137,6 @@ func run(ctx context.Context, w io.Writer, quick bool) error {
 		return err
 	}
 	fmt.Fprintln(w, bench.RenderX2(x2))
-
-	section(w, "A1 — ablation: even constructor layers")
-	a1, err := bench.TableA1(ctx, a1Ns)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, bench.RenderA1(a1))
 	return nil
 }
 

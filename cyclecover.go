@@ -13,15 +13,14 @@
 // The package exposes:
 //
 //   - Rho, LowerBound, TheoremComposition — the paper's closed forms;
-//   - CoverAllToAll, CoverInstance — constructors (Theorem 1's
-//     construction for odd n is exactly optimal; even n is
-//     search-certified optimal up to the documented limit and
-//     asymptotically optimal beyond). CoverInstance takes a context
-//     and its searches abort promptly when it fires; CoverAllToAll is
-//     the context-free paper-level helper;
+//   - CoverAllToAll, CoverInstance — constructors (the closed forms
+//     for K_n are exactly optimal at every n: Theorem 1's construction
+//     for odd n, two steps from it for even n). CoverInstance takes a
+//     context and its searches abort promptly when it fires;
+//     CoverAllToAll is the context-free paper-level helper;
 //   - Strategies, CoverInstanceStrategy — the pluggable solver engine:
-//     every construction path (closed-form, exact, repair, greedy, and
-//     the scc members for general hosts) is independently selectable by
+//     every construction path (closed-form, exact, greedy, and the scc
+//     members for general hosts) is independently selectable by
 //     name, and "portfolio" tries them in priority order under one
 //     context with deterministic winner selection;
 //   - Verify — independent validity checking of any covering, running
@@ -155,10 +154,9 @@ func ParseInstance(n int, spec string) (Instance, error) {
 func ParseDelta(spec string) (Delta, error) { return instance.ParseDelta(spec) }
 
 // CoverAllToAll constructs a DRC covering of K_n. optimal reports that the
-// covering provably has ρ(n) cycles (always true for odd n; true for even
-// n within the search range documented in DESIGN.md). It is the
-// paper-level helper and cannot be cancelled; Planner.CoverAllToAll is
-// the cached path whose searches abort when its context fires.
+// covering provably has ρ(n) cycles, which the closed forms reach at
+// every n ≥ 3. It is the paper-level helper and cannot be cancelled;
+// Planner.CoverAllToAll is the cached path, which checks its context.
 //
 //cyclecover:ctxfree paper-level helper; Planner.CoverAllToAll is the cancellable path
 func CoverAllToAll(n int) (cv *Covering, optimal bool, err error) {
@@ -191,8 +189,8 @@ func CoverInstance(ctx context.Context, in Instance) (*Covering, error) {
 }
 
 // Strategies lists the selectable construction strategy names: the
-// registry in priority order ("closed-form", "exact", "repair",
-// "greedy" for rings; "scc-colour", "scc-exact", "scc-kcycle",
+// registry in priority order ("closed-form", "exact", "greedy" for
+// rings; "scc-colour", "scc-exact", "scc-kcycle",
 // "scc-greedy" for general hosts) plus "portfolio", which tries them in
 // priority order under one context and returns a deterministic winner
 // (lowest cost, ties toward the earliest registry entry — exactly the

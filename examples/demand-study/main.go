@@ -50,8 +50,8 @@ func main() {
 		if err := cyclecover.Verify(covering, in); err != nil {
 			log.Fatalf("%s: %v", in.Name, err)
 		}
-		// The portfolio tries closed-form, exact, repair and greedy in
-		// priority order under one context; its deterministic winner
+		// The portfolio tries closed-form, exact and greedy in priority
+		// order under one context; its deterministic winner
 		// matches the pipeline — not just in size but cycle for cycle.
 		pf, err := cyclecover.CoverInstanceStrategy(ctx, in, "portfolio")
 		if err != nil {

@@ -8,10 +8,12 @@ import (
 
 // NoAlloc checks functions whose doc comment carries
 // `//cyclecover:noalloc` for allocation-introducing constructs. The
-// annotated functions are the pipeline's pinned hot paths (Verifier
-// warm path, exact inner branch, sweep evaluate, delta repair), whose
-// 0 allocs/op contract the benchmark gate enforces at runtime; this
-// analyzer catches the regression classes a benchmark may not exercise.
+// annotated functions are the pipeline's pinned hot paths: the Verifier
+// warm path, the exact inner branch and sweep evaluate, whose 0
+// allocs/op contract the benchmark gate enforces at runtime, and the
+// delta patch, whose Θ(n²) tally must come from scratch (the gate pins
+// the few allocations it sanctions). This analyzer catches the
+// regression classes a benchmark may not exercise.
 //
 // Flagged in warm code:
 //   - map/slice composite literals and address-taken composite

@@ -25,19 +25,16 @@ import (
 
 // plans is the sweep-shared covering cache. The experiment tables revisit
 // the same ring sizes many times (T1/T2 build what C2 compares, F2 drills
-// and F3 prices the same networks, and the parallel wrappers fan out
-// duplicate signatures), so every table routes its constructions and WDM
-// plans through this cache instead of recomputing per call site. The
-// cache single-flights concurrent sweep workers on one signature; results
-// are verified before they are cached, and every caller gets a private
-// clone of the covering.
+// and F3 prices the same networks), so every table routes its
+// constructions and WDM plans through this cache instead of recomputing
+// per call site. Results are verified before they are cached, and every
+// caller gets a private clone of the covering.
 var plans = cache.New(512)
 
 // allToAll is the cached construct.AllToAllCtx. It fails with ctx's
 // error once ctx has fired, even when the cache could serve the covering,
 // so a table never emits a row after an interrupt.
 func allToAll(ctx context.Context, n int) (cache.CoverResult, error) {
-	warm()
 	res, _, err := plans.CoverAllToAllCtx(ctx, n, cache.Options{})
 	if err == nil {
 		err = ctx.Err()
@@ -48,7 +45,6 @@ func allToAll(ctx context.Context, n int) (cache.CoverResult, error) {
 // allToAllNetwork is the cached wdm.Plan over the all-to-all covering,
 // failing like allToAll once ctx has fired.
 func allToAllNetwork(ctx context.Context, n int) (*wdm.Network, error) {
-	warm()
 	nw, _, err := plans.NetworkAllToAllCtx(ctx, n, cache.Options{})
 	if err == nil {
 		err = ctx.Err()
@@ -107,24 +103,22 @@ type T1Row struct {
 }
 
 // TableT1 builds the Theorem 1 table for the given odd sizes, one row
-// per size, computed concurrently (parallelMap). Like every table that
-// constructs or sweeps, it returns ctx's error, and no rows, once ctx
-// has fired.
+// per size. Like every table that constructs or sweeps, it returns ctx's
+// error, and no rows, once ctx has fired.
 func TableT1(ctx context.Context, ns []int) ([]T1Row, error) {
+	var rows []T1Row
 	for _, n := range ns {
 		if n%2 == 0 {
 			return nil, fmt.Errorf("bench: T1 wants odd n, got %d", n)
 		}
-	}
-	return parallelMap(ctx, ns, func(n int) (T1Row, error) {
 		res, err := allToAll(ctx, n) // odd n: the Theorem 1 construction, cached
 		if err != nil {
-			return T1Row{}, err
+			return nil, err
 		}
 		cv := res.Covering
 		err = cover.Verify(cv, graph.Complete(n))
 		comp, _ := cover.TheoremComposition(n)
-		return T1Row{
+		rows = append(rows, T1Row{
 			N: n, P: (n - 1) / 2,
 			Rho:         cover.Rho(n),
 			Constructed: cv.Size(),
@@ -134,8 +128,9 @@ func TableT1(ctx context.Context, ns []int) ([]T1Row, error) {
 			Slack:      cv.DuplicateSlots(),
 			Valid:      err == nil,
 			Optimal:    cv.Size() == cover.Rho(n),
-		}, nil
-	})
+		})
+	}
+	return rows, nil
 }
 
 // RenderT1 formats the Theorem 1 table.
@@ -157,56 +152,53 @@ func RenderT1(rows []T1Row) string {
 
 // T2Row reports the even-n constructor against Theorem 2.
 type T2Row struct {
-	N, P     int
-	Rho      int // ⌈(p²+1)/2⌉
-	Achieved int
-	Ratio    float64 // Achieved / Rho
-	C3, C4   int
-	Valid    bool
-	Optimal  bool   // search-certified ρ(n)
-	Method   string // "search" or "layered"
+	N, P       int
+	Rho        int // ⌈(p²+1)/2⌉
+	Achieved   int
+	Ratio      float64 // Achieved / Rho
+	C3, C4, C5 int
+	Valid      bool
+	Optimal    bool   // the construction's claim: size ρ(n)
+	Method     string // the constructor that built it
 }
 
 // TableT2 builds the Theorem 2 table for the given even sizes, one row
-// per size, computed concurrently (parallelMap).
+// per size.
 func TableT2(ctx context.Context, ns []int) ([]T2Row, error) {
+	var rows []T2Row
 	for _, n := range ns {
 		if n%2 == 1 {
 			return nil, fmt.Errorf("bench: T2 wants even n, got %d", n)
 		}
-	}
-	return parallelMap(ctx, ns, func(n int) (T2Row, error) {
-		res, err := allToAll(ctx, n) // even n: search within range, layered beyond
+		res, err := allToAll(ctx, n) // even n: the Theorem 2 construction, cached
 		if err != nil {
-			return T2Row{}, err
+			return nil, err
 		}
-		cv, optimal := res.Covering, res.Optimal
+		cv := res.Covering
 		err = cover.Verify(cv, graph.Complete(n))
-		method := "layered"
-		if optimal {
-			method = "search"
-		}
-		return T2Row{
+		comp := cv.Composition()
+		rows = append(rows, T2Row{
 			N: n, P: n / 2,
 			Rho:      cover.Rho(n),
 			Achieved: cv.Size(),
 			Ratio:    float64(cv.Size()) / float64(cover.Rho(n)),
-			C3:       cv.NumTriangles(), C4: cv.NumQuads(),
+			C3:       comp[3], C4: comp[4], C5: comp[5],
 			Valid:   err == nil,
-			Optimal: optimal,
-			Method:  method,
-		}, nil
-	})
+			Optimal: res.Optimal,
+			Method:  string(res.Method),
+		})
+	}
+	return rows, nil
 }
 
 // RenderT2 formats the Theorem 2 table.
 func RenderT2(rows []T2Row) string {
-	hs := []string{"n", "p", "rho(n)", "achieved", "ratio", "C3", "C4", "valid", "optimal", "method"}
+	hs := []string{"n", "p", "rho(n)", "achieved", "ratio", "C3", "C4", "C5", "valid", "optimal", "method"}
 	var rs [][]string
 	for _, r := range rows {
 		rs = append(rs, []string{
 			itoa(r.N), itoa(r.P), itoa(r.Rho), itoa(r.Achieved),
-			fmt.Sprintf("%.3f", r.Ratio), itoa(r.C3), itoa(r.C4),
+			fmt.Sprintf("%.3f", r.Ratio), itoa(r.C3), itoa(r.C4), itoa(r.C5),
 			fmt.Sprint(r.Valid), fmt.Sprint(r.Optimal), r.Method,
 		})
 	}
@@ -237,7 +229,8 @@ func TableT3(ctx context.Context, ns []int, proofLimit int) ([]T3Row, error) {
 		if n <= 9 {
 			_, row.FoundAtRho = construct.ExactOptimal(ctx, n, 6_000_000)
 		} else {
-			// Even path uses the repair search; served from the sweep cache.
+			// Beyond exact reach: the closed forms, served from the sweep
+			// cache.
 			res, err := allToAll(ctx, n)
 			if err != nil {
 				return nil, err
@@ -443,18 +436,19 @@ type F2Row struct {
 }
 
 // TableF2 runs the failure sweeps on the survivability engine, one row
-// per size, computed concurrently (parallelMap). Double-failure sweeps
-// are quadratic in n and run only for n ≤ doubleLimit.
+// per size. Double-failure sweeps are quadratic in n and run only for
+// n ≤ doubleLimit.
 func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
-	return parallelMap(ctx, ns, func(n int) (F2Row, error) {
+	var rows []F2Row
+	for _, n := range ns {
 		nw, err := allToAllNetwork(ctx, n)
 		if err != nil {
-			return F2Row{}, err
+			return nil, err
 		}
 		sim := survive.NewSimulator(nw)
 		sweep, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 1})
 		if err != nil {
-			return F2Row{}, err
+			return nil, err
 		}
 		row := F2Row{
 			N:              n,
@@ -472,15 +466,16 @@ func TableF2(ctx context.Context, ns []int, doubleLimit int) ([]F2Row, error) {
 		if n <= doubleLimit {
 			double, err := sim.SweepCtx(ctx, survive.SweepOptions{K: 2})
 			if err != nil {
-				return F2Row{}, err
+				return nil, err
 			}
 			row.DoubleMean, row.DoubleWorst = double.MeanRestoration, double.WorstRestoration
 		}
 		if err := ctx.Err(); err != nil {
-			return F2Row{}, err
+			return nil, err
 		}
-		return row, nil
-	})
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // RenderF2 formats the survivability table.
@@ -562,7 +557,6 @@ type X1Row struct {
 // TableX1 sweeps λ for fixed sizes.
 func TableX1(ctx context.Context, ns []int, lambdas []int) ([]X1Row, error) {
 	var rows []X1Row
-	warm()
 	for _, n := range ns {
 		for _, l := range lambdas {
 			in := instance.Lambda(n, l)
@@ -681,50 +675,6 @@ func RenderX2(rows []X2Row) string {
 	var rs [][]string
 	for _, r := range rows {
 		rs = append(rs, []string{r.Topology, itoa(r.Cycles), itoa(r.Edges), fmt.Sprint(r.Exact), fmt.Sprint(r.Valid)})
-	}
-	return Render(hs, rs)
-}
-
-// ---------------------------------------------------------------------
-// A1: even-constructor ablation.
-
-// A1Row contrasts the even-constructor layers.
-type A1Row struct {
-	N        int
-	Rho      int
-	Layered  int // constructive heuristic only
-	Achieved int // full constructor (with repair search)
-	Optimal  bool
-}
-
-// TableA1 runs the ablation.
-func TableA1(ctx context.Context, ns []int) ([]A1Row, error) {
-	var rows []A1Row
-	for _, n := range ns {
-		cv, opt, err := construct.EvenCtx(ctx, n)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows = append(rows, A1Row{
-			N:        n,
-			Rho:      cover.Rho(n),
-			Layered:  construct.LayeredEvenSize(n),
-			Achieved: cv.Size(),
-			Optimal:  opt,
-		})
-	}
-	return rows, nil
-}
-
-// RenderA1 formats the ablation table.
-func RenderA1(rows []A1Row) string {
-	hs := []string{"n", "rho(n)", "layered only", "with search", "optimal"}
-	var rs [][]string
-	for _, r := range rows {
-		rs = append(rs, []string{itoa(r.N), itoa(r.Rho), itoa(r.Layered), itoa(r.Achieved), fmt.Sprint(r.Optimal)})
 	}
 	return Render(hs, rs)
 }

@@ -102,15 +102,14 @@ func optionsFromSignature(sig string) Options {
 	return opts
 }
 
-// CoverDeltaCtx plans the child of a resolved delta, warm-starting from
-// the parent covering and admitting the result under the child's own
-// canonical signature — so a later cold request for the same instance is
-// a cache hit, and concurrent delta or cold requests for the child
-// single-flight onto one computation. hit reports a served-from-cache or
-// joined-flight result. The repaired covering costs no more cycles than
-// a cold replan: the repair budget is the cold pipeline's (predicted or
-// measured) size, and when the search cannot converge within it the
-// build falls back to cold construction transparently.
+// CoverDeltaCtx plans the child of a resolved delta from the parent
+// covering and admits the result under the child's own canonical
+// signature — so a later cold request for the same instance is a cache
+// hit, and concurrent delta or cold requests for the child single-flight
+// onto one computation. hit reports a served-from-cache or joined-flight
+// result. The answer costs no more cycles than a cold replan: the patch
+// answers only when it is no larger than the cold pipeline's (predicted
+// or measured) size, and the cold cover answers otherwise.
 func (p *Plans) CoverDeltaCtx(ctx context.Context, dp DeltaPlan) (CoverResult, bool, error) {
 	if dp.Child.Demand == nil {
 		return CoverResult{}, false, fmt.Errorf("cache: delta plan has no child demand (zero-value DeltaPlan?)")
@@ -126,13 +125,13 @@ func (p *Plans) CoverDeltaCtx(ctx context.Context, dp DeltaPlan) (CoverResult, b
 	return res, hit, nil
 }
 
-// deltaScratches pools the warm-repair scratch state across delta builds,
-// keeping the steady-state repair path allocation-free.
+// deltaScratches pools the patch's dense tally across delta builds.
 var deltaScratches = scratch.NewPool(construct.NewDeltaScratch)
 
-// buildDelta constructs the child covering, preferring warm repair of the
-// parent and falling back to the cold pipeline. Like buildCover, only
-// verified coverings are returned for admission.
+// buildDelta constructs the child covering: the parent patched for the
+// delta when that is no larger than a cold plan, the cold plan
+// otherwise. Like buildCover, only verified coverings are returned for
+// admission.
 func buildDelta(ctx context.Context, dp DeltaPlan) (CoverResult, error) {
 	in := dp.Child
 	n := in.N()
@@ -141,53 +140,52 @@ func buildDelta(ctx context.Context, dp DeltaPlan) (CoverResult, error) {
 		return CoverResult{}, err
 	}
 	// An explicit strategy is a contract about how the covering is built;
-	// warm repair would be a different constructor, so those parents
+	// the patch would be a different constructor, so those parents
 	// replan their children cold through the same strategy.
 	if dp.Opts.Strategy != "" {
 		return buildCover(ctx, in, dp.Opts)
 	}
-	// Cold-cost target: predicted for uniform λ classes, measured by the
+	// The cold size: predicted for uniform λ classes, measured by the
 	// greedy constructor otherwise (the greedy result then doubles as the
-	// precomputed fallback).
-	var fallback *cover.Covering
+	// cold answer).
+	var cold *cover.Covering
 	budget, predicted := construct.DeltaBudget(in.Demand)
 	if !predicted {
 		g, err := construct.GreedyCtx(ctx, r, in.Demand)
 		if err != nil {
 			return CoverResult{}, err
 		}
-		fallback = g
-		budget = g.Size()
+		cold, budget = g, g.Size()
 	}
 	sc := deltaScratches.Get()
-	repaired, ok := construct.DeltaRepair(ctx, r, dp.Parent.Covering, in.Demand, construct.DeltaOptions{
+	patched, ok := construct.DeltaRepair(ctx, r, dp.Parent.Covering, in.Demand, construct.DeltaOptions{
 		Budget:  budget,
-		Seed:    int64(n),
 		Scratch: sc,
 	})
+	deltaScratches.Put(sc)
 	var res CoverResult
 	if ok {
-		cv := repaired.CloneDetached()
-		deltaScratches.Put(sc)
+		// The patch shares vertex arrays with the cached parent; the
+		// admitted copy owns its own.
+		cv := patched.CloneDetached()
 		cv.Canonicalize()
 		res = CoverResult{Covering: cv, Method: construct.MethodDelta}
-		// A repaired covering of K_n at exactly ρ(n) cycles is proved
+		// A patched covering of K_n at exactly ρ(n) cycles is proved
 		// optimal by size alone (ρ is the paper's lower bound); the claim
 		// is re-checked below by the same verification buildCover uses.
 		if lam, uniform := construct.UniformLambda(in.Demand); uniform && lam == 1 && cv.Size() == cover.Rho(n) {
 			res.Optimal = true
 		}
 	} else {
-		deltaScratches.Put(sc)
 		if err := ctx.Err(); err != nil {
 			return CoverResult{}, err
 		}
-		if fallback == nil {
-			// Uniform λ child whose repair missed the predicted size:
-			// cold construction through the normal pipeline.
+		if cold == nil {
+			// Uniform λ child whose patch exceeded λ·ρ(n): cold
+			// construction through the normal pipeline.
 			return buildCover(ctx, in, dp.Opts)
 		}
-		res = CoverResult{Covering: fallback, Method: construct.MethodGreedy}
+		res = CoverResult{Covering: cold, Method: construct.MethodGreedy}
 	}
 	if err := cover.Verify(res.Covering, in.Demand); err != nil {
 		return CoverResult{}, fmt.Errorf("cache: refusing to cache unverified covering: %w", err)

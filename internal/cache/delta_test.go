@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/cyclecover/cyclecover/internal/construct"
@@ -187,5 +188,52 @@ func TestCoverDeltaChainsAcrossGenerations(t *testing.T) {
 			t.Fatalf("generation %d (%s): %v", gen, spec, err)
 		}
 		sig = dp.ChildSig
+	}
+}
+
+// TestCoverDeltaBoundsOnKn pins what keeping the parent buys on K_n.
+// The parent covers every pair, so a remove or fail child needs nothing
+// new and answers with at most the parent's ρ(n) cycles, and a single
+// add child leaves one unit unserved and answers with at most ρ(n)+1.
+// All pairs for n = 5…16, every seventh pair at n = 31.
+func TestCoverDeltaBoundsOnKn(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 31} {
+		step := 1
+		if n == 31 {
+			step = 7
+		}
+		p := New(0)
+		sig := planParent(t, p, instance.AllToAll(n), Options{})
+		rho := cover.Rho(n)
+		k := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if k++; k%step != 0 {
+					continue
+				}
+				for _, kind := range []string{"remove", "fail", "add"} {
+					limit := rho
+					if kind == "add" {
+						limit++
+					}
+					spec := fmt.Sprintf("%s:%d:%d", kind, u, v)
+					dp, err := p.ResolveDelta(sig, mustDelta(t, spec))
+					if err != nil {
+						t.Fatalf("K_%d %s: %v", n, spec, err)
+					}
+					res, _, err := p.CoverDeltaCtx(ctx, dp)
+					if err != nil {
+						t.Fatalf("K_%d %s: %v", n, spec, err)
+					}
+					if err := cover.Verify(res.Covering, dp.Child.Demand); err != nil {
+						t.Fatalf("K_%d %s: %v", n, spec, err)
+					}
+					if got := res.Covering.Size(); got > limit {
+						t.Errorf("K_%d %s: %d cycles (method %s), want at most %d", n, spec, got, res.Method, limit)
+					}
+				}
+			}
+		}
 	}
 }

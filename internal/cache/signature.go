@@ -25,8 +25,8 @@ import (
 type Options struct {
 	// Strategy selects the construction strategy by registry name
 	// (construct.Strategies: the ring members "closed-form", "exact",
-	// "repair", "greedy", the general-host members "scc-colour",
-	// "scc-exact", "scc-kcycle", "scc-greedy", and "portfolio"). Empty
+	// "greedy", the general-host members "scc-colour", "scc-exact",
+	// "scc-kcycle", "scc-greedy", and "portfolio"). Empty
 	// selects construct.Auto — the paper's machinery for λK_n demands,
 	// greedy for other ring demands, the scc pipeline for general hosts.
 	// Part of the cache key: the same demand under different strategies

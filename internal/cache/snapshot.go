@@ -22,8 +22,7 @@ import (
 //
 // Only λ-class (λK_n) entries are persisted: their demand is recoverable
 // from the signature alone, which is what makes load-time re-verification
-// possible. They are also exactly the expensive entries — the even-n
-// repair searches that dominate cold construction time.
+// possible.
 
 // snapshotVersion guards the file format.
 const snapshotVersion = 1

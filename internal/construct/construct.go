@@ -2,15 +2,15 @@
 // constructions for the all-to-all instance (Theorems 1 and 2), an exact
 // branch-and-bound solver used both constructively and as an optimality
 // certifier for small n, a greedy constructor for arbitrary logical
-// graphs, and a redundancy-elimination optimiser.
+// graphs, the delta patch that replans a child demand from its parent's
+// covering, a redundancy-elimination optimiser, and the shortest cycle
+// cover members for general hosts.
 //
-// Odd n is fully closed-form (Theorem 1's count and composition are
-// reproduced exactly, for every n). Even n combines a min-conflicts
-// search at budget ρ(n) for small rings with a layered constructive
-// heuristic for large ones; the heuristic is within (p/2−1) cycles of
-// ρ(n) = ⌈(p²+1)/2⌉ and every produced covering is verified valid.
-// EXPERIMENTS.md reports achieved versus ρ for each n, so the
-// reproduction gap (only on large even rings) is explicit.
+// Every K_n is built in closed form: Theorem 1's induction for odd n
+// (count and composition reproduced exactly), and for even n two steps
+// from it that reach ρ(n) = ⌈(p²+1)/2⌉ at every n = 2p (Even). No ring
+// path searches at random; the one generator in the package is
+// scc-colour's constant-seed PCG.
 package construct
 
 import (
@@ -30,16 +30,12 @@ const (
 	// MethodExact is branch-and-bound exact search (optimal when it
 	// succeeds within its node budget).
 	MethodExact Method = "exact-search"
-	// MethodLayered is the even-n layered constructive heuristic.
-	MethodLayered Method = "even-layered"
+	// MethodEven is the Theorem 2 construction for even n (optimal).
+	MethodEven Method = "even-inductive"
 	// MethodGreedy is the generic greedy constructor.
 	MethodGreedy Method = "greedy"
-	// MethodRepair is the min-conflicts repair search (the Repair
-	// strategy; inside the closed-form even path its converged results
-	// are reported as MethodExact for historical compatibility).
-	MethodRepair Method = "min-conflicts"
-	// MethodDelta is the incremental warm-start repair (DeltaRepair): a
-	// parent covering locally repaired after a bounded instance change.
+	// MethodDelta is the delta patch (DeltaRepair): a parent covering
+	// kept, patched for a bounded instance change, and pruned.
 	MethodDelta Method = "delta-repair"
 )
 
@@ -47,40 +43,30 @@ const (
 type Result struct {
 	Covering *cover.Covering
 	Method   Method
-	// Optimal reports that the covering provably meets ρ(n) (Theorem 1
-	// construction, or exact search at the ρ(n) budget).
+	// Optimal reports that the covering provably meets ρ(n) (the
+	// Theorem 1 and 2 constructions, or exact search at the ρ(n) budget).
 	Optimal bool
 }
 
-// AllToAllCtx constructs a DRC-covering of K_n over C_n. For odd n the
-// result is the Theorem 1 covering (optimal, matching the paper's
-// composition); the closed form does not poll ctx, so ctx is checked
-// before and after it. For even n it is optimal for n ≤ searchEvenLimit,
-// where the min-conflicts search converges, and otherwise the layered
-// construction whose size is reported against ρ(n) by the experiment
-// harness; ctx reaches the embedded repair searches. Either way ctx's
-// error is returned, and no covering, when it fires mid-build.
+// AllToAllCtx constructs an optimal DRC-covering of K_n over C_n: Odd's
+// Theorem 1 covering for odd n, Even's Theorem 2 covering for even n.
+// Neither closed form polls ctx, so ctx is checked before and after the
+// build, and its error is returned, with no covering, once it has fired.
 func AllToAllCtx(ctx context.Context, n int) (Result, error) {
 	if n < ring.MinVertices {
 		return Result{}, fmt.Errorf("construct: n = %d below minimum %d", n, ring.MinVertices)
 	}
-	if n%2 == 1 {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		cv := Odd(n)
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		return Result{Covering: cv, Method: MethodOdd, Optimal: true}, nil
-	}
-	cv, opt, err := EvenCtx(ctx, n)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	m := MethodLayered
-	if opt {
-		m = MethodExact
+	res := Result{Method: MethodOdd, Optimal: true}
+	if n%2 == 1 {
+		res.Covering = Odd(n)
+	} else {
+		res.Covering, res.Method = Even(n), MethodEven
 	}
-	return Result{Covering: cv, Method: m, Optimal: opt}, nil
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }

@@ -3,45 +3,25 @@ package construct
 import (
 	"context"
 	"testing"
-
-	"github.com/cyclecover/cyclecover/internal/instance"
 )
 
-// Warm-repair vs cold-replan benchmarks at K_12, the delta scenario
-// BENCH_6.json reports. The warm path repairs an optimal parent covering
-// missing one cycle through a reused DeltaScratch — the cycled service's
-// steady state for /plan/delta — and must be allocation-free (the CI
-// gate pins 0 allocs/op). The cold baseline rebuilds K_12 from nothing
-// through the repair strategy, which bypasses the memoized even-n
-// builder, so each iteration pays the full construction the delta path
-// avoids.
-
+// BenchmarkDeltaRepairWarm is the delta scenario BENCH_6.json reports,
+// at K_12: an optimal parent covering missing one cycle, patched through
+// a reused DeltaScratch — the cycled service's steady state for
+// /plan/delta. The CI gate pins its allocs/op and B/op at the measured
+// maximum + 10 %: the tally is reused, so what remains is the returned
+// covering and the cycles greedy adds.
 func BenchmarkDeltaRepairWarm(b *testing.B) {
-	r, parent, demand, opts := deltaFixture(b)
+	r, parent, demand, opts := deltaFixture(b, 12)
 	ctx := context.Background()
 	if _, ok := DeltaRepair(ctx, r, parent, demand, opts); !ok {
-		b.Fatal("warm-up repair did not converge")
+		b.Fatal("warm-up patch failed")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := DeltaRepair(ctx, r, parent, demand, opts); !ok {
-			b.Fatal("repair stopped converging")
-		}
-	}
-}
-
-func BenchmarkDeltaRepairCold(b *testing.B) {
-	in := instance.AllToAll(12)
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := Repair{}.Solve(ctx, in, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Covering == nil {
-			b.Fatal("cold replan produced no covering")
+			b.Fatal("patch stopped answering")
 		}
 	}
 }

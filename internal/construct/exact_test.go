@@ -11,9 +11,8 @@ import (
 
 // TestExactFindsRhoCoverings verifies constructively, by independent
 // search, that coverings of size ρ(n) exist for all small n — both
-// parities. (Beyond n = 9 pure branch-and-bound thrashes; the
-// min-conflicts search takes over there, exercised by
-// TestEvenSmallIsOptimal.)
+// parities. (Beyond n = 9 pure branch-and-bound thrashes; the closed
+// forms take over there, exercised by TestEvenSmallIsOptimal.)
 func TestExactFindsRhoCoverings(t *testing.T) {
 	for n := 4; n <= 9; n++ {
 		cv, ok := ExactOptimal(context.Background(), n, 4_000_000)

@@ -4,7 +4,7 @@ package construct
 
 // raceEnabled reports that this test binary was built with the race
 // detector, under which sync.Pool deliberately drops Put values — the
-// warm-repair zero-alloc pin is skipped there (its cover.Verify step
-// rides the pooled package-level path, which legitimately re-allocates
-// under race; the repair-correctness assertions still run).
+// warm-patch allocation pin is skipped there (its greedy, redundancy and
+// cover.Verify steps ride pooled scratch, which legitimately
+// re-allocates under race) — and the slowest size sweeps are too.
 const raceEnabled = true

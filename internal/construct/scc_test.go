@@ -131,7 +131,7 @@ func TestSCCCrossFamilyGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []Strategy{ClosedForm{}, ExactSearch{}, Repair{}, GreedySweep{}} {
+	for _, st := range []Strategy{ClosedForm{}, ExactSearch{}, GreedySweep{}} {
 		if _, err := st.Solve(context.Background(), k4, Options{}); !errors.Is(err, ErrNotApplicable) {
 			t.Errorf("%s on general K_4 host: err = %v, want ErrNotApplicable", st.Name(), err)
 		}

@@ -12,12 +12,11 @@ import (
 )
 
 // This file is the strategy layer: every construction path the package
-// offers — the paper's closed forms, exact branch-and-bound, the
-// min-conflicts repair search, greedy, and the scc members for general
-// hosts (scc.go) — wrapped behind one interface, a registry to select
-// them by name, a Portfolio that tries a subset in priority order under
-// one context, and Auto, the default that picks one member by instance
-// class. The cache, the Planner facade and the cycled service all
+// offers — the paper's closed forms, exact branch-and-bound, greedy, and
+// the scc members for general hosts (scc.go) — wrapped behind one
+// interface, a registry to select them by name, a Portfolio that tries a
+// subset in priority order under one context, and Auto, the default
+// that picks one member by instance class. The cache, the Planner facade and the cycled service all
 // dispatch through here; the Portfolio's determinism rule reproduces
 // Auto's covering exactly wherever the closed forms apply (see
 // Portfolio).
@@ -56,9 +55,9 @@ type Outcome struct {
 
 // Strategy is one independently selectable construction path. Solve
 // honours ctx: cancellation or a deadline aborts the underlying search
-// promptly (within one branch expansion for exact, within one repair
-// step for min-conflicts, within one cycle for greedy) and returns ctx's
-// error. A Strategy must be safe for concurrent use.
+// promptly (within one branch expansion for exact, within one cycle for
+// greedy; the closed forms check it before and after their build) and
+// returns ctx's error. A Strategy must be safe for concurrent use.
 type Strategy interface {
 	Name() string
 	Solve(ctx context.Context, in instance.Instance, opts Options) (Outcome, error)
@@ -71,7 +70,7 @@ type Strategy interface {
 // general-topology instances and the scc members refuse ring instances,
 // so exactly one sub-family competes per instance.
 func Registry() []Strategy {
-	return []Strategy{ClosedForm{}, ExactSearch{}, Repair{}, GreedySweep{}, SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
+	return []Strategy{ClosedForm{}, ExactSearch{}, GreedySweep{}, SCCColour{}, SCCExact{}, SCCKCycle{}, SCCGreedy{}}
 }
 
 // AnytimeRegistry returns the strategies cheap enough to serve under a
@@ -79,8 +78,10 @@ func Registry() []Strategy {
 // pass, never search. It is the member set the portfolio demotes to
 // when the remaining context budget cannot fit the exact machinery
 // (see NewDegradedPortfolio); exactly one sub-family applies per
-// instance class, mirroring Registry. ClosedForm is deliberately
-// excluded — its even-n path is a search with no useful time bound.
+// instance class, mirroring Registry. ClosedForm is not a member: it
+// was left out while its even-n path searched. Every K_n is now a
+// closed form in O(n²), so it could join; the membership is unchanged
+// until a change measures that (ROADMAP).
 func AnytimeRegistry() []Strategy {
 	return []Strategy{GreedySweep{}, SCCKCycle{}, SCCGreedy{}}
 }
@@ -105,7 +106,7 @@ func Strategies() []string {
 }
 
 // LookupStrategy resolves a strategy by registry name ("closed-form",
-// "exact", "repair", "greedy", "scc-colour", "scc-exact", "scc-kcycle",
+// "exact", "greedy", "scc-colour", "scc-exact", "scc-kcycle",
 // "scc-greedy", or "portfolio" for the full registry in priority
 // order), falling back to RegisterStrategy extras. Auto has no name
 // here: the default is selected by naming no strategy.
@@ -127,7 +128,7 @@ func LookupStrategy(name string) (Strategy, bool) {
 func UniformLambda(g *graph.Graph) (int, bool) { return g.UniformMultiplicity() }
 
 // ClosedForm is the paper's construction machinery: Theorem 1's odd
-// induction, the even-n search-plus-layered path, and the λ-composition.
+// induction, the Theorem 2 even construction, and the λ-composition.
 // Applicable to uniform λK_n demands only.
 type ClosedForm struct{}
 
@@ -206,38 +207,6 @@ func (ExactSearch) Solve(ctx context.Context, in instance.Instance, opts Options
 		Optimal:  out.Covering.Size() == cover.Rho(n),
 		Strategy: "exact",
 	}, nil
-}
-
-// Repair is the min-conflicts repair search at budget ρ(n) (the even-n
-// engine behind the closed-form path, exposed as its own member).
-// Applicable to the unit all-to-all demand on even rings within the
-// search range; results are re-verified and only optimal converged
-// coverings are returned.
-type Repair struct{}
-
-// Name implements Strategy.
-func (Repair) Name() string { return "repair" }
-
-// Solve implements Strategy.
-func (Repair) Solve(ctx context.Context, in instance.Instance, opts Options) (Outcome, error) {
-	if in.IsGeneral() {
-		return Outcome{}, fmt.Errorf("%w: repair search addresses ring instances, %q is general-topology", ErrNotApplicable, in.Name)
-	}
-	lam, ok := UniformLambda(in.Demand)
-	if !ok || lam != 1 {
-		return Outcome{}, fmt.Errorf("%w: repair search needs the unit all-to-all demand, got %q", ErrNotApplicable, in.Name)
-	}
-	n := in.N()
-	if n < 4 || n%2 == 1 {
-		return Outcome{}, fmt.Errorf("%w: repair search targets even n ≥ 4, got n=%d", ErrNotApplicable, n)
-	}
-	if cv, ok := evenMCAttempts(ctx, n); ok {
-		return Outcome{Covering: cv, Method: MethodRepair, Optimal: true, Strategy: "repair"}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{}, fmt.Errorf("construct: repair search did not converge at ρ(%d)=%d", n, cover.Rho(n))
 }
 
 // GreedySweep is the generic greedy constructor: applicable to every

@@ -8,13 +8,13 @@ import (
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
 
-// Portfolio-vs-single-strategy benchmarks. Odd ring sizes keep the
-// closed-form path un-memoized (the even-n builder caches per process),
-// so these measure real construction work per iteration. The portfolio
-// tries its members in priority order: on K_13 the closed form is
-// optimal and ends the loop, so the portfolio costs the closed form
-// alone; on the hub demand greedy is the only member that applies, and
-// the other seven refuse at once (see EXPERIMENTS.md §P and §T).
+// Portfolio-vs-single-strategy benchmarks. Nothing below the cache
+// memoizes a construction, so these measure real construction work per
+// iteration. The portfolio tries its members in priority order: on K_13
+// the closed form is optimal and ends the loop, so the portfolio costs
+// the closed form alone; on the hub demand greedy is the only member
+// that applies, and the other six refuse at once (see EXPERIMENTS.md §P
+// and §T).
 
 func benchSolve(b *testing.B, st Strategy, in instance.Instance) {
 	b.Helper()

@@ -197,7 +197,7 @@ func TestPortfolioDeterministic(t *testing.T) {
 // extras (other tests in this package add some) may only ever appear
 // after the pinned prefix, in sorted name order.
 func TestStrategyRegistry(t *testing.T) {
-	want := []string{"closed-form", "exact", "repair", "greedy", "scc-colour", "scc-exact", "scc-kcycle", "scc-greedy", "portfolio"}
+	want := []string{"closed-form", "exact", "greedy", "scc-colour", "scc-exact", "scc-kcycle", "scc-greedy", "portfolio"}
 	got := Strategies()
 	if len(got) < len(want) {
 		t.Fatalf("Strategies() = %v, want prefix %v", got, want)
@@ -235,16 +235,15 @@ func TestStrategyRegistry(t *testing.T) {
 // can drop them.
 func TestStrategyNotApplicable(t *testing.T) {
 	hub := instance.Hub(9, 0)
-	for _, st := range []Strategy{ClosedForm{}, ExactSearch{}, Repair{}} {
+	for _, st := range []Strategy{ClosedForm{}, ExactSearch{}} {
 		_, err := st.Solve(context.Background(), hub, Options{})
 		if !errors.Is(err, ErrNotApplicable) {
 			t.Errorf("%s on hub demand: err = %v, want ErrNotApplicable", st.Name(), err)
 		}
 	}
-	// Repair additionally refuses odd rings.
-	_, err := Repair{}.Solve(context.Background(), instance.AllToAll(9), Options{})
-	if !errors.Is(err, ErrNotApplicable) {
-		t.Errorf("repair on odd n: err = %v, want ErrNotApplicable", err)
+	// The min-conflicts member is gone: its name resolves to nothing.
+	if _, ok := LookupStrategy("repair"); ok {
+		t.Error(`LookupStrategy("repair") resolved a strategy`)
 	}
 }
 

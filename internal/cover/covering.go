@@ -168,9 +168,10 @@ func (cv *Covering) Clone() *Covering {
 
 // CloneDetached returns a deep copy whose cycles own fresh vertex
 // storage. Clone is sufficient for coverings built from immutable cycles
-// (NewCycle copies its input); a covering materialized over reusable
-// scratch buffers (CycleFromSortedVerts) must be detached before it
-// outlives the scratch — e.g. before admission to a cache.
+// (NewCycle copies its input); a covering over buffers someone else owns
+// (CycleFromSortedVerts), or one whose cycles share vertex arrays with
+// another covering (a delta patch and its parent), is detached before
+// it is admitted to a cache.
 func (cv *Covering) CloneDetached() *Covering {
 	out := NewCovering(cv.Ring)
 	out.Cycles = make([]Cycle, len(cv.Cycles))

@@ -95,12 +95,11 @@ func duplicateError(r ring.Ring, verts []int) error {
 
 // CycleFromSortedVerts wraps an already-canonical vertex slice — sorted
 // by ring order, distinct, in range — as a Cycle without copying or
-// validating it. It exists for scratch-backed constructors (DeltaRepair)
-// that materialize results into reusable buffers on a hot path; the
-// cycle aliases verts, so the caller owns the lifetime and must
-// CloneDetached the covering before sharing it. Every consumer of such
-// coverings re-verifies them, so a malformed input fails verification
-// rather than corrupting downstream state.
+// validating it. The cycle aliases verts, so the caller owns the
+// lifetime and must CloneDetached the covering before sharing it. Every
+// consumer of such coverings re-verifies them, so a malformed input
+// fails verification rather than corrupting downstream state; the
+// answer writer's fuzz test relies on that to feed it arbitrary lists.
 func CycleFromSortedVerts(verts []int) Cycle { return Cycle{verts: verts} }
 
 // MustCycle is NewCycle that panics on error; for tests and constructions

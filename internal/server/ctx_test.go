@@ -122,7 +122,7 @@ func TestPlanStrategyParam(t *testing.T) {
 
 	// A known strategy that does not address the demand class is also a
 	// client error, not a 500.
-	resp, body = get(t, ts.URL+"/plan?n=9&strategy=repair") // repair needs even n
+	resp, body = get(t, ts.URL+"/plan?n=9&demand=hub:0&strategy=exact") // exact needs K_n
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("inapplicable strategy: status %d (%s)", resp.StatusCode, body)
 	}

@@ -32,8 +32,8 @@ type deltaResponse struct {
 }
 
 // deltaTail is the delta provenance: which parent the child was
-// replanned from, the applied delta, and whether the covering came from
-// warm repair (vs cold fallback or a cached child).
+// replanned from, the applied delta, and whether the covering is the
+// patched parent (vs the cold plan or a cached child).
 type deltaTail struct {
 	Parent   string `json:"parent"`
 	Delta    string `json:"delta"`
@@ -43,11 +43,11 @@ type deltaTail struct {
 // handlePlanDelta serves POST /plan/delta: incremental replanning after a
 // bounded instance change. The parent plan is fetched from the covering
 // cache by signature, the delta applied to its demand, and the child
-// planned by warm-starting the repair search from the parent covering —
-// falling back to cold construction when repair exhausts its budget. The
-// repaired plan verifies and costs no more cycles than a cold replan,
-// and is admitted under the child instance's own signature, so identical
-// concurrent requests — delta or cold — each take a worker and share one
+// planned by patching the parent covering (construct.DeltaRepair) — the
+// cold plan answers instead when the patch is larger. The answer
+// verifies and costs no more cycles than a cold replan, and is admitted
+// under the child instance's own signature, so identical concurrent
+// requests — delta or cold — each take a worker and share one
 // construction through the cache's single flight.
 //
 // 400 table: malformed JSON body, missing parent, missing delta, an

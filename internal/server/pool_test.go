@@ -87,22 +87,27 @@ func TestPoolCloseFailsPending(t *testing.T) {
 }
 
 // TestPoolSubmitRacesClose: submissions racing Close are never
-// stranded. Submitters keep submitting until the pool refuses them, so
-// Close meets jobs running, submitters waiting for a worker and
+// stranded. Submitters keep submitting until the pool refuses them, and
+// the submitter whose job is the closeAt-th to return closes the pool,
+// so Close meets jobs running, submitters waiting for a worker and
 // handoffs in progress; every Submit returns its own value or
-// ErrPoolClosed.
+// ErrPoolClosed. Closing from a submitter, not from the test goroutine,
+// keeps a round short at GOMAXPROCS=1, where the submitters' handoffs
+// would keep a goroutine that only waits for its turn off the CPU for
+// hundreds of milliseconds. closeAt steps through 1…2·submitters so the
+// rounds meet Close at different depths of traffic.
 func TestPoolSubmitRacesClose(t *testing.T) {
 	const rounds, submitters = 50, 16
 	for round := 0; round < rounds; round++ {
 		p := NewPool(2, 2)
+		closeAt := int64(1 + round%(2*submitters))
+		var returned atomic.Int64
 		errs := make(chan error, submitters)
-		var started, finished sync.WaitGroup
-		started.Add(submitters)
+		var finished sync.WaitGroup
 		finished.Add(submitters)
 		for i := 0; i < submitters; i++ {
 			go func() {
 				defer finished.Done()
-				started.Done()
 				for k := 0; ; k++ {
 					want := i<<16 | k
 					v, err := p.Submit(context.Background(), "", func(context.Context) (any, error) { return want, nil })
@@ -113,11 +118,12 @@ func TestPoolSubmitRacesClose(t *testing.T) {
 						errs <- fmt.Errorf("submitter %d job %d: got (%v, %v), want %d", i, k, v, err, want)
 						return
 					}
+					if returned.Add(1) == closeAt {
+						p.Close()
+					}
 				}
 			}()
 		}
-		started.Wait()
-		p.Close()
 		allReturned := make(chan struct{})
 		go func() { finished.Wait(); close(allReturned) }()
 		select {
@@ -128,6 +134,9 @@ func TestPoolSubmitRacesClose(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			t.Errorf("round %d: %v", round, err)
+		}
+		if !p.Closed() {
+			t.Errorf("round %d: the pool was never closed", round)
 		}
 	}
 }

@@ -384,3 +384,55 @@ func TestSimulateEchoesNormalizedSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestK22PlanVerifySimulate pins the even closed form end to end at the
+// first size the old search could not reach: K_22 plans at ρ(22) = 61
+// cycles with `optimal: true` and method even-inductive, its cover has
+// five-cycles, /verify accepts it as valid and optimal, and a single
+// failure sweep over its network restores everything.
+func TestK22PlanVerifySimulate(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := get(t, ts.URL+"/plan?n=22&demand=alltoall")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan: status %d (%s)", resp.StatusCode, body)
+	}
+	var plan planResponse
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Size != 61 || plan.Rho != 61 || !plan.Optimal || plan.Method != "even-inductive" {
+		t.Fatalf("K_22 plan: size %d rho %d optimal %v method %q, want 61 61 true even-inductive",
+			plan.Size, plan.Rho, plan.Optimal, plan.Method)
+	}
+	fives := 0
+	for _, c := range plan.Cycles {
+		if len(c) == 5 {
+			fives++
+		}
+	}
+	if len(plan.Cycles) != 61 || fives == 0 {
+		t.Fatalf("K_22 plan: %d cycles, %d of them five-cycles; want 61 with five-cycles", len(plan.Cycles), fives)
+	}
+	resp, body = postJSON(t, ts.URL+"/verify", verifyRequest{N: 22, Cycles: plan.Cycles, Demand: "alltoall"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify: status %d (%s)", resp.StatusCode, body)
+	}
+	var vr verifyResponse
+	if err := json.Unmarshal(body, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if !vr.Valid || !vr.Optimal || vr.Size != 61 {
+		t.Fatalf("verify of the K_22 plan: %s", body)
+	}
+	resp, body = get(t, ts.URL+"/simulate?n=22")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: status %d (%s)", resp.StatusCode, body)
+	}
+	var sb simBody
+	if err := json.Unmarshal(body, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.Subnets != 61 || !sb.CacheHit || !sb.Sweep.AllRestored || sb.Sweep.Scenarios != 22 || !sb.Sweep.Complete {
+		t.Fatalf("simulate of K_22: subnets %d cacheHit %v sweep %+v", sb.Subnets, sb.CacheHit, sb.Sweep)
+	}
+}

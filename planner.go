@@ -125,11 +125,12 @@ type PlannedDelta struct {
 	Covering *Covering
 	Network  *Network
 	// Method names the constructor that produced the covering;
-	// "delta-repair" when warm repair converged, a cold constructor's
-	// name when the build fell back (or the child was already cached).
+	// "delta-repair" when the patched parent answered, a cold
+	// constructor's name when the cold plan did (or the child was
+	// already cached).
 	Method string
-	// Repaired reports that the covering came from warm-start repair of
-	// the parent rather than cold construction.
+	// Repaired reports that the covering is the parent patched for the
+	// delta rather than a cold construction.
 	Repaired bool
 	// Optimal reports that the covering provably has ρ(n) cycles.
 	Optimal bool
@@ -141,9 +142,10 @@ type PlannedDelta struct {
 // PlanDelta incrementally replans after a bounded instance change: the
 // parent plan is fetched from the cache by its canonical signature (see
 // SignatureOf), the delta is applied to its demand, and the child is
-// planned by warm-starting the repair search from the parent covering —
-// falling back to cold construction transparently when repair cannot
-// match the cold cost within budget. The child plan is verified, costs
+// planned by patching the parent covering: its cycles are kept, greedy
+// covers what they leave unserved, and cycles the child no longer needs
+// are dropped. The patch answers when it is no larger than a cold plan,
+// and the cold plan answers otherwise. The child plan is verified, costs
 // no more cycles than a cold replan, and is admitted under the child
 // instance's own signature with the cache's single-flight semantics, so
 // concurrent deltas and cold plans of the same child coalesce.
@@ -151,8 +153,8 @@ type PlannedDelta struct {
 // An unresolvable parent signature fails with an error wrapping
 // cache.ErrUnknownParent (plan the parent first); a delta invalid
 // against the parent's demand wraps cache.ErrBadDelta. ctx has the
-// cancellation semantics of CoverInstance for both the repair and any
-// fallback construction.
+// cancellation semantics of CoverInstance for both the patch and any
+// cold construction.
 func (p *Planner) PlanDelta(ctx context.Context, parentSig string, d Delta) (*PlannedDelta, error) {
 	dp, err := p.plans.ResolveDelta(parentSig, d)
 	if err != nil {
